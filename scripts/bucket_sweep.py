@@ -13,7 +13,7 @@ import argparse
 import csv
 import sys
 
-from swat import dataio, metrics, predictor, simulate
+from swat import dataio, heads, metrics, predictor, simulate
 from swat.buckets import BucketScheme, from_percentiles
 from swat.heads import HeadKind
 from swat.predictor import TrainConfig
@@ -54,7 +54,7 @@ def main():
     rows = []
     for n_buckets, step in sorted(STEPS.items()):
         for head in (HeadKind.BINOM, HeadKind.GEO):
-            scheme = from_percentiles(train_targets, step, tail_open=head is HeadKind.GEO)
+            scheme = from_percentiles(train_targets, step, tail_open=heads.HEADS[head].tail_open)
             config = TrainConfig(head=head, scheme=scheme, hash_dim=8,
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model

@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from swat import dataio, metrics, predictor, simulate
+from swat import dataio, heads, metrics, predictor, simulate
 from swat.buckets import BucketScheme, from_percentiles
 from swat.heads import HeadKind
 from swat.predictor import TrainConfig
@@ -59,10 +59,9 @@ def mixed_dataset(kind, n, seed):
 
 def fit_and_score(train_set, test_set, head, seed):
     scheme = None
-    if head in (HeadKind.BINOM, HeadKind.GEO):
-        scheme = from_percentiles(
-            train_set.targets().tolist(), 5, tail_open=head is HeadKind.GEO
-        )
+    tail_open = heads.HEADS[head].tail_open
+    if tail_open is not None:
+        scheme = from_percentiles(train_set.targets().tolist(), 5, tail_open=tail_open)
     config = TrainConfig(head=head, scheme=scheme, hash_dim=16, max_epochs=30, seed=seed)
     model = predictor.train(train_set, config).model
     preds = model.predict_dataset(test_set)

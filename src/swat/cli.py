@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, metrics, predictor, simulate, verify
+from . import dataio, heads, metrics, predictor, simulate, verify
 from .buckets import BucketScheme, ablation_choice, from_endpoints, from_percentiles
 from .heads import HeadKind
 from .predictor import Model, TrainConfig, TrainingDiverged
@@ -154,9 +154,9 @@ def cmd_train(args) -> int:
     head = HeadKind(args.head)
     scheme = _load_scheme(args)
     if scheme is None and args.endpoints:
-        scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=head is HeadKind.GEO)
-    if head in (HeadKind.BINOM, HeadKind.GEO) and scheme is None:
-        raise UsageError(f"{head.value} head needs --scheme or --endpoints")
+        tail_open = bool(heads.HEADS[head].tail_open)
+        scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=tail_open)
+    heads.arity(head, scheme)  # reject an unsuitable scheme before reading the data
     dataset = _load_dataset(args, part="train")
     config = TrainConfig(
         head=head,

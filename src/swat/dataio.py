@@ -159,17 +159,3 @@ def write_predictions(path, dataset: Dataset, predictions) -> None:
         for sample, pred in zip(dataset.samples, predictions):
             writer.writerow([sample.id, repr(sample.raw_target), repr(float(pred))])
 
-
-def load_config(path) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment, blank lines ignored."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out

@@ -1,4 +1,5 @@
-"""Statistical heads: losses, analytic logit gradients, and expectation estimators.
+"""Statistical heads: batch losses, analytic logit gradients, and expectation
+estimators, dispatched through one table with an entry per head.
 
 Four heads share the sigmoid parameterization p = sigmoid(y), with
 probabilities clamped to [1e-7, 1 - 1e-7] before any log or 1/(1-p):
@@ -14,18 +15,22 @@ probabilities clamped to [1e-7, 1 - 1e-7] before any log or 1/(1-p):
             log(1-p) term when t > 0; same exp(y) estimator.
 
 Losses are negated log-likelihoods (minimization convention).  All functions
-are pure; batch variants operate row-wise on (B, arity) arrays.
+are pure and work on batches: probabilities and logits are (B, arity) arrays,
+and watch times reach a loss only through `encode_targets`, which turns a
+batch of integer watch times into the targets that head's loss takes.  Adding
+a head means adding one `HEADS` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
+from . import labels
 from .buckets import BucketScheme
-from .labels import SoftLabels
 
 PROB_EPS = 1e-7
 
@@ -49,39 +54,6 @@ class HeadKind(str, Enum):
     GEO = "geo"
     VGEO = "vgeo"
     WLR = "wlr"
-
-    def arity(self, scheme: BucketScheme | None) -> int:
-        if self is HeadKind.BINOM:
-            _require_scheme(self, scheme)
-            return scheme.n_buckets
-        if self is HeadKind.GEO:
-            _require_scheme(self, scheme)
-            return scheme.n_buckets + 1
-        return 1
-
-
-def _require_scheme(kind: HeadKind, scheme: BucketScheme | None) -> None:
-    if scheme is None:
-        raise ValueError(f"{kind.value} head needs a bucket scheme")
-    if kind is HeadKind.BINOM and scheme.tail_open:
-        raise ValueError("binom head needs a closed-tail scheme (tail_open=False)")
-    if kind is HeadKind.GEO and not scheme.tail_open:
-        raise ValueError("geo head needs an open-tail scheme (tail_open=True)")
-
-
-@dataclass(frozen=True)
-class HeadOutput:
-    """Logits and clamped sigmoid probabilities for one sample."""
-
-    logits: np.ndarray
-    probs: np.ndarray
-
-    @classmethod
-    def from_logits(cls, logits) -> "HeadOutput":
-        y = np.atleast_1d(np.asarray(logits, dtype=np.float64))
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite logits: {y}")
-        return cls(logits=y, probs=clamp_probs(sigmoid(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +97,8 @@ def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndar
 def geo_loss_batch(
     probs: np.ndarray, a: np.ndarray, stop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    if probs.shape != a.shape:
+        raise ValueError(f"probs shape {probs.shape} != coefficient shape {a.shape}")
     losses = -(a * np.log(probs) + stop * np.log1p(-probs)).sum(axis=1)
     grads = -a * (1.0 - probs) + stop * probs
     return losses, grads
@@ -148,28 +122,12 @@ def wlr_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# expectations
+# batch expectations
 # ---------------------------------------------------------------------------
 
 
 def binom_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray:
-    widths = np.asarray(scheme.widths, dtype=np.float64)
-    if probs.shape[1] != len(widths):
-        raise ValueError(f"binom head expects {len(widths)} probs, got {probs.shape[1]}")
-    return probs @ widths
-
-
-def _geometric_series(p: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """p (1 - p^w) / (1 - p) = p + p^2 + ... + p^w, stable near p = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        series = p * (-np.expm1(widths * np.log(p))) / (1.0 - p)
-    near_one = (1.0 - p) < 1e-6
-    if np.any(near_one):
-        rows, cols = np.nonzero(near_one)
-        for r, c in zip(rows, cols):
-            w = int(widths[0, c] if widths.shape[0] == 1 else widths[r, c])
-            series[r, c] = np.sum(p[r, c] ** np.arange(1, w + 1))
-    return series
+    return probs @ np.asarray(scheme.widths, dtype=np.float64)
 
 
 def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray:
@@ -177,7 +135,9 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
 
     E[T] is the survival sum over t >= 1 of P(T >= t): bucket i contributes
     prod_{j<i} p_j^{w_j} times (p_i + ... + p_i^{w_i}); the open tail
-    contributes prod_j p_j^{w_j} times p / (1 - p).
+    contributes prod_j p_j^{w_j} times p / (1 - p).  The power sum is taken
+    as p (1 - p^w) / (1 - p) with 1 - p^w = -expm1(w log p), which keeps its
+    relative error near machine precision up to the clamp ceiling 1 - 1e-7.
     """
     n = scheme.n_buckets
     if probs.ndim != 2 or probs.shape[1] != n + 1:
@@ -189,69 +149,81 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
     prefix = np.concatenate([np.ones((probs.shape[0], 1)), prefix], axis=1)
 
     tail_p = probs[:, n]
-    series = _geometric_series(inner, widths)
+    series = inner * -np.expm1(widths * np.log(inner)) / (1.0 - inner)
     return (prefix[:, :n] * series).sum(axis=1) + prefix[:, n] * tail_p / (1.0 - tail_p)
 
 
 # ---------------------------------------------------------------------------
-# per-sample API
+# the head table
 # ---------------------------------------------------------------------------
 
 
-def binom_loss(out: HeadOutput, soft: SoftLabels) -> tuple[float, np.ndarray]:
-    """Summed per-bucket cross-entropy and its logit gradient p_i - l_i."""
-    target = np.asarray(soft.values, dtype=np.float64)
-    if target.shape != out.probs.shape:
-        raise ValueError(f"{len(target)} labels for {len(out.probs)} probs")
-    losses, grads = binom_loss_batch(out.probs[None, :], target[None, :])
-    return float(losses[0]), grads[0]
+@dataclass(frozen=True)
+class Head:
+    """What the pipeline needs to know about one head.
+
+    ``tail_open`` is the scheme tail the head needs: None for no scheme, False
+    for a closed tail (N probabilities), True for an open one (N + 1).
+    ``encode(scheme, t)`` turns an int64 batch of watch times into the
+    targets ``loss(probs, encoded)`` takes; the loss returns per-row losses
+    and logit gradients.  ``expectation(probs, logits, scheme)`` returns the
+    per-row mean watch time.  Functions that a profiler may wrap are looked
+    up by name when called, so the entries hold lambdas around them.
+    """
+
+    tail_open: bool | None
+    encode: Callable[[BucketScheme | None, np.ndarray], Any]
+    loss: Callable[[np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
+    expectation: Callable[[np.ndarray, np.ndarray, BucketScheme | None], np.ndarray]
 
 
-def geo_loss(out: HeadOutput, scheme: BucketScheme, t: int) -> tuple[float, np.ndarray]:
-    if len(out.probs) != scheme.n_buckets + 1:
-        raise ValueError(f"geo head expects {scheme.n_buckets + 1} probs, got {len(out.probs)}")
-    a, stop = geo_coefficients(scheme, np.asarray([t]))
-    losses, grads = geo_loss_batch(out.probs[None, :], a, stop)
-    return float(losses[0]), grads[0]
+def _exp_logit(probs, logits, scheme):
+    return np.exp(logits[:, 0])
 
 
-def geo_pmf(out: HeadOutput, scheme: BucketScheme, t: int) -> float:
-    """Probability of exactly t under the bucketized geometric law (log-space)."""
-    a, stop = geo_coefficients(scheme, np.asarray([t]))
-    log_p = (a * np.log(out.probs[None, :]) + stop * np.log1p(-out.probs[None, :])).sum()
-    return float(np.exp(log_p))
+HEADS: dict[HeadKind, Head] = {
+    HeadKind.BINOM: Head(
+        tail_open=False,
+        encode=lambda scheme, t: labels.matrix(scheme, t),
+        loss=binom_loss_batch,
+        expectation=lambda probs, logits, scheme: binom_expectation_batch(probs, scheme),
+    ),
+    HeadKind.GEO: Head(
+        tail_open=True,
+        encode=lambda scheme, t: geo_coefficients(scheme, t),
+        loss=lambda probs, enc: geo_loss_batch(probs, *enc),
+        expectation=lambda probs, logits, scheme: geo_expectation_batch(probs, scheme),
+    ),
+    HeadKind.VGEO: Head(None, lambda scheme, t: t, vgeo_loss_batch, _exp_logit),
+    HeadKind.WLR: Head(None, lambda scheme, t: t, wlr_loss_batch, _exp_logit),
+}
 
 
-def geo_expectation(out: HeadOutput, scheme: BucketScheme) -> float:
-    return float(geo_expectation_batch(out.probs[None, :], scheme)[0])
+def arity(kind: HeadKind, scheme: BucketScheme | None) -> int:
+    """Logits per sample; raises ValueError when the scheme does not suit the head."""
+    tail_open = HEADS[kind].tail_open
+    if tail_open is None:
+        return 1
+    if scheme is None:
+        raise ValueError(f"{kind.value} head needs a bucket scheme")
+    if scheme.tail_open != tail_open:
+        need = "an open" if tail_open else "a closed"
+        raise ValueError(f"{kind.value} head needs {need}-tail scheme (tail_open={tail_open})")
+    return scheme.n_buckets + tail_open
 
 
-def vgeo_loss(out: HeadOutput, t: int) -> tuple[float, np.ndarray]:
-    losses, grads = vgeo_loss_batch(out.probs[None, :], np.asarray([t]))
-    return float(losses[0]), grads[0]
+def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets) -> Any:
+    """Loss targets for a batch of integer watch times; negative times raise."""
+    arity(kind, scheme)
+    t = np.asarray(targets, dtype=np.int64)
+    if np.any(t < 0):
+        raise ValueError(f"watch time must be non-negative, got {int(t.min())}")
+    return HEADS[kind].encode(scheme, t)
 
 
-def wlr_loss(out: HeadOutput, t: int) -> tuple[float, np.ndarray]:
-    losses, grads = wlr_loss_batch(out.probs[None, :], np.asarray([t]))
-    return float(losses[0]), grads[0]
-
-
-def loss_batch(
-    kind: HeadKind, probs: np.ndarray, encoded_targets
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch on head kind; encoded_targets comes from encode_targets."""
-    if kind is HeadKind.BINOM:
-        return binom_loss_batch(probs, encoded_targets)
-    if kind is HeadKind.GEO:
-        return geo_loss_batch(probs, *encoded_targets)
-    if kind is HeadKind.VGEO:
-        return vgeo_loss_batch(probs, encoded_targets)
-    return wlr_loss_batch(probs, encoded_targets)
-
-
-def expectation(kind: HeadKind, out: HeadOutput, scheme: BucketScheme | None = None) -> float:
-    """Closed-form expected watch time for one sample."""
-    return float(expectation_batch(kind, out.probs[None, :], out.logits[None, :], scheme)[0])
+def loss_batch(kind: HeadKind, probs: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and logit gradients; encoded_targets comes from encode_targets."""
+    return HEADS[kind].loss(probs, encoded_targets)
 
 
 def expectation_batch(
@@ -260,11 +232,8 @@ def expectation_batch(
     logits: np.ndarray,
     scheme: BucketScheme | None = None,
 ) -> np.ndarray:
-    if kind in (HeadKind.BINOM, HeadKind.GEO):
-        _require_scheme(kind, scheme)
-        if kind is HeadKind.BINOM:
-            return binom_expectation_batch(probs, scheme)
-        return geo_expectation_batch(probs, scheme)
-    if probs.shape[1] != 1:
-        raise ValueError(f"{kind.value} head expects a single logit, got {probs.shape[1]}")
-    return np.exp(logits[:, 0])
+    """Closed-form expected watch time of each row."""
+    n = arity(kind, scheme)
+    if probs.ndim != 2 or probs.shape[1] != n:
+        raise ValueError(f"{kind.value} head expects {n} probs per row, got shape {probs.shape}")
+    return HEADS[kind].expectation(probs, logits, scheme)

@@ -7,87 +7,44 @@ the fraction of the bucket watched:
     l_i = 1                              t >  x_i
     l_i = (t - x_{i-1}) / (x_i - x_{i-1})   otherwise
 
-Valid label vectors are non-increasing with at most one fractional entry, so
-the observed time can be decoded back exactly.
+`matrix` encodes a batch of watch times, one label row each.  Valid rows are
+non-increasing with at most one fractional entry, so `decode` recovers the
+observed time from a row exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .buckets import BucketScheme
 
 
-@dataclass
-class ClipCounter:
-    """Counts encodings of watch times beyond the last closed-bucket edge."""
-
-    count: int = 0
-
-    def bump(self) -> None:
-        self.count += 1
-
-
-@dataclass(frozen=True)
-class SoftLabels:
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"label {v} outside [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def encode(scheme: BucketScheme, t: int, clip_counter: ClipCounter | None = None) -> SoftLabels:
-    """Soft labels for watch time t; t beyond x_N yields all ones and counts a clip."""
-    if t < 0:
-        raise ValueError(f"watch time must be non-negative, got {t}")
-    if t > scheme.endpoints[-1] and clip_counter is not None:
-        clip_counter.bump()
-    xs = (0,) + scheme.endpoints
-    vals = []
-    for i in range(1, scheme.n_buckets + 1):
-        lo, hi = xs[i - 1], xs[i]
-        if t <= lo:
-            vals.append(0.0)
-        elif t > hi:
-            vals.append(1.0)
-        else:
-            vals.append((t - lo) / (hi - lo))
-    return SoftLabels(tuple(vals))
-
-
 def matrix(scheme: BucketScheme, targets: np.ndarray) -> np.ndarray:
-    """Vectorized encode: (n,) integer targets -> (n, N) label matrix."""
+    """(n,) integer targets -> (n, N) label rows; t beyond x_N clips to all ones."""
     t = np.asarray(targets, dtype=np.float64)[:, None]
     lo = np.array((0,) + scheme.endpoints[:-1], dtype=np.float64)[None, :]
     widths = np.array(scheme.widths, dtype=np.float64)[None, :]
     return np.clip((t - lo) / widths, 0.0, 1.0)
 
 
-def decode(scheme: BucketScheme, labels: SoftLabels) -> int:
-    """Recover the watch time a label vector encodes.
+def decode(scheme: BucketScheme, row) -> int:
+    """Recover the watch time one label row encodes.
 
-    Raises on non-monotone label vectors; clipped (all-ones of an
-    over-horizon time) encodings decode to x_N.
+    Raises on rows of the wrong length, labels outside [0, 1] and
+    non-monotone rows; clipped (all-ones of an over-horizon time) rows
+    decode to x_N.
     """
-    vals = labels.values
-    if len(vals) != scheme.n_buckets:
+    vals = np.asarray(row, dtype=np.float64)
+    if vals.shape != (scheme.n_buckets,):
         raise ValueError(
-            f"label length {len(vals)} does not match scheme with {scheme.n_buckets} buckets"
+            f"label shape {vals.shape} does not match scheme with {scheme.n_buckets} buckets"
         )
-    for a, b in zip(vals, vals[1:]):
-        if b > a + 1e-12:
-            raise ValueError(f"labels must be non-increasing, got {vals}")
-    last = 0
-    for i, v in enumerate(vals, start=1):
-        if v > 0.0:
-            last = i
-    if last == 0:
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):
+        raise ValueError(f"label outside [0, 1] in {vals}")
+    if np.any(np.diff(vals) > 1e-12):
+        raise ValueError(f"labels must be non-increasing, got {vals}")
+    watched = np.flatnonzero(vals > 0.0)
+    if not watched.size:
         return 0
+    last = int(watched[-1]) + 1
     return scheme.lower(last) + int(round(vals[last - 1] * scheme.widths[last - 1]))

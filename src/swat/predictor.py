@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import heads, labels
+from . import heads
 from .buckets import BucketScheme
 from .dataio import Dataset
 from .heads import HeadKind
@@ -88,7 +88,7 @@ class Model:
 
     @classmethod
     def init(cls, feature_spec, hidden, head, scheme, seed, rng) -> "Model":
-        arity = head.arity(scheme)
+        arity = heads.arity(head, scheme)
         d = feature_spec.input_dim
         params: dict[str, np.ndarray] = {}
         if hidden > 0:
@@ -111,9 +111,6 @@ class Model:
             z = x @ self.params["w1"].T + self.params["b1"]
             return np.maximum(z, 0.0) @ self.params["w2"].T + self.params["b2"]
         return x @ self.params["w"].T + self.params["b"]
-
-    def forward(self, features: np.ndarray) -> heads.HeadOutput:
-        return heads.HeadOutput.from_logits(self.forward_batch(np.atleast_2d(features))[0])
 
     def backward_batch(self, x: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Exact gradients of sum_b loss_b given d(loss)/d(logits) rows."""
@@ -242,34 +239,27 @@ class TrainResult:
     clipped: int = 0
 
 
-def _encode_targets(config: TrainConfig, targets: np.ndarray, binom_labels):
-    if config.head is HeadKind.BINOM:
-        if binom_labels is not None:
-            return np.asarray(binom_labels, dtype=np.float64), 0
-        clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
-        return labels.matrix(config.scheme, targets), clipped
-    if config.head is HeadKind.GEO:
-        return heads.geo_coefficients(config.scheme, targets), 0
-    return targets, 0
-
-
 def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResult:
     """Seeded shuffled mini-batch AdamW fit of the configured head.
 
-    ``binom_labels`` optionally overrides the soft labels derived from total
-    watch time with true per-bucket fractions (n, N).  Raises
-    TrainingDiverged on a non-finite batch loss.
+    Targets are encoded one batch at a time.  ``binom_labels`` optionally
+    replaces the binom head's soft labels derived from total watch time with
+    true per-bucket fractions (n, N).  Raises ValueError when the scheme does
+    not suit the head or a watch time is negative, and TrainingDiverged on a
+    non-finite batch loss.
     """
-    if config.head in (HeadKind.BINOM, HeadKind.GEO):
-        config.head.arity(config.scheme)  # validates scheme presence and tail pairing
     numeric_dims = len(dataset.samples[0].numeric)
     spec = FeatureSpec(config.hash_dim, numeric_dims, seed=config.seed)
-    x = spec.encode_dataset(dataset)
-    targets = dataset.targets()
-    encoded, clipped = _encode_targets(config, targets, binom_labels)
-
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
+    x = spec.encode_dataset(dataset)
+    targets = dataset.targets()
+    clipped = 0
+    if binom_labels is not None:
+        binom_labels = np.asarray(binom_labels, dtype=np.float64)
+    elif heads.HEADS[config.head].tail_open is False:
+        clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
+
     optimizer = AdamState.for_params(
         model.params, config.lr, config.betas, config.eps, config.weight_decay
     )
@@ -284,7 +274,10 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
             xb = x[idx]
             logits = model.forward_batch(xb)
             probs = heads.clamp_probs(heads.sigmoid(logits))
-            enc = _slice_encoded(config.head, encoded, idx)
+            if binom_labels is None:
+                enc = heads.encode_targets(config.head, config.scheme, targets[idx])
+            else:
+                enc = binom_labels[idx]
             losses, dlogits = heads.loss_batch(config.head, probs, enc)
             batch_loss = float(losses.mean())
             if not np.isfinite(batch_loss):
@@ -299,9 +292,3 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
                 break
     return TrainResult(model, epoch_losses, clipped)
 
-
-def _slice_encoded(head: HeadKind, encoded, idx: np.ndarray):
-    if head is HeadKind.GEO:
-        a, stop = encoded
-        return a[idx], stop[idx]
-    return encoded[idx]

@@ -5,7 +5,8 @@ not need training: analytic gradients against central finite differences,
 the closed-form geometric expectation against the sequential-process
 enumeration oracle, the uniform-probability reduction, the soft-label round
 trip, gradient bounds, and the total-mass diagnostic (the fitted geo law
-sums to 1).
+sums to 1).  Every check runs on the batch head API; a check that needs one
+scheme at many watch times or logit vectors evaluates them in one batch.
 """
 
 from __future__ import annotations
@@ -14,21 +15,24 @@ import numpy as np
 
 from . import heads, labels, simulate
 from .buckets import BucketScheme, from_endpoints
-from .heads import HeadKind, HeadOutput
+from .heads import HeadKind
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
 
 
-def _central_diff(f, y: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    grad = np.zeros_like(y)
-    for i in range(len(y)):
-        up = y.copy()
-        dn = y.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (f(up) - f(dn)) / (2.0 * step)
-    return grad
+def _losses(kind: HeadKind, scheme, logits: np.ndarray, t: int):
+    """Losses and logit gradients of (B, arity) logit rows, each against watch time t."""
+    probs = heads.clamp_probs(heads.sigmoid(logits))
+    encoded = heads.encode_targets(kind, scheme, np.full(len(logits), t))
+    return heads.loss_batch(kind, probs, encoded)
+
+
+def _central_diff(kind: HeadKind, scheme, y: np.ndarray, t: int, step: float = FD_STEP):
+    """Central finite differences of one sample's loss, all 2 * arity points in one batch."""
+    shifts = step * np.eye(len(y))
+    losses, _ = _losses(kind, scheme, np.vstack([y + shifts, y - shifts]), t)
+    return (losses[: len(y)] - losses[len(y) :]) / (2.0 * step)
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -42,36 +46,21 @@ def _random_scheme(rng, max_buckets: int = 10, max_width: int = 30, tail_open: b
     return BucketScheme(tuple(np.cumsum(widths).tolist()), tail_open)
 
 
-def _head_loss_fn(kind: HeadKind, scheme, target, soft):
-    if kind is HeadKind.BINOM:
-        return lambda y: heads.binom_loss(HeadOutput.from_logits(y), soft)
-    if kind is HeadKind.GEO:
-        return lambda y: heads.geo_loss(HeadOutput.from_logits(y), scheme, target)
-    if kind is HeadKind.VGEO:
-        return lambda y: heads.vgeo_loss(HeadOutput.from_logits(y), target)
-    return lambda y: heads.wlr_loss(HeadOutput.from_logits(y), target)
-
-
 def check_gradients(trials: int, seed: int, flip: str | None = None) -> dict[str, tuple[bool, str]]:
     """Analytic gradients vs central finite differences for every head."""
     results = {}
     for kind in HeadKind:
         rng = np.random.default_rng(seed)
+        tail_open = bool(heads.HEADS[kind].tail_open)
         worst = 0.0
         for _ in range(trials):
-            scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=kind is HeadKind.GEO)
-            arity = kind.arity(scheme) if kind in (HeadKind.BINOM, HeadKind.GEO) else 1
-            y = rng.uniform(-5.0, 5.0, size=arity)
+            scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=tail_open)
+            y = rng.uniform(-5.0, 5.0, size=heads.arity(kind, scheme))
             t = int(rng.integers(0, scheme.endpoints[-1] + 5))
-            soft = None
-            if kind is HeadKind.BINOM:
-                soft = labels.encode(scheme, min(t, scheme.endpoints[-1]))
-            loss_fn = _head_loss_fn(kind, scheme, t, soft)
-            _, grad = loss_fn(y)
+            grad = _losses(kind, scheme, y[None, :], t)[1][0]
             if flip == kind.value:
                 grad = -grad
-            fd = _central_diff(lambda yy: loss_fn(yy)[0], y)
-            worst = max(worst, _rel_err(grad, fd))
+            worst = max(worst, _rel_err(grad, _central_diff(kind, scheme, y, t)))
         ok = worst <= FD_RTOL
         results[f"gradient_fd_{kind.value}"] = (ok, f"max rel err {worst:.3e} over {trials} draws")
     return results
@@ -84,12 +73,18 @@ def check_expectation_vs_enumeration(trials: int, seed: int) -> tuple[bool, str]
     for _ in range(trials):
         scheme = _random_scheme(rng)
         probs = rng.uniform(0.05, 0.95, size=scheme.n_buckets + 1)
-        out = HeadOutput(logits=np.zeros_like(probs), probs=probs)
-        closed = heads.geo_expectation(out, scheme)
+        closed = heads.geo_expectation_batch(probs[None, :], scheme)[0]
         brute = simulate.process_mean(probs, scheme)
         worst = max(worst, abs(closed - brute) / max(abs(brute), 1e-300))
     ok = worst <= 1e-9
     return ok, f"max rel err {worst:.3e} over {trials} schemes"
+
+
+def _head_pmf(probs: np.ndarray, scheme: BucketScheme, t: np.ndarray) -> np.ndarray:
+    """Geo head pmf of each watch time in t under one probability profile."""
+    a, stop = heads.geo_coefficients(scheme, t)
+    losses, _ = heads.geo_loss_batch(np.broadcast_to(probs, a.shape), a, stop)
+    return np.exp(-losses)
 
 
 def check_uniform_reduction(seed: int) -> tuple[bool, str]:
@@ -99,10 +94,9 @@ def check_uniform_reduction(seed: int) -> tuple[bool, str]:
     for p in (0.1, 0.5, 0.9):
         scheme = _random_scheme(rng, max_buckets=6, max_width=20)
         probs = np.full(scheme.n_buckets + 1, p)
-        out = HeadOutput(logits=np.zeros_like(probs), probs=probs)
-        for t in range(0, 200):
-            worst_pmf = max(worst_pmf, abs(heads.geo_pmf(out, scheme, t) - p**t * (1 - p)))
-        mean = heads.geo_expectation(out, scheme)
+        t = np.arange(200)
+        worst_pmf = max(worst_pmf, np.max(np.abs(_head_pmf(probs, scheme, t) - p**t * (1 - p))))
+        mean = heads.geo_expectation_batch(probs[None, :], scheme)[0]
         worst_mean = max(worst_mean, abs(mean - p / (1 - p)) / (p / (1 - p)))
     ok = worst_pmf <= 1e-12 and worst_mean <= 1e-9
     return ok, f"pmf abs err {worst_pmf:.3e}, mean rel err {worst_mean:.3e}"
@@ -113,10 +107,11 @@ def check_label_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     checked = 0
     for _ in range(trials):
         scheme = _random_scheme(rng, max_buckets=8, max_width=25, tail_open=False)
-        for t in range(scheme.endpoints[-1] + 1):
-            if labels.decode(scheme, labels.encode(scheme, t)) != t:
+        ts = np.arange(scheme.endpoints[-1] + 1)
+        for t, row in zip(ts, labels.matrix(scheme, ts)):
+            if labels.decode(scheme, row) != t:
                 return False, f"round trip broke at t={t}, scheme={scheme.endpoints}"
-            checked += 1
+        checked += len(ts)
     return True, f"{checked} (scheme, t) pairs decoded exactly"
 
 
@@ -127,13 +122,15 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
         scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=False)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
-        _, grad = heads.binom_loss(HeadOutput.from_logits(y), labels.encode(scheme, t))
+        probs = heads.clamp_probs(heads.sigmoid(y[None, :]))
+        grad = heads.binom_loss_batch(probs, labels.matrix(scheme, [t]))[1][0]
         if np.any(np.abs(grad) > 1.0):
             return False, f"binom gradient {grad} escapes [-1, 1]"
         open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 10))
-        _, grad = heads.geo_loss(HeadOutput.from_logits(y), open_scheme, t)
+        probs = heads.clamp_probs(heads.sigmoid(y[None, :]))
+        grad = heads.geo_loss_batch(probs, *heads.geo_coefficients(open_scheme, [t]))[1][0]
         widths = np.asarray(open_scheme.widths, dtype=np.float64)
         if np.any(np.abs(grad[: scheme.n_buckets]) > widths):
             return False, f"geo gradient {grad} escapes width bounds {widths}"
@@ -142,9 +139,7 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
 
 def _geo_mass(probs: np.ndarray, scheme: BucketScheme) -> float:
     """Head pmf summed over t = 0..x_N plus the survival past x_N."""
-    x_n = scheme.endpoints[-1]
-    a, stop = heads.geo_coefficients(scheme, np.arange(x_n + 1))
-    pmf = np.exp(a @ np.log(probs) + stop @ np.log1p(-probs))
+    pmf = _head_pmf(probs, scheme, np.arange(scheme.endpoints[-1] + 1))
     widths = np.asarray(scheme.widths, dtype=np.float64)
     beyond = np.prod(probs[:-1] ** widths) * probs[-1]
     return float(pmf.sum() + beyond)

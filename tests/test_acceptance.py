@@ -17,7 +17,7 @@ import pytest
 from swat import heads, labels, metrics, predictor, simulate
 from swat.buckets import BucketScheme, from_endpoints
 from swat.cli import main
-from swat.heads import HeadKind, HeadOutput
+from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig
 from swat.simulate import Behavior, BehaviorProfile
 
@@ -53,6 +53,23 @@ def max_component_rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def geo_mean(probs, scheme):
+    return float(heads.geo_expectation_batch(probs[None, :], scheme)[0])
+
+
+def head_pmf(probs, scheme, t):
+    """Geo head pmf exp(-loss) of each watch time in t."""
+    a, stop = heads.geo_coefficients(scheme, t)
+    return np.exp(-heads.geo_loss_batch(np.broadcast_to(probs, a.shape), a, stop)[0])
+
+
+def loss_at(kind, scheme, logits, t):
+    """One sample's loss and logit gradient through the batch head API."""
+    probs = heads.clamp_probs(heads.sigmoid(logits[None, :]))
+    losses, grads = heads.loss_batch(kind, probs, heads.encode_targets(kind, scheme, [t]))
+    return float(losses[0]), grads[0]
+
+
 def constant_probs(model):
     x = model.feature_spec.encode(("all",), ())[None, :]
     return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
@@ -66,7 +83,7 @@ def test_criterion_01_expectation_equivalence():
     for _ in range(200):
         scheme = random_scheme(rng, max_buckets=10, max_width=30, tail_open=True)
         probs = rng.uniform(0.05, 0.95, size=scheme.n_buckets + 1)
-        closed = heads.geo_expectation(HeadOutput(np.zeros_like(probs), probs), scheme)
+        closed = geo_mean(probs, scheme)
         worst = max(worst, rel_err(closed, simulate.process_mean(probs, scheme)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -79,10 +96,10 @@ def test_criterion_02_uniform_reduction():
     scheme = from_endpoints([7, 19, 40, 90], tail_open=True)
     worst_pmf, worst_mean = 0.0, 0.0
     for p in (0.1, 0.5, 0.9):
-        out = HeadOutput(np.zeros(5), np.full(5, p))
-        for t in range(501):
-            worst_pmf = max(worst_pmf, abs(heads.geo_pmf(out, scheme, t) - p**t * (1 - p)))
-        worst_mean = max(worst_mean, rel_err(heads.geo_expectation(out, scheme), p / (1 - p)))
+        probs = np.full(5, p)
+        t = np.arange(501)
+        worst_pmf = max(worst_pmf, np.max(np.abs(head_pmf(probs, scheme, t) - p**t * (1 - p))))
+        worst_mean = max(worst_mean, rel_err(geo_mean(probs, scheme), p / (1 - p)))
     ok = worst_pmf <= 1e-12 and worst_mean <= 1e-9
     report(2, "uniform-reduction", ok,
            f"pmf abs err {worst_pmf:.3e}, mean rel err {worst_mean:.3e}")
@@ -96,23 +113,11 @@ def test_criterion_03_gradient_fidelity():
         worst[kind.value] = 0.0
         for _ in range(100):
             scheme = random_scheme(rng, 6, 12, tail_open=kind is HeadKind.GEO)
-            arity = kind.arity(scheme) if kind in (HeadKind.BINOM, HeadKind.GEO) else 1
-            y = rng.uniform(-5.0, 5.0, size=arity)
+            y = rng.uniform(-5.0, 5.0, size=heads.arity(kind, scheme))
             t = int(rng.integers(0, scheme.endpoints[-1] + 5))
-            if kind is HeadKind.BINOM:
-                soft = labels.encode(scheme, min(t, scheme.endpoints[-1]))
-                loss_fn = lambda yy: heads.binom_loss(HeadOutput.from_logits(yy), soft)
-            elif kind is HeadKind.GEO:
-                loss_fn = lambda yy: heads.geo_loss(HeadOutput.from_logits(yy), scheme, t)
-            elif kind is HeadKind.VGEO:
-                loss_fn = lambda yy: heads.vgeo_loss(HeadOutput.from_logits(yy), t)
-            else:
-                loss_fn = lambda yy: heads.wlr_loss(HeadOutput.from_logits(yy), t)
-            _, grad = loss_fn(y)
-            worst[kind.value] = max(
-                worst[kind.value],
-                max_component_rel_err(grad, fd_gradient(lambda yy: loss_fn(yy)[0], y)),
-            )
+            _, grad = loss_at(kind, scheme, y, t)
+            fd = fd_gradient(lambda yy: loss_at(kind, scheme, yy, t)[0], y)
+            worst[kind.value] = max(worst[kind.value], max_component_rel_err(grad, fd))
 
     # end to end: every head through a <= 50-parameter model
     closed = from_endpoints([5, 12, 22])
@@ -125,7 +130,7 @@ def test_criterion_03_gradient_fidelity():
         assert n_params <= 50
         x = rng.normal(size=(6, spec.input_dim))
         t = rng.integers(0, 30, size=6)
-        enc, _ = predictor._encode_targets(TrainConfig(head=kind, scheme=scheme), t, None)
+        enc = heads.encode_targets(kind, scheme, t)
 
         def total_loss_from_params(flat, model=model, kind=kind, enc=enc, x=x):
             offset = 0
@@ -160,13 +165,13 @@ def test_criterion_04_gradient_bounds():
         scheme = random_scheme(rng, 6, 12, tail_open=False)
         y = rng.uniform(-12.0, 12.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
-        _, grad = heads.binom_loss(HeadOutput.from_logits(y), labels.encode(scheme, t))
+        _, grad = loss_at(HeadKind.BINOM, scheme, y, t)
         if np.any(np.abs(grad) > 1.0):
             violations += 1
         open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-12.0, 12.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 15))
-        _, grad = heads.geo_loss(HeadOutput.from_logits(y), open_scheme, t)
+        _, grad = loss_at(HeadKind.GEO, open_scheme, y, t)
         widths = np.asarray(open_scheme.widths, dtype=np.float64)
         if np.any(np.abs(grad[: scheme.n_buckets]) > widths):
             violations += 1
@@ -182,8 +187,9 @@ def test_criterion_05_label_round_trip():
     for _ in range(50):
         scheme = random_scheme(rng, 10, 200, tail_open=False)
         assert scheme.endpoints[-1] <= 10_000
-        for t in range(scheme.endpoints[-1] + 1):
-            if labels.decode(scheme, labels.encode(scheme, t)) != t:
+        ts = np.arange(scheme.endpoints[-1] + 1)
+        for t, row in zip(ts, labels.matrix(scheme, ts)):
+            if labels.decode(scheme, row) != t:
                 failures += 1
             checked += 1
     report(5, "label-round-trip", failures == 0,

@@ -110,15 +110,3 @@ class TestUnscale:
             target = dataio.scale_target(raw, c)
             assert abs(dataio.unscale(target, c) - raw) <= 0.5 / c + 1e-12
 
-
-class TestConfigFile:
-    def test_flat_key_values(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("c = 50\nratio=0.8  # split\n\n# comment\nseed = 7\n", encoding="utf-8")
-        assert dataio.load_config(path) == {"c": "50", "ratio": "0.8", "seed": "7"}
-
-    def test_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("just a line\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="key = value"):
-            dataio.load_config(path)

@@ -55,9 +55,9 @@ class TestForward:
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
-        out = model.forward(spec.encode(("a",), ()))
-        assert np.allclose(out.logits, 0.0)
-        assert np.allclose(out.probs, 0.5)
+        logits = model.forward_batch(spec.encode(("a",), ())[None, :])
+        assert np.allclose(logits, 0.0)
+        assert np.allclose(heads.clamp_probs(heads.sigmoid(logits)), 0.5)
 
     def test_affine_lookup_on_one_hot(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
@@ -65,7 +65,7 @@ class TestForward:
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = spec.encode((token,), ())
-        assert np.allclose(model.forward(x).logits, w[:, spec.slot(token)])
+        assert np.allclose(model.forward_batch(x[None, :])[0], w[:, spec.slot(token)])
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
@@ -128,9 +128,7 @@ class TestBackward:
         assert sum(v.size for v in model.params.values()) <= 50
         x = rng.normal(size=(5, spec.input_dim))
         t = rng.integers(0, 30, size=5)
-        enc, _ = predictor._encode_targets(
-            TrainConfig(head=kind, scheme=scheme), np.asarray(t), None
-        )
+        enc = heads.encode_targets(kind, scheme, t)
 
         def total_loss(logits):
             probs = heads.clamp_probs(heads.sigmoid(logits))
@@ -218,9 +216,16 @@ class TestTraining:
             predictor.train(ds, TrainConfig(head=HeadKind.BINOM))
 
     def test_clip_counting(self):
-        ds = constant_feature_dataset([5, 30, 40])
+        ds = constant_feature_dataset([5, 22, 30, 40])
         cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, max_epochs=1, batch_size=4)
         assert predictor.train(ds, cfg).clipped == 2
+
+    def test_negative_watch_time_rejected(self):
+        # a hand-built dataset bypasses load_csv's row filter
+        ds = constant_feature_dataset([3, -3, 5])
+        cfg = TrainConfig(head=HeadKind.GEO, scheme=OPEN, max_epochs=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            predictor.train(ds, cfg)
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         # probability clamping keeps well-formed runs finite, so the abort
