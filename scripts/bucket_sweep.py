@@ -59,8 +59,7 @@ def main():
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model
             preds = model.predict_dataset(test_set)
-            unscaled = [dataio.unscale(p, full.c) for p in preds]
-            rep = metrics.evaluate(unscaled, test_set.raw_targets(), seed=args.seed)
+            rep = metrics.evaluate(preds / full.c, test_set.raw_targets())
             rows.append({
                 "requested_buckets": n_buckets,
                 "actual_buckets": scheme.n_buckets,

@@ -65,7 +65,7 @@ def fit_and_score(train_set, test_set, head, seed):
     config = TrainConfig(head=head, scheme=scheme, hash_dim=16, max_epochs=30, seed=seed)
     model = predictor.train(train_set, config).model
     preds = model.predict_dataset(test_set)
-    return metrics.evaluate(preds, test_set.raw_targets(), seed=seed)
+    return metrics.evaluate(preds, test_set.raw_targets())
 
 
 def main():

@@ -20,8 +20,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, heads, metrics, predictor, simulate, verify
 from .buckets import BucketScheme, ablation_choice, from_endpoints, from_percentiles
 from .heads import HeadKind
@@ -206,11 +204,8 @@ def cmd_eval(args) -> int:
             f"dataset has {len(dataset.samples[0].numeric)} numeric features, "
             f"model expects {model.feature_spec.numeric_dims}"
         )
-    scaled = model.predict_dataset(dataset)
-    preds = np.asarray([dataio.unscale(v, dataset.c) for v in scaled])
-    report = metrics.evaluate(
-        preds, dataset.raw_targets(), pair_budget=args.pair_budget, seed=args.seed
-    )
+    preds = model.predict_dataset(dataset) / dataset.c
+    report = metrics.evaluate(preds, dataset.raw_targets())
     outdir = _ensure_outdir(args.out)
     report_path = outdir / "report.json"
     preds_path = outdir / "predictions.csv"
@@ -323,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model artifact on a CSV")
     add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--pair-budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="eval_out")
     p.set_defaults(fn=cmd_eval)

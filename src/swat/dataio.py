@@ -1,20 +1,24 @@
 """CSV ingestion, target scaling, train/test splitting, prediction output.
 
 Targets are scaled to the integer domain the heads need: target =
-round(c * raw_target).  Rows with negative or unparseable targets are skipped
-and counted.  Metrics run on unscaled predictions against raw targets, so
-reported errors stay in the original units.
+round(c * raw_target).  Rows whose target is unparseable, negative, not
+finite or scales beyond int64, and rows with an unparseable or non-finite
+numeric cell, are skipped and counted.  Metrics run on unscaled predictions
+(prediction / c) against raw targets, so reported errors stay in the
+original units.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 _TOKEN_SPLIT = re.compile(r"[|\s]+")
+_TARGET_LIMIT = 2.0**63  # scaled targets must round into int64
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,18 @@ def scale_target(raw: float, c: float) -> int:
     return int(round(c * raw))
 
 
-def unscale(prediction: float, c: float) -> float:
-    if c <= 0:
-        raise ValueError(f"scaling constant must be positive, got {c}")
-    return prediction / c
+def _finite_float(cell) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
 
 
 def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
     Raises on a missing file, a missing configured column, or zero usable
-    rows; bad target rows are skipped and counted instead.
+    rows; bad rows are skipped and counted instead.
     """
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
@@ -108,7 +113,7 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
             except (TypeError, ValueError):
                 skipped += 1
                 continue
-            if raw < 0 or not np.isfinite(raw):
+            if not 0.0 <= c * raw < _TARGET_LIMIT:
                 skipped += 1
                 continue
             tokens: list[str] = []
@@ -116,7 +121,7 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
                 cell = (row[col] or "").strip()
                 tokens.extend(f"{col}={tok}" for tok in _TOKEN_SPLIT.split(cell) if tok)
             try:
-                numeric = tuple(float(row[col]) for col in schema.numeric_columns)
+                numeric = tuple(_finite_float(row[col]) for col in schema.numeric_columns)
             except (TypeError, ValueError):
                 skipped += 1
                 continue

@@ -10,9 +10,13 @@ probabilities clamped to [1e-7, 1 - 1e-7] before any log or 1/(1-p):
             probabilities (open tail): the law of a user who continues each
             second t+1 with the probability of the bucket holding t+1;
             closed-form expectation.
-* vgeo   -- single stationary continuation probability; estimator exp(y).
+* vgeo   -- single stationary continuation probability; estimator the odds
+            p / (1 - p), the mean of that geometric law.
 * wlr    -- weighted-logistic baseline: the vgeo objective without the
-            log(1-p) term when t > 0; same exp(y) estimator.
+            log(1-p) term when t > 0; same estimator.
+
+Every estimator reads only the clamped probabilities, so every prediction is
+finite: an odds factor p / (1 - p) is at most about 1e7.
 
 Losses are negated log-likelihoods (minimization convention).  All functions
 are pure and work on batches: probabilities and logits are (B, arity) arrays,
@@ -153,6 +157,16 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
     return (prefix[:, :n] * series).sum(axis=1) + prefix[:, n] * tail_p / (1.0 - tail_p)
 
 
+def vgeo_expectation_batch(probs: np.ndarray, scheme: BucketScheme | None = None) -> np.ndarray:
+    """Mean p / (1 - p) of the stationary geometric law, rows of (B, 1) probs.
+
+    Equal to exp(y) for p = sigmoid(y), but finite: at the clamp ceiling it
+    saturates at about 1e7, like the geo tail.
+    """
+    p = probs[:, 0]
+    return p / (1.0 - p)
+
+
 # ---------------------------------------------------------------------------
 # the head table
 # ---------------------------------------------------------------------------
@@ -166,19 +180,15 @@ class Head:
     for a closed tail (N probabilities), True for an open one (N + 1).
     ``encode(scheme, t)`` turns an int64 batch of watch times into the
     targets ``loss(probs, encoded)`` takes; the loss returns per-row losses
-    and logit gradients.  ``expectation(probs, logits, scheme)`` returns the
-    per-row mean watch time.  Functions that a profiler may wrap are looked
-    up by name when called, so the entries hold lambdas around them.
+    and logit gradients.  ``expectation(probs, scheme)`` returns the per-row
+    mean watch time.  Functions that a profiler may wrap are looked up by
+    name when called, so the entries hold lambdas around them.
     """
 
     tail_open: bool | None
     encode: Callable[[BucketScheme | None, np.ndarray], Any]
     loss: Callable[[np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
-    expectation: Callable[[np.ndarray, np.ndarray, BucketScheme | None], np.ndarray]
-
-
-def _exp_logit(probs, logits, scheme):
-    return np.exp(logits[:, 0])
+    expectation: Callable[[np.ndarray, BucketScheme | None], np.ndarray]
 
 
 HEADS: dict[HeadKind, Head] = {
@@ -186,16 +196,16 @@ HEADS: dict[HeadKind, Head] = {
         tail_open=False,
         encode=lambda scheme, t: labels.matrix(scheme, t),
         loss=binom_loss_batch,
-        expectation=lambda probs, logits, scheme: binom_expectation_batch(probs, scheme),
+        expectation=binom_expectation_batch,
     ),
     HeadKind.GEO: Head(
         tail_open=True,
         encode=lambda scheme, t: geo_coefficients(scheme, t),
         loss=lambda probs, enc: geo_loss_batch(probs, *enc),
-        expectation=lambda probs, logits, scheme: geo_expectation_batch(probs, scheme),
+        expectation=geo_expectation_batch,
     ),
-    HeadKind.VGEO: Head(None, lambda scheme, t: t, vgeo_loss_batch, _exp_logit),
-    HeadKind.WLR: Head(None, lambda scheme, t: t, wlr_loss_batch, _exp_logit),
+    HeadKind.VGEO: Head(None, lambda scheme, t: t, vgeo_loss_batch, vgeo_expectation_batch),
+    HeadKind.WLR: Head(None, lambda scheme, t: t, wlr_loss_batch, vgeo_expectation_batch),
 }
 
 
@@ -227,13 +237,10 @@ def loss_batch(kind: HeadKind, probs: np.ndarray, encoded_targets) -> tuple[np.n
 
 
 def expectation_batch(
-    kind: HeadKind,
-    probs: np.ndarray,
-    logits: np.ndarray,
-    scheme: BucketScheme | None = None,
+    kind: HeadKind, probs: np.ndarray, scheme: BucketScheme | None = None
 ) -> np.ndarray:
-    """Closed-form expected watch time of each row."""
+    """Closed-form expected watch time of each row of clamped probabilities."""
     n = arity(kind, scheme)
     if probs.ndim != 2 or probs.shape[1] != n:
         raise ValueError(f"{kind.value} head expects {n} probs per row, got shape {probs.shape}")
-    return HEADS[kind].expectation(probs, logits, scheme)
+    return HEADS[kind].expectation(probs, scheme)

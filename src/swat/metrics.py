@@ -7,12 +7,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# All pairs are scored exhaustively up to this many samples; beyond it,
-# min(10 n, 1e6) pairs are drawn with the recorded seed.
-EXHAUSTIVE_LIMIT = 2000
-MAX_SAMPLED_PAIRS = 1_000_000
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Metric bundle for one prediction run.
@@ -26,7 +20,6 @@ class EvalReport:
     pearson: float
     n: int
     xauc_pairs: int
-    seed: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -38,7 +31,6 @@ class EvalReport:
             ("xauc", f"{self.xauc:.6f}"),
             ("pearson", f"{self.pearson:.6f}"),
             ("xauc_pairs", f"{self.xauc_pairs}"),
-            ("seed", f"{self.seed}"),
         ]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
@@ -59,33 +51,53 @@ def mae(preds, targets) -> float:
     return float(np.mean(np.abs(p - t)))
 
 
-def xauc(preds, targets, pair_budget: int | None = None, seed: int = 0) -> tuple[float, int]:
-    """Mean pairwise ordering score and the number of pairs used.
+def _inversions(values: np.ndarray) -> int:
+    """Pairs i < j with values[i] > values[j], by a bottom-up merge count.
+
+    Values become dense ranks.  At width w every block of w ranks is sorted;
+    keying each rank by the index of its pair of blocks makes all left blocks
+    one sorted array, so one searchsorted counts, for every right-block rank,
+    the left-block ranks above it, and one sort of the same keys merges each
+    pair of blocks.
+    """
+    ranks = np.unique(values, return_inverse=True)[1]
+    n = len(ranks)
+    idx = np.arange(n)
+    count, width = 0, 1
+    while width < n:
+        pair = idx // (2 * width)
+        keys = pair * n + ranks
+        right = (idx // width) % 2 == 1
+        left = keys[~right]
+        above = np.searchsorted(left, (pair[right] + 1) * n) - np.searchsorted(left, keys[right], "right")
+        count += int(above.sum())
+        ranks = np.sort(keys) - pair * n
+        width *= 2
+    return count
+
+
+def xauc(preds, targets) -> tuple[float, int]:
+    """Mean pairwise ordering score over all pairs, and the number of pairs.
 
     A pair scores 1 when predictions order the same way as targets, 0 when
-    they order oppositely, and 0.5 when either side is tied.
+    they order oppositely, and 0.5 when either side is tied, so the score is
+    0.5 + (C - D) / (2 P) with C concordant and D discordant of P pairs.
+    Exact in O(n log n): ordered by target with tied targets by ascending
+    prediction, D is the number of inversions among the predictions; with
+    tied targets by descending prediction instead, C is the number of
+    inversions among the negated predictions.  Pairs tied on either side
+    count in neither.
     """
     p, t = _pair(preds, targets)
     n = len(p)
     if n < 2:
         raise ValueError("xauc needs at least two samples")
-    all_pairs = n * (n - 1) // 2
-    if pair_budget is None:
-        pair_budget = all_pairs if n <= EXHAUSTIVE_LIMIT else min(10 * n, MAX_SAMPLED_PAIRS)
-    if pair_budget < 1:
-        raise ValueError(f"pair_budget must be positive, got {pair_budget}")
-    if all_pairs <= pair_budget:
-        ia, ib = np.triu_indices(n, k=1)
-        used = all_pairs
-    else:
-        rng = np.random.default_rng(seed)
-        ia = rng.integers(0, n, size=pair_budget)
-        ib = (ia + rng.integers(1, n, size=pair_budget)) % n
-        used = pair_budget
-    sp = np.sign(p[ia] - p[ib])
-    st = np.sign(t[ia] - t[ib])
-    score = np.where((sp == 0) | (st == 0), 0.5, (sp == st).astype(np.float64))
-    return float(score.mean()), used
+    if np.isnan(p).any() or np.isnan(t).any():
+        raise ValueError("xauc is undefined for NaN values")
+    discordant = _inversions(p[np.lexsort((p, t))])
+    concordant = _inversions(-p[np.lexsort((-p, t))])
+    pairs = n * (n - 1) // 2
+    return 0.5 + (concordant - discordant) / (2 * pairs), pairs
 
 
 def pearson(preds, targets) -> float:
@@ -100,8 +112,8 @@ def pearson(preds, targets) -> float:
     return float((dp * dt).sum() / denom)
 
 
-def evaluate(preds, targets, pair_budget: int | None = None, seed: int = 0) -> EvalReport:
-    x, used = xauc(preds, targets, pair_budget, seed)
+def evaluate(preds, targets) -> EvalReport:
+    x, pairs = xauc(preds, targets)
     try:
         r = pearson(preds, targets)
     except ValueError:
@@ -111,6 +123,5 @@ def evaluate(preds, targets, pair_budget: int | None = None, seed: int = 0) -> E
         xauc=x,
         pearson=r,
         n=len(np.asarray(preds)),
-        xauc_pairs=used,
-        seed=seed,
+        xauc_pairs=pairs,
     )

@@ -68,7 +68,10 @@ class FeatureSpec:
         return x
 
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:
-        return np.stack([self.encode(s.categorical_ids, s.numeric) for s in dataset.samples])
+        x = np.empty((len(dataset), self.input_dim))
+        for i, s in enumerate(dataset.samples):
+            x[i] = self.encode(s.categorical_ids, s.numeric)
+        return x
 
     def to_dict(self) -> dict:
         return {"hash_dim": self.hash_dim, "numeric_dims": self.numeric_dims, "seed": self.seed}
@@ -132,9 +135,8 @@ class Model:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Expected watch times (scaled-target units) for feature rows."""
-        logits = self.forward_batch(x)
-        probs = heads.clamp_probs(heads.sigmoid(logits))
-        return heads.expectation_batch(self.head, probs, logits, self.scheme)
+        probs = heads.clamp_probs(heads.sigmoid(self.forward_batch(x)))
+        return heads.expectation_batch(self.head, probs, self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
         return self.predict(self.feature_spec.encode_dataset(dataset))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from swat import dataio
 from swat.cli import main
 
 
@@ -104,6 +105,17 @@ class TestTrainEval:
         artifact["format_version"] = 1
         path.write_text(json.dumps(artifact), encoding="utf-8")
         assert run("eval", "--model", path, "--data", sim_csv, "--out", tmp_path / "e") == 2
+
+    def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv):
+        data = tmp_path / "big.csv"
+        data.write_text(sim_csv.read_text() + "huge,all,1e30\n", encoding="utf-8")
+        assert dataio.load_csv(data, dataio.DEFAULT_SCHEMAS["sim"]).skipped == 1
+        bdir, tdir, edir = tmp_path / "b", tmp_path / "t", tmp_path / "e"
+        assert run("buckets", "--data", data, "--percent-step", "25", "--out", bdir) == 0
+        assert run("train", "--data", data, "--head", "binom", "--scheme", bdir / "scheme.json",
+                   "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
+        assert run("eval", "--model", tdir / "model.json", "--data", data, "--out", edir) == 0
+        assert json.loads((edir / "report.json").read_text())["n"] == 400
 
     def test_vgeo_memorizes_distinct_tokens(self, tmp_path):
         # four distinct constant features, one per target: the model can

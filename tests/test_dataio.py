@@ -43,6 +43,19 @@ class TestLoadCsv:
         ds = dataio.load_csv(path, schema, c=1)
         assert ds.samples[0].numeric == (0.5, 2.0)
 
+    def test_non_finite_numeric_cell_skipped_and_counted(self, tmp_path):
+        schema = SchemaConfig("id", ("tok",), "y", numeric_columns=("d1",))
+        rows = ["a,u,1.0,nan", "b,u,1.0,inf", "c,u,1.0,-inf", "d,u,1.0,oops", "e,u,1.0,0.5"]
+        ds = dataio.load_csv(write_csv(tmp_path / "d.csv", rows, header="id,tok,y,d1"), schema, c=1)
+        assert [s.id for s in ds.samples] == ["e"]
+        assert ds.skipped == 4
+
+    def test_target_beyond_int64_skipped_and_counted(self, tmp_path):
+        rows = ["a,u1,1e30", "b,u2,2", "c,u3,1e308", "d,u4,nan", "e,u5,inf"]
+        ds = dataio.load_csv(write_csv(tmp_path / "d.csv", rows), SIM, c=50)
+        assert ds.targets().tolist() == [100]
+        assert ds.skipped == 4
+
     def test_missing_column_raises(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])
         with pytest.raises(ValueError, match="missing configured columns"):
@@ -100,13 +113,13 @@ class TestSplit:
 
 class TestUnscale:
     def test_inverse_of_scaling(self):
-        assert dataio.unscale(170, 50) == pytest.approx(3.4)
-        assert dataio.unscale(0, 7) == 0.0
+        assert dataio.scale_target(3.4, 50) / 50 == pytest.approx(3.4)
+        assert dataio.scale_target(0.0, 7) / 7 == 0.0
 
     def test_round_trip_error_bounded_by_half_step(self):
         rng = np.random.default_rng(0)
         c = 50.0
         for raw in rng.uniform(0, 100, size=500):
             target = dataio.scale_target(raw, c)
-            assert abs(dataio.unscale(target, c) - raw) <= 0.5 / c + 1e-12
+            assert abs(target / c - raw) <= 0.5 / c + 1e-12
 

@@ -55,10 +55,9 @@ def head_pmf(probs, t, scheme=OPEN):
     return np.exp(-losses)
 
 
-def expectation(kind, probs, scheme=None, logits=None):
+def expectation(kind, probs, scheme=None):
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    logits = np.zeros_like(probs) if logits is None else np.atleast_2d(logits)
-    return float(heads.expectation_batch(kind, probs, logits, scheme)[0])
+    return float(heads.expectation_batch(kind, probs, scheme)[0])
 
 
 def geo_mean(probs, scheme=OPEN):
@@ -290,7 +289,7 @@ class TestExpectation:
         assert got == pytest.approx(10.0, rel=1e-12)
 
     def test_vgeo_unit(self):
-        assert expectation(HeadKind.VGEO, probs_of([0.0]), logits=[0.0]) == 1.0
+        assert expectation(HeadKind.VGEO, probs_of([0.0])) == 1.0
 
     def test_binom_saturates_at_horizon(self):
         got = expectation(HeadKind.BINOM, np.full(3, 1 - 1e-7), CLOSED)
@@ -309,9 +308,20 @@ class TestExpectation:
 
     def test_wlr_and_vgeo_share_estimator(self):
         probs = probs_of([1.3])
-        wlr = expectation(HeadKind.WLR, probs, logits=[1.3])
-        assert wlr == expectation(HeadKind.VGEO, probs, logits=[1.3])
+        wlr = expectation(HeadKind.WLR, probs)
+        assert wlr == expectation(HeadKind.VGEO, probs)
         assert wlr == pytest.approx(math.exp(1.3), rel=1e-12)
+
+    def test_stationary_estimator_finite_at_extreme_logits(self):
+        # the odds of clamped probabilities saturate near 1e7 like the geo
+        # tail, where exp(y) would overflow to inf near y = 710
+        for kind in (HeadKind.VGEO, HeadKind.WLR):
+            extreme = heads.expectation_batch(kind, probs_of([[-800.0], [-40.0], [40.0], [800.0]]))
+            assert np.all(np.isfinite(extreme)) and np.all(extreme > 0)
+            assert extreme.max() == pytest.approx(1e7, rel=1e-6)
+            y = np.linspace(-16.0, 16.0, 321)
+            got = heads.expectation_batch(kind, probs_of(y[:, None]))
+            np.testing.assert_allclose(got, np.exp(y), rtol=1e-8)
 
     def test_geo_dispatch(self):
         assert expectation(HeadKind.GEO, np.full(4, 0.5), OPEN) == pytest.approx(1.0, rel=1e-9)

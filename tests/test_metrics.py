@@ -40,6 +40,15 @@ class TestMae:
         )
 
 
+def enumerated_xauc(preds, targets):
+    """Reference score: every pair of triu_indices, scored one by one."""
+    ia, ib = np.triu_indices(len(preds), k=1)
+    sign_p = np.sign(preds[ia] - preds[ib])
+    sign_t = np.sign(targets[ia] - targets[ib])
+    tied = (sign_p == 0) | (sign_t == 0)
+    return float(np.where(tied, 0.5, (sign_p == sign_t).astype(np.float64)).mean())
+
+
 class TestXauc:
     def test_comonotone(self):
         score, _ = metrics.xauc([1, 2, 3, 4], [10, 20, 30, 40])
@@ -61,28 +70,26 @@ class TestXauc:
         _, used = metrics.xauc(np.arange(10), np.arange(10))
         assert used == 45
 
-    def test_sampled_mode_is_seeded(self):
-        rng = np.random.default_rng(0)
-        p, t = rng.normal(size=500), rng.normal(size=500)
-        a = metrics.xauc(p, t, pair_budget=200, seed=7)
-        b = metrics.xauc(p, t, pair_budget=200, seed=7)
-        c = metrics.xauc(p, t, pair_budget=200, seed=8)
-        assert a == b
-        assert a != c
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=60),
+           st.lists(st.tuples(finite_floats, finite_floats), max_size=60))
+    def test_matches_pair_enumeration(self, tied, spread):
+        # small-integer pairs force ties on either side and on both
+        preds, targets = map(np.asarray, zip(*(tied + spread)))
+        score, pairs = metrics.xauc(preds, targets)
+        assert pairs == len(preds) * (len(preds) - 1) // 2
+        assert score == pytest.approx(enumerated_xauc(preds, targets), abs=1e-12)
 
-    def test_sampling_approximates_exhaustive(self):
-        rng = np.random.default_rng(1)
-        p = rng.normal(size=400)
-        t = p + rng.normal(scale=0.8, size=400)
-        full, _ = metrics.xauc(p, t)
-        sampled, used = metrics.xauc(p, t, pair_budget=30_000, seed=3)
-        assert used == 30_000
-        assert sampled == pytest.approx(full, abs=0.02)
+    def test_large_sample_is_exact(self):
+        rng = np.random.default_rng(3000)
+        p = rng.normal(size=3000).round(1)
+        t = (p + rng.normal(size=3000)).round(1)
+        score, pairs = metrics.xauc(p, t)
+        assert pairs == 3000 * 2999 // 2
+        assert score == pytest.approx(enumerated_xauc(p, t), abs=1e-12)
 
-    def test_budget_beyond_all_pairs_is_exhaustive(self):
-        rng = np.random.default_rng(2)
-        p, t = rng.normal(size=60), rng.normal(size=60)
-        assert metrics.xauc(p, t, pair_budget=10**9) == metrics.xauc(p, t)
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            metrics.xauc([1.0, float("nan")], [1.0, 2.0])
 
     @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=40))
     def test_invariant_to_increasing_transform(self, pairs):
@@ -124,12 +131,13 @@ class TestPearson:
 
 class TestEvaluate:
     def test_report_fields_and_json(self):
-        report = metrics.evaluate([1.0, 2.0, 3.0], [1.5, 2.0, 2.5], seed=4)
+        report = metrics.evaluate([1.0, 2.0, 3.0], [1.5, 2.0, 2.5])
         decoded = json.loads(report.to_json())
         assert decoded["n"] == 3
         assert 0.0 <= decoded["xauc"] <= 1.0
         assert decoded["mae"] >= 0.0
-        assert decoded["seed"] == 4
+        assert decoded["xauc_pairs"] == 3
+        assert "seed" not in decoded
 
     def test_constant_predictions_yield_nan_pearson(self):
         report = metrics.evaluate([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -139,14 +147,9 @@ class TestEvaluate:
     def test_table_is_aligned(self):
         table = metrics.evaluate([1.0, 2.0], [2.0, 1.0]).table()
         lines = table.splitlines()
-        assert len(lines) == 6
-        keys = {"samples", "mae", "xauc", "pearson", "xauc_pairs", "seed"}
+        assert len(lines) == 5
+        keys = {"samples", "mae", "xauc", "pearson", "xauc_pairs"}
         width = max(map(len, keys))
         assert {line[:width].strip() for line in lines} == keys
         assert all(line[width:width + 2] == "  " for line in lines)
 
-
-class TestPairBudgetValidation:
-    def test_non_positive_budget_rejected(self):
-        with pytest.raises(ValueError, match="pair_budget"):
-            metrics.xauc([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], pair_budget=0)
