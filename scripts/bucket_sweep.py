@@ -27,7 +27,7 @@ def synthetic_dataset(n, seed):
     profile = BehaviorProfile(Behavior.FOCUSED, (0.96, 0.9, 0.75, 0.4), scheme, seed)
     draws = simulate.draw(profile, n)
     samples = tuple(
-        dataio.Sample(str(i), ("all",), (), float(t), int(t)) for i, t in enumerate(draws)
+        dataio.Sample(str(i), ("all",), (), float(t)) for i, t in enumerate(draws)
     )
     return dataio.Dataset(samples, c=1.0)
 

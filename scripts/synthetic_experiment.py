@@ -50,7 +50,7 @@ def mixed_dataset(kind, n, seed):
     for token, profile in group_profiles(kind, seed):
         for t in simulate.draw(profile, per_group):
             samples.append(
-                dataio.Sample(str(len(samples)), (token,), (), float(t), int(t))
+                dataio.Sample(str(len(samples)), (token,), (), float(t))
             )
     rng = np.random.default_rng(seed + 99)
     order = rng.permutation(len(samples))

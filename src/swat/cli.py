@@ -94,6 +94,8 @@ def _load_dataset(args, part: str | None = None) -> dataio.Dataset:
         raise UsageError(f"data file not found: {path}")
     c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
     dataset = dataio.load_csv(path, _schema_for(args), c=c)
+    if dataset.skipped:
+        log.warning("%d unusable rows of %s skipped", dataset.skipped, path)
     ratio = getattr(args, "ratio", None)
     if ratio is not None and part is not None:
         train_part, test_part = dataio.split(dataset, ratio, args.seed)
@@ -114,6 +116,7 @@ def _ensure_outdir(path_str: str) -> Path:
 
 def cmd_buckets(args) -> int:
     started = _utcnow()
+    cfg = dict(vars(args))
     if args.endpoints:
         scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=args.tail_open)
         inputs = []
@@ -121,10 +124,9 @@ def cmd_buckets(args) -> int:
         if not args.data:
             raise UsageError("buckets needs --endpoints or --data")
         dataset = _load_dataset(args, part="train")
+        cfg["skipped"] = dataset.skipped
         targets = dataset.targets().tolist()
         if args.choice is not None:
-            if args.choice not in range(1, 7):
-                raise UsageError(f"--choice must be 1..6, got {args.choice}")
             scheme = ablation_choice(targets, args.choice, tail_open=args.tail_open)
         else:
             scheme = from_percentiles(targets, args.percent_step, tail_open=args.tail_open)
@@ -132,7 +134,7 @@ def cmd_buckets(args) -> int:
     outdir = _ensure_outdir(args.out)
     scheme_path = outdir / "scheme.json"
     scheme.save(scheme_path)
-    _write_manifest(outdir, "buckets", vars(args), inputs, [scheme_path], started)
+    _write_manifest(outdir, "buckets", cfg, inputs, [scheme_path], started)
     print(f"buckets: N={scheme.n_buckets} endpoints={','.join(map(str, scheme.endpoints))}")
     print(f"wrote {scheme_path}")
     return 0
@@ -154,8 +156,7 @@ def cmd_train(args) -> int:
     if scheme is None and args.endpoints:
         tail_open = bool(heads.HEADS[head].tail_open)
         scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=tail_open)
-    heads.arity(head, scheme)  # reject an unsuitable scheme before reading the data
-    dataset = _load_dataset(args, part="train")
+    heads.arity(head, scheme)  # reject unsuitable settings before reading the data
     config = TrainConfig(
         head=head,
         scheme=scheme,
@@ -166,6 +167,7 @@ def cmd_train(args) -> int:
         hash_dim=args.hash_dim,
         hidden=args.hidden,
     )
+    dataset = _load_dataset(args, part="train")
     try:
         result = predictor.train(dataset, config)
     except ValueError as exc:
@@ -183,8 +185,7 @@ def cmd_train(args) -> int:
         for epoch, loss in enumerate(result.epoch_losses):
             writer.writerow([epoch, repr(loss)])
     inputs = [args.data] + ([args.scheme] if args.scheme else [])
-    cfg = dict(vars(args))
-    cfg["clipped"] = result.clipped
+    cfg = dict(vars(args), clipped=result.clipped, skipped=dataset.skipped)
     _write_manifest(outdir, "train", cfg, inputs, [model_path, trace_path], started)
     print(f"trained {head.value} head: {len(result.epoch_losses)} epochs, "
           f"final loss {result.epoch_losses[-1]:.6f}")
@@ -213,7 +214,8 @@ def cmd_eval(args) -> int:
         fh.write(report.to_json())
         fh.write("\n")
     dataio.write_predictions(preds_path, dataset, preds)
-    _write_manifest(outdir, "eval", vars(args), [args.model, args.data],
+    cfg = dict(vars(args), skipped=dataset.skipped)
+    _write_manifest(outdir, "eval", cfg, [args.model, args.data],
                     [report_path, preds_path], started)
     print(report.table())
     return 0

@@ -1,9 +1,10 @@
 """CSV ingestion, target scaling, train/test splitting, prediction output.
 
-Targets are scaled to the integer domain the heads need: target =
-round(c * raw_target).  Rows whose target is unparseable, negative, not
-finite or scales beyond int64, and rows with an unparseable or non-finite
-numeric cell, are skipped and counted.  Metrics run on unscaled predictions
+A sample holds only what its CSV row says.  The integer targets the heads
+need are derived per dataset: ``Dataset.targets()`` = round(c * raw_target),
+half to even.  Rows whose target is unparseable, negative, not finite or
+scales beyond int64, and rows with an unparseable or non-finite numeric
+cell, are skipped and counted.  Metrics run on unscaled predictions
 (prediction / c) against raw targets, so reported errors stay in the
 original units.
 """
@@ -53,14 +54,12 @@ class Sample:
     categorical_ids: tuple[str, ...]
     numeric: tuple[float, ...]
     raw_target: float
-    target: int
 
 
 @dataclass(frozen=True)
 class Dataset:
     samples: tuple[Sample, ...]
     c: float
-    source: str = ""
     skipped: int = 0
 
     def __post_init__(self) -> None:
@@ -73,14 +72,11 @@ class Dataset:
         return len(self.samples)
 
     def targets(self) -> np.ndarray:
-        return np.asarray([s.target for s in self.samples], dtype=np.int64)
+        """Integer targets round(c * raw_target) on the bucket grid."""
+        return np.rint(self.c * self.raw_targets()).astype(np.int64)
 
     def raw_targets(self) -> np.ndarray:
         return np.asarray([s.raw_target for s in self.samples], dtype=np.float64)
-
-
-def scale_target(raw: float, c: float) -> int:
-    return int(round(c * raw))
 
 
 def _finite_float(cell) -> float:
@@ -93,50 +89,46 @@ def _finite_float(cell) -> float:
 def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
-    Raises on a missing file, a missing configured column, or zero usable
-    rows; bad rows are skipped and counted instead.
+    Raises on a missing file, a missing configured column, malformed CSV
+    (ValueError naming the file and line), or zero usable rows; bad rows are
+    skipped and counted instead.
     """
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
     samples: list[Sample] = []
     skipped = 0
+    needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
-        missing = [col for col in needed if col not in header]
-        if missing:
-            raise ValueError(f"{path}: missing configured columns {missing}")
-        for i, row in enumerate(reader):
-            try:
-                raw = float(row[schema.target_column])
-            except (TypeError, ValueError):
-                skipped += 1
-                continue
-            if not 0.0 <= c * raw < _TARGET_LIMIT:
-                skipped += 1
-                continue
-            tokens: list[str] = []
-            for col in schema.feature_columns:
-                cell = (row[col] or "").strip()
-                tokens.extend(f"{col}={tok}" for tok in _TOKEN_SPLIT.split(cell) if tok)
-            try:
-                numeric = tuple(_finite_float(row[col]) for col in schema.numeric_columns)
-            except (TypeError, ValueError):
-                skipped += 1
-                continue
-            samples.append(
-                Sample(
-                    id=row[schema.id_column] or str(i),
-                    categorical_ids=tuple(tokens),
-                    numeric=numeric,
-                    raw_target=raw,
-                    target=scale_target(raw, c),
-                )
-            )
+        try:
+            missing = [col for col in needed if col not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: missing configured columns {missing}")
+            for i, row in enumerate(reader):
+                try:
+                    raw = float(row[schema.target_column])
+                except (TypeError, ValueError):
+                    skipped += 1
+                    continue
+                if not 0.0 <= c * raw < _TARGET_LIMIT:
+                    skipped += 1
+                    continue
+                tokens: list[str] = []
+                for col in schema.feature_columns:
+                    cell = (row[col] or "").strip()
+                    tokens.extend(f"{col}={tok}" for tok in _TOKEN_SPLIT.split(cell) if tok)
+                try:
+                    numeric = tuple(_finite_float(row[col]) for col in schema.numeric_columns)
+                except (TypeError, ValueError):
+                    skipped += 1
+                    continue
+                samples.append(Sample(row[schema.id_column] or str(i), tuple(tokens), numeric, raw))
+        except csv.Error as exc:
+            # DictReader.line_num lags on a failed row; its inner reader's does not
+            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
     if not samples:
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
-    return Dataset(tuple(samples), c=c, source=str(path), skipped=skipped)
+    return Dataset(tuple(samples), c=c, skipped=skipped)
 
 
 def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -151,8 +143,8 @@ def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     train = tuple(dataset.samples[i] for i in perm[:cut])
     test = tuple(dataset.samples[i] for i in perm[cut:])
     return (
-        Dataset(train, c=dataset.c, source=dataset.source, skipped=dataset.skipped),
-        Dataset(test, c=dataset.c, source=dataset.source, skipped=dataset.skipped),
+        Dataset(train, c=dataset.c, skipped=dataset.skipped),
+        Dataset(test, c=dataset.c, skipped=dataset.skipped),
     )
 
 

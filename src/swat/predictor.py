@@ -2,14 +2,16 @@
 
 The feature encoder mean-pools hashed one-hot id tokens and appends dense
 numerics.  The net is a single affine map, or one rectified hidden layer when
-``hidden > 0``.  Training is seeded mini-batch AdamW against any head's loss;
+``hidden > 0``.  Training is seeded mini-batch Adam against any head's loss;
 given the same config and seed, two runs produce bit-identical models.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,21 +58,22 @@ class FeatureSpec:
         ).digest()
         return int.from_bytes(digest, "little") % self.hash_dim
 
-    def encode(self, categorical_ids, numeric=()) -> np.ndarray:
-        if len(numeric) != self.numeric_dims:
-            raise ValueError(f"expected {self.numeric_dims} numeric features, got {len(numeric)}")
-        x = np.zeros(self.input_dim, dtype=np.float64)
-        if categorical_ids:
-            weight = 1.0 / len(categorical_ids)
-            for token in categorical_ids:
-                x[self.slot(token)] += weight
-        x[self.hash_dim:] = numeric
-        return x
-
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:
-        x = np.empty((len(dataset), self.input_dim))
-        for i, s in enumerate(dataset.samples):
-            x[i] = self.encode(s.categorical_ids, s.numeric)
+        """(n, input_dim) rows: the mean-pooled slots of each sample's tokens,
+        then its numerics.  Each distinct token is hashed once."""
+        samples = dataset.samples
+        for s in samples:
+            if len(s.numeric) != self.numeric_dims:
+                raise ValueError(f"expected {self.numeric_dims} numeric features, got {len(s.numeric)}")
+        n = len(samples)
+        counts = np.fromiter((len(s.categorical_ids) for s in samples), np.int64, n)
+        slot = functools.cache(self.slot)
+        flat = np.fromiter((slot(t) for s in samples for t in s.categorical_ids), np.int64, counts.sum())
+        flat += np.repeat(np.arange(n, dtype=np.int64) * self.input_dim, counts)  # row offsets
+        x = np.zeros((n, self.input_dim))
+        # add.at applies repeated cells in token order, as a per-row loop would
+        np.add.at(x.reshape(-1), flat, np.repeat(1.0 / np.maximum(counts, 1), counts))
+        x[:, self.hash_dim:] = [s.numeric for s in samples]
         return x
 
     def to_dict(self) -> dict:
@@ -181,31 +184,29 @@ class Model:
         return model
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Decoupled-weight-decay Adam: moment accumulators plus step count."""
+    """Adam: moment accumulators plus step count."""
 
     lr: float
-    betas: tuple[float, float]
-    eps: float
-    weight_decay: float
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
-    def for_params(cls, params, lr, betas, eps, weight_decay) -> "AdamState":
+    def for_params(cls, params, lr) -> "AdamState":
         return cls(
             lr=lr,
-            betas=betas,
-            eps=eps,
-            weight_decay=weight_decay,
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
         )
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        beta1, beta2 = self.betas
+        beta1, beta2 = ADAM_BETAS
         self.step += 1
         for key in sorted(params):
             g = grads[key]
@@ -213,9 +214,7 @@ class AdamState:
             self.v[key] = beta2 * self.v[key] + (1.0 - beta2) * g * g
             m_hat = self.m[key] / (1.0 - beta1**self.step)
             v_hat = self.v[key] / (1.0 - beta2**self.step)
-            params[key] -= self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[key]
-            )
+            params[key] -= self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 @dataclass(frozen=True)
@@ -223,15 +222,22 @@ class TrainConfig:
     head: HeadKind
     scheme: BucketScheme | None = None
     lr: float = 2e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     batch_size: int = 1024
     max_epochs: int = 50
     rel_tol: float = 1e-4
     seed: int = 0
     hash_dim: int = 64
     hidden: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.hidden < 0:
+            raise ValueError(f"hidden width must be >= 0, got {self.hidden}")
 
 
 @dataclass
@@ -242,7 +248,7 @@ class TrainResult:
 
 
 def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResult:
-    """Seeded shuffled mini-batch AdamW fit of the configured head.
+    """Seeded shuffled mini-batch Adam fit of the configured head.
 
     Targets are encoded one batch at a time.  ``binom_labels`` optionally
     replaces the binom head's soft labels derived from total watch time with
@@ -262,9 +268,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
     elif heads.HEADS[config.head].tail_open is False:
         clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
 
-    optimizer = AdamState.for_params(
-        model.params, config.lr, config.betas, config.eps, config.weight_decay
-    )
+    optimizer = AdamState.for_params(model.params, config.lr)
     n = len(dataset)
     epoch_losses: list[float] = []
 

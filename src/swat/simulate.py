@@ -150,14 +150,6 @@ def process_pmf(probs, scheme: BucketScheme, t: int) -> float:
     return _survival(probs, scheme, t) * (1.0 - probs[scheme.bucket_of(t + 1) - 1])
 
 
-def _tail_factor(probs, scheme: BucketScheme) -> float:
-    xs = (0,) + scheme.endpoints
-    val = 1.0
-    for i in range(1, scheme.n_buckets + 1):
-        val *= probs[i - 1] ** (xs[i] - xs[i - 1])
-    return val
-
-
 def total_mass(probs, scheme: BucketScheme) -> float:
     """Sum of the contrast-law pmf (``model_pmf``) over all t.
 
@@ -167,7 +159,7 @@ def total_mass(probs, scheme: BucketScheme) -> float:
     _check_open_arity(probs, scheme, "total_mass")
     x_n = scheme.endpoints[-1]
     mass = sum(model_pmf(probs, scheme, t) for t in range(x_n + 1))
-    return mass + _tail_factor(probs, scheme) * probs[-1]
+    return mass + _survival(probs, scheme, x_n) * probs[-1]
 
 
 def model_mean(probs, scheme: BucketScheme) -> float:
@@ -177,7 +169,7 @@ def model_mean(probs, scheme: BucketScheme) -> float:
     x_n = scheme.endpoints[-1]
     mean = sum(t * model_pmf(probs, scheme, t) for t in range(x_n + 1))
     p = probs[-1]
-    return mean + _tail_factor(probs, scheme) * (x_n * p + p / (1.0 - p))
+    return mean + _survival(probs, scheme, x_n) * (x_n * p + p / (1.0 - p))
 
 
 def process_mean(probs, scheme: BucketScheme) -> float:

@@ -21,8 +21,12 @@ def constant_feature_dataset(targets, c=1.0):
             categorical_ids=("all",),
             numeric=(),
             raw_target=float(t),
-            target=int(t),
         )
         for i, t in enumerate(targets)
     )
     return Dataset(samples, c=c)
+
+
+def encode_tokens(spec, tokens, numeric=()):
+    """(1, input_dim) features of one sample, through the batch encoder."""
+    return spec.encode_dataset(Dataset((Sample("0", tuple(tokens), tuple(numeric), 0.0),), c=1.0))

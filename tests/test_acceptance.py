@@ -21,7 +21,7 @@ from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig
 from swat.simulate import Behavior, BehaviorProfile
 
-from conftest import constant_feature_dataset
+from conftest import constant_feature_dataset, encode_tokens
 
 
 def report(criterion, name, ok, detail):
@@ -71,7 +71,7 @@ def loss_at(kind, scheme, logits, t):
 
 
 def constant_probs(model):
-    x = model.feature_spec.encode(("all",), ())[None, :]
+    x = encode_tokens(model.feature_spec, ("all",))
     return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
 
 

@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from swat import dataio
 from swat.cli import main
 
 
@@ -106,16 +107,35 @@ class TestTrainEval:
         path.write_text(json.dumps(artifact), encoding="utf-8")
         assert run("eval", "--model", path, "--data", sim_csv, "--out", tmp_path / "e") == 2
 
-    def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv):
+    def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv, caplog):
         data = tmp_path / "big.csv"
         data.write_text(sim_csv.read_text() + "huge,all,1e30\n", encoding="utf-8")
-        assert dataio.load_csv(data, dataio.DEFAULT_SCHEMAS["sim"]).skipped == 1
         bdir, tdir, edir = tmp_path / "b", tmp_path / "t", tmp_path / "e"
         assert run("buckets", "--data", data, "--percent-step", "25", "--out", bdir) == 0
         assert run("train", "--data", data, "--head", "binom", "--scheme", bdir / "scheme.json",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
         assert run("eval", "--model", tdir / "model.json", "--data", data, "--out", edir) == 0
         assert json.loads((edir / "report.json").read_text())["n"] == 400
+        for out in (bdir, tdir, edir):
+            assert json.loads((out / "manifest.json").read_text())["config"]["skipped"] == 1
+        assert sum("1 unusable rows" in r.getMessage() for r in caplog.records) == 3
+
+    def test_clean_data_records_zero_skipped(self, tmp_path, sim_csv, caplog):
+        tdir = tmp_path / "t"
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "1",
+                   "--out", tdir) == 0
+        assert json.loads((tdir / "manifest.json").read_text())["config"]["skipped"] == 0
+        assert not any("unusable" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--epochs", 0), ("--epochs", -1), ("--batch", 0), ("--batch", -5), ("--hidden", -1),
+        ("--lr", 0), ("--lr", -1), ("--lr", "nan"), ("--lr", "inf"),
+    ])
+    def test_unusable_training_setting_exits_2(self, tmp_path, sim_csv, flag, value, capsys):
+        assert run("train", "--data", sim_csv, "--head", "vgeo", flag, value,
+                   "--out", tmp_path / "t") == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "model.json").exists()
 
     def test_vgeo_memorizes_distinct_tokens(self, tmp_path):
         # four distinct constant features, one per target: the model can
@@ -130,6 +150,58 @@ class TestTrainEval:
         assert run("eval", "--model", tdir / "model.json", "--data", data, "--out", edir) == 0
         report = json.loads((edir / "report.json").read_text())
         assert report["xauc"] == 1.0
+
+
+SIM_HEADER = "sample_id,feat,watch_time"
+LONG_FIELD = "x" * 131_073  # one past the csv module's default field limit
+CELLS = st.one_of(
+    st.sampled_from(["", "0", "7", "-3", "2.5", "1e30", "nan", "inf", "all", '"', 'a"b', LONG_FIELD]),
+    st.text(alphabet='019.-e,"|x \r\n\x00', max_size=6),
+)
+
+
+@st.composite
+def malformed_csvs(draw):
+    """CSV bytes with short/long rows, stray quotes, empty cells, long fields
+    and, in some examples, bytes that are not UTF-8."""
+    header = draw(st.one_of(st.just(SIM_HEADER), st.sampled_from(["sample_id,feat", "watch_time", ""])))
+    rows = draw(st.lists(st.lists(CELLS, max_size=5), max_size=8))
+    data = ("\n".join([header, *(",".join(row) for row in rows)]) + "\n").encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+class TestMalformedCsv:
+    @pytest.fixture()
+    def model_path(self, tmp_path, sim_csv):
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "1",
+                   "--hash-dim", "4", "--out", tmp_path / "m") == 0
+        return tmp_path / "m" / "model.json"
+
+    @example(data=f"{SIM_HEADER}\na,all\nb\n".encode(), head=("vgeo",), ratio=())  # short rows
+    @example(data=f'{SIM_HEADER}\na,"all,3\nb,al"l,4\n'.encode(), head=("wlr",), ratio=())  # stray quotes
+    @example(data=f"{SIM_HEADER}\n,,\n,all,\n,,5\n".encode(), head=("geo", "--endpoints", "2,5"),
+             ratio=())  # empty cells
+    @example(data=f"{SIM_HEADER}\na,all,1\nb,{LONG_FIELD},2\n".encode(),
+             head=("binom", "--endpoints", "2,5"), ratio=())  # long field
+    @example(data=f"{SIM_HEADER}\na,all,1\n".encode() + b"b,\xff\xfe,2\n", head=("vgeo",),
+             ratio=("--ratio", "0.5"))  # not UTF-8
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=malformed_csvs(),
+           head=st.sampled_from([("binom", "--endpoints", "2,5"), ("geo", "--endpoints", "2,5"),
+                                 ("vgeo",), ("wlr",)]),
+           ratio=st.sampled_from([(), ("--ratio", "0.5")]))
+    def test_every_command_exits_with_a_code(self, tmp_path, model_path, data, head, ratio):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        common = ("--data", path, *ratio)
+        assert run("buckets", *common, "--percent-step", "25", "--out", tmp_path / "b") in (0, 2, 3)
+        assert run("train", *common, "--head", *head, "--epochs", "2", "--hash-dim", "4",
+                   "--out", tmp_path / "t") in (0, 2, 3)
+        assert run("eval", *common, "--model", model_path, "--out", tmp_path / "e") in (0, 2, 3)
 
 
 class TestSimulate:

@@ -17,7 +17,7 @@ class TestLoadCsv:
     def test_scaling_rounds_to_integer(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,3.4"])
         ds = dataio.load_csv(path, SIM, c=50)
-        assert ds.samples[0].target == 170
+        assert ds.targets().tolist() == [170]
         assert ds.samples[0].raw_target == 3.4
 
     def test_negative_target_skipped_and_counted(self, tmp_path):
@@ -29,7 +29,7 @@ class TestLoadCsv:
     def test_identity_scaling(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,7", "b,u2,0"])
         ds = dataio.load_csv(path, SIM, c=1)
-        assert [s.target for s in ds.samples] == [7, 0]
+        assert ds.targets().tolist() == [7, 0]
 
     def test_token_lists_split_and_namespaced(self, tmp_path):
         schema = SchemaConfig("session_id", ("items",), "dwell_time")
@@ -70,6 +70,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no usable rows"):
             dataio.load_csv(path, SIM, c=1)
 
+    def test_malformed_csv_names_file_and_line(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,u1,1", "b," + "x" * 200_000 + ",2"])
+        with pytest.raises(ValueError, match=r"d\.csv, line 3: field larger than field limit"):
+            dataio.load_csv(path, SIM, c=1)
+
     def test_bad_c_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])
         with pytest.raises(ValueError, match="positive"):
@@ -79,7 +84,7 @@ class TestLoadCsv:
 class TestSplit:
     def _dataset(self, n):
         samples = tuple(
-            Sample(str(i), (f"u{i}",), (), float(i), i) for i in range(n)
+            Sample(str(i), (f"u{i}",), (), float(i)) for i in range(n)
         )
         return Dataset(samples, c=1.0)
 
@@ -111,15 +116,24 @@ class TestSplit:
             dataio.split(self._dataset(1), 0.5, seed=0)
 
 
+def raw_dataset(raws, c):
+    return Dataset(tuple(Sample(str(i), (), (), float(r)) for i, r in enumerate(raws)), c=c)
+
+
 class TestUnscale:
     def test_inverse_of_scaling(self):
-        assert dataio.scale_target(3.4, 50) / 50 == pytest.approx(3.4)
-        assert dataio.scale_target(0.0, 7) / 7 == 0.0
+        assert raw_dataset([3.4], 50).targets()[0] / 50 == pytest.approx(3.4)
+        assert raw_dataset([0.0], 7).targets()[0] / 7 == 0.0
 
     def test_round_trip_error_bounded_by_half_step(self):
-        rng = np.random.default_rng(0)
+        raws = np.random.default_rng(0).uniform(0, 100, size=500)
         c = 50.0
-        for raw in rng.uniform(0, 100, size=500):
-            target = dataio.scale_target(raw, c)
-            assert abs(target / c - raw) <= 0.5 / c + 1e-12
+        targets = raw_dataset(raws, c).targets()
+        assert targets.dtype == np.int64
+        assert np.all(np.abs(targets / c - raws) <= 0.5 / c + 1e-12)
+
+    def test_rounds_half_to_even_like_python(self):
+        raws = [0.5, 1.5, 2.5, 0.01, 0.03, 1e15 + 0.5, *np.random.default_rng(1).uniform(0, 1e4, 500)]
+        for c in (1.0, 50.0, 100.0):
+            assert raw_dataset(raws, c).targets().tolist() == [int(round(c * r)) for r in raws]
 

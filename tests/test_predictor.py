@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swat import heads, labels, predictor, simulate
 from swat.buckets import from_endpoints
+from swat.dataio import Dataset, Sample
 from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig, TrainingDiverged
 from swat.simulate import Behavior, BehaviorProfile
 
-from conftest import constant_feature_dataset
+from conftest import constant_feature_dataset, encode_tokens
 
 CLOSED = from_endpoints([5, 12, 22])
 OPEN = from_endpoints([5, 12, 22], tail_open=True)
 
 
 def constant_probs(model):
-    x = model.feature_spec.encode(("all",), ())[None, :]
+    x = encode_tokens(model.feature_spec, ("all",))
     return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
 
 
@@ -35,19 +38,44 @@ class TestFeatureSpec:
 
     def test_mean_pooling(self):
         spec = FeatureSpec(hash_dim=64, seed=0)
-        x = spec.encode(("a", "b", "a"), ())
+        x = encode_tokens(spec, ("a", "b", "a"))[0]
         assert x.sum() == pytest.approx(1.0)
         assert x[spec.slot("a")] == pytest.approx(2 / 3)
 
     def test_numeric_appended(self):
         spec = FeatureSpec(hash_dim=4, numeric_dims=2, seed=0)
-        x = spec.encode(("a",), (0.5, -1.0))
+        x = encode_tokens(spec, ("a",), (0.5, -1.0))[0]
         assert x.shape == (6,)
         assert tuple(x[4:]) == (0.5, -1.0)
 
     def test_numeric_arity_enforced(self):
         with pytest.raises(ValueError):
-            FeatureSpec(hash_dim=4, numeric_dims=1).encode(("a",), ())
+            encode_tokens(FeatureSpec(hash_dim=4, numeric_dims=1), ("a",))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.lists(st.sampled_from("abcdefgh"), max_size=7),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=1, max_size=12))
+    def test_matches_per_row_reference(self, rows):
+        # each cell adds 1/len(row) once per occurrence, in token order
+        spec = FeatureSpec(hash_dim=5, numeric_dims=1, seed=2)
+        expected = np.zeros((len(rows), spec.input_dim))
+        for i, (tokens, value) in enumerate(rows):
+            for token in tokens:
+                expected[i, spec.slot(token)] += 1.0 / len(tokens)
+            expected[i, -1] = value
+        samples = tuple(Sample(str(i), tuple(t), (v,), 0.0) for i, (t, v) in enumerate(rows))
+        assert spec.encode_dataset(Dataset(samples, c=1.0)).tobytes() == expected.tobytes()
+
+    def test_each_distinct_token_hashed_once(self, monkeypatch):
+        calls = []
+        slot = FeatureSpec.slot
+        monkeypatch.setattr(FeatureSpec, "slot", lambda self, t: calls.append(t) or slot(self, t))
+        rows = [("a", "b", "a"), (), ("b", "c"), ("c", "c", "a")]
+        samples = tuple(Sample(str(i), row, (), 0.0) for i, row in enumerate(rows))
+        FeatureSpec(hash_dim=8).encode_dataset(Dataset(samples, c=1.0))
+        assert sorted(calls) == ["a", "b", "c"]
 
 
 class TestForward:
@@ -55,7 +83,7 @@ class TestForward:
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
-        logits = model.forward_batch(spec.encode(("a",), ())[None, :])
+        logits = model.forward_batch(encode_tokens(spec, ("a",)))
         assert np.allclose(logits, 0.0)
         assert np.allclose(heads.clamp_probs(heads.sigmoid(logits)), 0.5)
 
@@ -64,8 +92,8 @@ class TestForward:
         w = np.arange(12, dtype=float).reshape(3, 4)
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
         token = "a"
-        x = spec.encode((token,), ())
-        assert np.allclose(model.forward_batch(x[None, :])[0], w[:, spec.slot(token)])
+        x = encode_tokens(spec, (token,))
+        assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(token)])
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
@@ -230,10 +258,8 @@ class TestTraining:
     def test_non_finite_loss_aborts_with_diagnostics(self):
         # probability clamping keeps well-formed runs finite, so the abort
         # path guards against corrupt inputs reaching the forward pass
-        from swat.dataio import Dataset, Sample
-
         samples = tuple(
-            Sample(str(i), ("all",), (float("nan"),), float(i), i) for i in range(8)
+            Sample(str(i), ("all",), (float("nan"),), float(i)) for i in range(8)
         )
         ds = Dataset(samples, c=1.0)
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
@@ -305,16 +331,14 @@ class TestHiddenLayerTraining:
         for token, p in (("a", 0.5), ("b", 0.9)):
             draws = rng.geometric(1 - p, size=3000) - 1
             rows.extend((token, int(t)) for t in draws)
-        from swat.dataio import Dataset, Sample
-
         samples = tuple(
-            Sample(str(i), (tok,), (), float(t), t) for i, (tok, t) in enumerate(rows)
+            Sample(str(i), (tok,), (), float(t)) for i, (tok, t) in enumerate(rows)
         )
         ds = Dataset(samples, c=1.0)
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=16, hidden=8, lr=5e-3,
                           batch_size=256, max_epochs=150, rel_tol=1e-8, seed=3)
         model = predictor.train(ds, cfg).model
-        pred_a = model.predict(model.feature_spec.encode(("a",), ())[None, :])[0]
-        pred_b = model.predict(model.feature_spec.encode(("b",), ())[None, :])[0]
+        pred_a = model.predict(encode_tokens(model.feature_spec, ("a",)))[0]
+        pred_b = model.predict(encode_tokens(model.feature_spec, ("b",)))[0]
         assert pred_a == pytest.approx(1.0, abs=0.15)   # odds of 0.5
         assert pred_b == pytest.approx(9.0, rel=0.15)   # odds of 0.9
