@@ -20,6 +20,7 @@ import numpy as np
 
 _TOKEN_SPLIT = re.compile(r"[|\s]+")
 _TARGET_LIMIT = 2.0**63  # scaled targets must round into int64
+_LINE_END = re.compile(rb"\r\n|\r|\n")  # the line ends csv.reader counts with newline=""
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,29 @@ def _finite_float(cell) -> float:
     return value
 
 
+def _not_utf8(path) -> str:
+    """Line and description of the first byte of the file that is not UTF-8.
+
+    The text decoder works in chunks: its error offset is into the chunk,
+    and csv.reader's line count stops before the chunk that failed, so the
+    file's bytes are decoded again in one piece.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_END.findall(raw, 0, exc.start)) + 1
+        return f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return "not UTF-8"
+
+
 def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
-    Raises on a missing file, a missing configured column, malformed CSV
-    (ValueError naming the file and line), or zero usable rows; bad rows are
-    skipped and counted instead.
+    Raises on a missing file, a missing configured column, malformed CSV or
+    bytes that are not UTF-8 (ValueError naming the file and line), or zero
+    usable rows; bad rows are skipped and counted instead.
     """
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
@@ -126,6 +144,8 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
         except csv.Error as exc:
             # DictReader.line_num lags on a failed row; its inner reader's does not
             raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}, {_not_utf8(path)}") from None
     if not samples:
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
     return Dataset(tuple(samples), c=c, skipped=skipped)

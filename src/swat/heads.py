@@ -1,8 +1,8 @@
 """Statistical heads: batch losses, analytic logit gradients, and expectation
 estimators, dispatched through one table with an entry per head.
 
-Four heads share the sigmoid parameterization p = sigmoid(y), with
-probabilities clamped to [1e-7, 1 - 1e-7] before any log or 1/(1-p):
+Four heads share the parameterization p = sigmoid(y), which only this module
+knows: the pipeline hands every head its logits y.
 
 * binom  -- per-bucket binary cross-entropy against soft labels; estimator
             sum_i width_i * p_i over the N closed buckets.
@@ -15,14 +15,16 @@ probabilities clamped to [1e-7, 1 - 1e-7] before any log or 1/(1-p):
 * wlr    -- weighted-logistic baseline: the vgeo objective without the
             log(1-p) term when t > 0; same estimator.
 
-Every estimator reads only the clamped probabilities, so every prediction is
+Losses are negated log-likelihoods of logits: each forms log p =
+log_sigmoid(y), log(1 - p) = log p - y and p = exp(log p), so its gradient is
+the exact derivative of the loss it returns at every finite logit.  Only
+`expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
 finite: an odds factor p / (1 - p) is at most about 1e7.
 
-Losses are negated log-likelihoods (minimization convention).  All functions
-are pure and work on batches: probabilities and logits are (B, arity) arrays,
-and watch times reach a loss only through `encode_targets`, which turns a
-batch of integer watch times into the targets that head's loss takes.  Adding
-a head means adding one `HEADS` entry.
+All functions are pure and work on (B, arity) batches; watch times reach a
+loss only through `encode_targets`, which turns a batch of integer watch
+times into the targets that head's loss takes.  Adding a head means adding
+one `HEADS` entry.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ from .buckets import BucketScheme
 PROB_EPS = 1e-7
 
 
-def sigmoid(y):
-    y = np.asarray(y, dtype=np.float64)
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = ey / (1.0 + ey)
-    return out
+def log_sigmoid(y) -> np.ndarray:
+    """log sigmoid(y) = -logaddexp(0, -y), finite at every finite y, without logaddexp's slower loop."""
+    return np.minimum(y, 0.0) - np.log1p(np.exp(-np.abs(y)))
+
+
+def sigmoid(y) -> np.ndarray:
+    return np.exp(log_sigmoid(y))
 
 
 def clamp_probs(p) -> np.ndarray:
@@ -61,15 +62,22 @@ class HeadKind(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# batch losses: probs (B, arity) -> per-sample losses (B,) and d(loss)/d(logits)
+# batch losses: logits (B, arity) -> per-sample losses (B,) and d(loss)/d(logits)
 # ---------------------------------------------------------------------------
 
 
-def binom_loss_batch(probs: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if probs.shape != soft.shape:
-        raise ValueError(f"probs shape {probs.shape} != labels shape {soft.shape}")
-    losses = -(soft * np.log(probs) + (1.0 - soft) * np.log1p(-probs)).sum(axis=1)
-    return losses, probs - soft
+def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log p, log(1 - p) and p of p = sigmoid(logits)."""
+    log_p = log_sigmoid(logits)
+    return log_p, log_p - logits, np.exp(log_p)
+
+
+def binom_loss_batch(logits: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if logits.shape != soft.shape:
+        raise ValueError(f"logits shape {logits.shape} != labels shape {soft.shape}")
+    log_p, log_q, p = _log_probs(logits)
+    losses = -(soft * log_p + (1.0 - soft) * log_q).sum(axis=1)
+    return losses, p - soft
 
 
 def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,50 +85,44 @@ def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndar
 
     Watching exactly t seconds means continuing at seconds 1..t and stopping
     before second t + 1, so log pmf(t) = sum_i A[b, i] log p_i + log(1 - p_k)
-    with k the bucket of second t + 1.  Returns (A, stop): A[b, i] is the
+    with k the bucket of second t + 1.  Returns (A, stop_idx): A[b, i] is the
     log p_i weight (width for buckets watched through, in-bucket seconds for
-    the bucket holding t) and stop is the one-hot of bucket k.  At an
-    endpoint t = x_i the stop lands in bucket i + 1, so the pmf sums to 1.
+    the bucket holding t) and stop_idx[b] is k, 0-based.  At an endpoint
+    t = x_i the stop lands in bucket i + 1, so the pmf sums to 1.
     """
     t = np.asarray(targets, dtype=np.int64)
-    n = scheme.n_buckets
     ends = np.asarray(scheme.endpoints, dtype=np.int64)
     lows = np.concatenate(([0], ends))
     in_idx = np.searchsorted(ends, t, side="left")  # bucket holding t, 0-based, N = tail
-    stop_idx = np.searchsorted(ends, t, side="right")  # bucket of second t + 1
-    cols = np.arange(n + 1)
+    cols = np.arange(scheme.n_buckets + 1)
     widths_ext = np.concatenate((np.asarray(scheme.widths, dtype=np.float64), [0.0]))
     a = np.where(cols[None, :] < in_idx[:, None], widths_ext[None, :], 0.0)
-    rows = np.arange(len(t))
-    a[rows, in_idx] = t - lows[in_idx]
-    stop = np.zeros_like(a)
-    stop[rows, stop_idx] = 1.0
-    return a, stop
+    a[np.arange(len(t)), in_idx] = t - lows[in_idx]
+    return a, np.searchsorted(ends, t, side="right")
 
 
-def geo_loss_batch(
-    probs: np.ndarray, a: np.ndarray, stop: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if probs.shape != a.shape:
-        raise ValueError(f"probs shape {probs.shape} != coefficient shape {a.shape}")
-    losses = -(a * np.log(probs) + stop * np.log1p(-probs)).sum(axis=1)
-    grads = -a * (1.0 - probs) + stop * probs
+def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if logits.shape != a.shape:
+        raise ValueError(f"logits shape {logits.shape} != coefficient shape {a.shape}")
+    log_p, log_q, p = _log_probs(logits)
+    rows = np.arange(len(a))
+    losses = -(a * log_p).sum(axis=1) - log_q[rows, stop_idx]
+    grads = -a * (1.0 - p)
+    grads[rows, stop_idx] += p[rows, stop_idx]
     return losses, grads
 
 
-def vgeo_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = probs[:, 0]
-    t = np.asarray(targets, dtype=np.float64)
-    losses = -(t * np.log(p) + np.log1p(-p))
+def vgeo_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    log_p, log_q, p = _log_probs(logits[:, 0])
+    losses = -(t * log_p + log_q)
     grads = -(t * (1.0 - p) - p)
     return losses, grads[:, None]
 
 
-def wlr_loss_batch(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = probs[:, 0]
-    t = np.asarray(targets, dtype=np.float64)
+def wlr_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    log_p, log_q, p = _log_probs(logits[:, 0])
     zero = t == 0
-    losses = -np.where(zero, np.log1p(-p), t * np.log(p))
+    losses = -np.where(zero, log_q, t * log_p)
     grads = np.where(zero, p, -t * (1.0 - p))
     return losses, grads[:, None]
 
@@ -179,10 +181,11 @@ class Head:
     ``tail_open`` is the scheme tail the head needs: None for no scheme, False
     for a closed tail (N probabilities), True for an open one (N + 1).
     ``encode(scheme, t)`` turns an int64 batch of watch times into the
-    targets ``loss(probs, encoded)`` takes; the loss returns per-row losses
+    targets ``loss(logits, encoded)`` takes; the loss returns per-row losses
     and logit gradients.  ``expectation(probs, scheme)`` returns the per-row
-    mean watch time.  Functions that a profiler may wrap are looked up by
-    name when called, so the entries hold lambdas around them.
+    mean watch time of clamped probabilities.  Functions that a profiler may
+    wrap are looked up by name when called, so the entries hold lambdas
+    around them.
     """
 
     tail_open: bool | None
@@ -201,7 +204,7 @@ HEADS: dict[HeadKind, Head] = {
     HeadKind.GEO: Head(
         tail_open=True,
         encode=lambda scheme, t: geo_coefficients(scheme, t),
-        loss=lambda probs, enc: geo_loss_batch(probs, *enc),
+        loss=lambda logits, enc: geo_loss_batch(logits, *enc),
         expectation=geo_expectation_batch,
     ),
     HeadKind.VGEO: Head(None, lambda scheme, t: t, vgeo_loss_batch, vgeo_expectation_batch),
@@ -231,16 +234,18 @@ def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets) -> Any:
     return HEADS[kind].encode(scheme, t)
 
 
-def loss_batch(kind: HeadKind, probs: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:
+def loss_batch(kind: HeadKind, logits: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:
     """Per-row losses and logit gradients; encoded_targets comes from encode_targets."""
-    return HEADS[kind].loss(probs, encoded_targets)
+    return HEADS[kind].loss(np.asarray(logits, dtype=np.float64), encoded_targets)
 
 
 def expectation_batch(
-    kind: HeadKind, probs: np.ndarray, scheme: BucketScheme | None = None
+    kind: HeadKind, logits: np.ndarray, scheme: BucketScheme | None = None
 ) -> np.ndarray:
-    """Closed-form expected watch time of each row of clamped probabilities."""
+    """Closed-form expected watch time of each logit row, read at clamped probabilities."""
     n = arity(kind, scheme)
-    if probs.ndim != 2 or probs.shape[1] != n:
-        raise ValueError(f"{kind.value} head expects {n} probs per row, got shape {probs.shape}")
+    if logits.ndim != 2 or logits.shape[1] != n:
+        raise ValueError(f"{kind.value} head expects {n} logits per row, got shape {logits.shape}")
+    probs = clamp_probs(sigmoid(logits))
+    del logits  # freed before the estimator runs when the caller keeps no reference, as in predict
     return HEADS[kind].expectation(probs, scheme)

@@ -138,8 +138,7 @@ class Model:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Expected watch times (scaled-target units) for feature rows."""
-        probs = heads.clamp_probs(heads.sigmoid(self.forward_batch(x)))
-        return heads.expectation_batch(self.head, probs, self.scheme)
+        return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
         return self.predict(self.feature_spec.encode_dataset(dataset))
@@ -238,6 +237,8 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.hidden < 0:
             raise ValueError(f"hidden width must be >= 0, got {self.hidden}")
+        if self.hash_dim < 2:
+            raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
 
 
 @dataclass
@@ -278,17 +279,14 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = x[idx]
-            logits = model.forward_batch(xb)
-            probs = heads.clamp_probs(heads.sigmoid(logits))
             if binom_labels is None:
                 enc = heads.encode_targets(config.head, config.scheme, targets[idx])
             else:
                 enc = binom_labels[idx]
-            losses, dlogits = heads.loss_batch(config.head, probs, enc)
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
+            losses, dlogits = heads.loss_batch(config.head, model.forward_batch(xb), enc)
+            total += float(losses.sum())  # one non-finite loss makes the total non-finite
+            if not np.isfinite(total):
                 raise TrainingDiverged(epoch, bi, model.param_norm())
-            total += float(losses.sum())
             grads = model.backward_batch(xb, dlogits / len(idx))
             optimizer.update(model.params, grads)
         epoch_losses.append(total / n)

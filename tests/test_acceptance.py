@@ -59,14 +59,14 @@ def geo_mean(probs, scheme):
 
 def head_pmf(probs, scheme, t):
     """Geo head pmf exp(-loss) of each watch time in t."""
-    a, stop = heads.geo_coefficients(scheme, t)
-    return np.exp(-heads.geo_loss_batch(np.broadcast_to(probs, a.shape), a, stop)[0])
+    a, stop_idx = heads.geo_coefficients(scheme, t)
+    logits = np.broadcast_to(np.log(probs) - np.log1p(-probs), a.shape)
+    return np.exp(-heads.geo_loss_batch(logits, a, stop_idx)[0])
 
 
 def loss_at(kind, scheme, logits, t):
     """One sample's loss and logit gradient through the batch head API."""
-    probs = heads.clamp_probs(heads.sigmoid(logits[None, :]))
-    losses, grads = heads.loss_batch(kind, probs, heads.encode_targets(kind, scheme, [t]))
+    losses, grads = heads.loss_batch(kind, logits[None, :], heads.encode_targets(kind, scheme, [t]))
     return float(losses[0]), grads[0]
 
 
@@ -138,14 +138,10 @@ def test_criterion_03_gradient_fidelity():
                 size = model.params[key].size
                 model.params[key] = flat[offset : offset + size].reshape(model.params[key].shape)
                 offset += size
-            logits = model.forward_batch(x)
-            probs = heads.clamp_probs(heads.sigmoid(logits))
-            return float(heads.loss_batch(kind, probs, enc)[0].sum())
+            return float(heads.loss_batch(kind, model.forward_batch(x), enc)[0].sum())
 
         flat = np.concatenate([model.params[k].ravel() for k in sorted(model.params)])
-        logits = model.forward_batch(x)
-        probs = heads.clamp_probs(heads.sigmoid(logits))
-        _, dlogits = heads.loss_batch(kind, probs, enc)
+        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), enc)
         grads = model.backward_batch(x, dlogits)
         analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
         numeric = fd_gradient(total_loss_from_params, flat)

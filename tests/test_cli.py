@@ -130,9 +130,11 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", 0), ("--epochs", -1), ("--batch", 0), ("--batch", -5), ("--hidden", -1),
         ("--lr", 0), ("--lr", -1), ("--lr", "nan"), ("--lr", "inf"),
+        ("--hash-dim", 1), ("--hash-dim", 0),
     ])
-    def test_unusable_training_setting_exits_2(self, tmp_path, sim_csv, flag, value, capsys):
-        assert run("train", "--data", sim_csv, "--head", "vgeo", flag, value,
+    def test_unusable_training_setting_exits_2(self, tmp_path, flag, value, capsys):
+        # the data file does not exist: the setting must be rejected before it is read
+        assert run("train", "--data", tmp_path / "missing.csv", "--head", "vgeo", flag, value,
                    "--out", tmp_path / "t") == 2
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "t" / "model.json").exists()

@@ -74,6 +74,14 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["a,u1,1", "b," + "x" * 200_000 + ",2"])
         with pytest.raises(ValueError, match=r"d\.csv, line 3: field larger than field limit"):
             dataio.load_csv(path, SIM, c=1)
+        # a byte that is not UTF-8 on line 1501 of 2001, well past the decoder's first 8 KiB chunk
+        rows = [f"s{i},u{i},{i % 7}".encode() for i in range(2000)]
+        rows[1499] = b"s1499,u\xff,3"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join([b"sample_id,feat,watch_time", *rows]) + b"\n")
+        assert bad.read_bytes().index(b"\xff") > 8192
+        with pytest.raises(ValueError, match=r"bad\.csv, line 1501: byte 0xff is not UTF-8"):
+            dataio.load_csv(bad, SIM, c=1)
 
     def test_bad_c_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])

@@ -36,28 +36,35 @@ def probs_of(logits):
     return heads.clamp_probs(heads.sigmoid(np.atleast_2d(logits)))
 
 
-def loss(kind, probs, t, scheme=None):
-    """One sample's loss and logit gradient at the given probabilities."""
-    scheme = scheme or scheme_for(kind)
-    encoded = heads.encode_targets(kind, scheme, [t])
-    losses, grads = heads.loss_batch(kind, np.atleast_2d(probs), encoded)
-    return float(losses[0]), grads[0]
+def logit(probs):
+    """Logits of the given probabilities, the heads' input."""
+    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    return np.log(p) - np.log1p(-p)
 
 
 def loss_at(kind, logits, t, scheme=None):
-    return loss(kind, probs_of(logits), t, scheme)
+    """One sample's loss and logit gradient at the given logits."""
+    scheme = scheme or scheme_for(kind)
+    encoded = heads.encode_targets(kind, scheme, [t])
+    losses, grads = heads.loss_batch(kind, np.atleast_2d(logits), encoded)
+    return float(losses[0]), grads[0]
+
+
+def loss(kind, probs, t, scheme=None):
+    """One sample's loss and logit gradient at the given probabilities."""
+    return loss_at(kind, logit(probs), t, scheme)
 
 
 def head_pmf(probs, t, scheme=OPEN):
     """Head pmf exp(-loss) of each watch time in t."""
-    a, stop = heads.encode_targets(HeadKind.GEO, scheme, np.atleast_1d(t))
-    losses, _ = heads.loss_batch(HeadKind.GEO, np.broadcast_to(probs, a.shape), (a, stop))
+    a, stop_idx = heads.encode_targets(HeadKind.GEO, scheme, np.atleast_1d(t))
+    logits = np.broadcast_to(logit(probs), a.shape)
+    losses, _ = heads.loss_batch(HeadKind.GEO, logits, (a, stop_idx))
     return np.exp(-losses)
 
 
 def expectation(kind, probs, scheme=None):
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    return float(heads.expectation_batch(kind, probs, scheme)[0])
+    return float(heads.expectation_batch(kind, logit(probs), scheme)[0])
 
 
 def geo_mean(probs, scheme=OPEN):
@@ -79,6 +86,15 @@ class TestSigmoid:
         y = np.linspace(-30.0, 30.0, 2001)
         lhs = heads.sigmoid(y) / heads.sigmoid(-y)
         np.testing.assert_allclose(lhs, np.exp(y), rtol=1e-12)
+
+    def test_log_sigmoid_finite_at_every_logit(self):
+        # log p - log(1 - p) = y, and log p stays finite where p underflows
+        y = np.array([-800.0, -40.0, -1.0, 0.0, 3.0, 40.0, 800.0])
+        log_p = heads.log_sigmoid(y)
+        assert np.all(np.isfinite(log_p))
+        np.testing.assert_allclose(log_p - heads.log_sigmoid(-y), y, rtol=1e-15)
+        assert log_p[0] == -800.0 and log_p[-1] == 0.0
+        np.testing.assert_allclose(heads.sigmoid(y), np.exp(log_p), rtol=0)
 
 
 class TestEncodeTargets:
@@ -105,9 +121,9 @@ class TestBinomLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            y = rng.uniform(-5, 5, size=3)
-            t = int(rng.integers(0, 23))
+        draws = [(rng.uniform(-5, 5, size=3), int(rng.integers(0, 23))) for _ in range(25)]
+        # saturated: p = sigmoid(17) lies past the old probability clamp 1 - 1e-7
+        for y, t in draws + [(np.full(3, 17.0), 8)]:
             _, grad = loss_at(HeadKind.BINOM, y, t)
             fd = fd_gradient(lambda yy: loss_at(HeadKind.BINOM, yy, t)[0], y)
             assert_grad_close(grad, fd)
@@ -145,9 +161,8 @@ class TestGeoLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            y = rng.uniform(-5, 5, size=4)
-            t = int(rng.integers(0, 40))
+        draws = [(rng.uniform(-5, 5, size=4), int(rng.integers(0, 40))) for _ in range(25)]
+        for y, t in draws + [(np.full(4, 20.0), 13)]:  # saturated stop bucket
             _, grad = loss_at(HeadKind.GEO, y, t)
             fd = fd_gradient(lambda yy: loss_at(HeadKind.GEO, yy, t)[0], y)
             assert_grad_close(grad, fd)
@@ -239,9 +254,8 @@ class TestVGeoLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            y = rng.uniform(-5, 5, size=1)
-            t = int(rng.integers(0, 50))
+        draws = [(rng.uniform(-5, 5, size=1), int(rng.integers(0, 50))) for _ in range(25)]
+        for y, t in draws + [(np.array([20.0]), 3)]:  # saturated
             _, grad = loss_at(HeadKind.VGEO, y, t)
             fd = fd_gradient(lambda yy: loss_at(HeadKind.VGEO, yy, t)[0], y)
             assert_grad_close(grad, fd)
@@ -257,11 +271,11 @@ class TestWlrLoss:
         # (p below the stationary point t/(t+1))
         rng = np.random.default_rng(9)
         for _ in range(50):
-            probs = probs_of(rng.uniform(-4, 4, size=1))
+            y = rng.uniform(-4, 4, size=1)
             t = int(rng.integers(1, 30))
-            gw = loss(HeadKind.WLR, probs, t)[1][0]
-            gv = loss(HeadKind.VGEO, probs, t)[1][0]
-            p = probs[0, 0]
+            gw = loss_at(HeadKind.WLR, y, t)[1][0]
+            gv = loss_at(HeadKind.VGEO, y, t)[1][0]
+            p = heads.sigmoid(y)[0]
             assert gv - gw == pytest.approx(p, abs=1e-12)
             if p < t / (t + 1):
                 assert abs(gw) - abs(gv) == pytest.approx(p, abs=1e-9)
@@ -275,9 +289,8 @@ class TestWlrLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        for _ in range(25):
-            y = rng.uniform(-5, 5, size=1)
-            t = int(rng.integers(0, 50))
+        draws = [(rng.uniform(-5, 5, size=1), int(rng.integers(0, 50))) for _ in range(25)]
+        for y, t in draws + [(np.array([-20.0]), 5)]:  # saturated
             _, grad = loss_at(HeadKind.WLR, y, t)
             fd = fd_gradient(lambda yy: loss_at(HeadKind.WLR, yy, t)[0], y)
             assert_grad_close(grad, fd)
@@ -289,7 +302,7 @@ class TestExpectation:
         assert got == pytest.approx(10.0, rel=1e-12)
 
     def test_vgeo_unit(self):
-        assert expectation(HeadKind.VGEO, probs_of([0.0])) == 1.0
+        assert heads.expectation_batch(HeadKind.VGEO, np.zeros((1, 1)))[0] == 1.0
 
     def test_binom_saturates_at_horizon(self):
         got = expectation(HeadKind.BINOM, np.full(3, 1 - 1e-7), CLOSED)
@@ -307,20 +320,20 @@ class TestExpectation:
                 assert expectation(HeadKind.BINOM, bumped, CLOSED) > base
 
     def test_wlr_and_vgeo_share_estimator(self):
-        probs = probs_of([1.3])
-        wlr = expectation(HeadKind.WLR, probs)
-        assert wlr == expectation(HeadKind.VGEO, probs)
+        y = np.array([[1.3]])
+        wlr = heads.expectation_batch(HeadKind.WLR, y)[0]
+        assert wlr == heads.expectation_batch(HeadKind.VGEO, y)[0]
         assert wlr == pytest.approx(math.exp(1.3), rel=1e-12)
 
     def test_stationary_estimator_finite_at_extreme_logits(self):
         # the odds of clamped probabilities saturate near 1e7 like the geo
         # tail, where exp(y) would overflow to inf near y = 710
         for kind in (HeadKind.VGEO, HeadKind.WLR):
-            extreme = heads.expectation_batch(kind, probs_of([[-800.0], [-40.0], [40.0], [800.0]]))
+            extreme = heads.expectation_batch(kind, np.array([[-800.0], [-40.0], [40.0], [800.0]]))
             assert np.all(np.isfinite(extreme)) and np.all(extreme > 0)
             assert extreme.max() == pytest.approx(1e7, rel=1e-6)
             y = np.linspace(-16.0, 16.0, 321)
-            got = heads.expectation_batch(kind, probs_of(y[:, None]))
+            got = heads.expectation_batch(kind, y[:, None])
             np.testing.assert_allclose(got, np.exp(y), rtol=1e-8)
 
     def test_geo_dispatch(self):
@@ -347,9 +360,10 @@ class TestExpandedBinomialForm:
         rng = np.random.default_rng(12)
         xs = (0,) + CLOSED.endpoints
         for _ in range(50):
-            probs = probs_of(rng.uniform(-4, 4, size=3))
+            y = rng.uniform(-4, 4, size=3)
+            probs = heads.sigmoid(y[None, :])
             t = int(rng.integers(0, 23))
-            value, _ = loss(HeadKind.BINOM, probs, t)
+            value, _ = loss_at(HeadKind.BINOM, y, t)
             expanded = 0.0
             for i in range(1, 4):
                 lo, hi, p = xs[i - 1], xs[i], probs[0, i - 1]
