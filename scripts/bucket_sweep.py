@@ -6,30 +6,26 @@ setting, and writes one plot-ready CSV row per (head, bucket-count).
 
 Usage:
   python scripts/bucket_sweep.py --data samples.csv [--schema sim] [--c 1]
-  python scripts/bucket_sweep.py            # synthetic focused population
+  python scripts/bucket_sweep.py            # synthetic focused user groups
+
+The synthetic data are synthetic_experiment.py's focused population: user
+groups with their own per-bucket probabilities, the group id as the only
+feature.
 """
 
 import argparse
 import csv
 import sys
 
-from swat import dataio, heads, metrics, predictor, simulate
-from swat.buckets import BucketScheme, from_percentiles
+from synthetic_experiment import mixed_dataset
+
+from swat import dataio, heads, metrics, predictor
+from swat.buckets import from_percentiles
 from swat.heads import HeadKind
 from swat.predictor import TrainConfig
-from swat.simulate import Behavior, BehaviorProfile
+from swat.simulate import Behavior
 
 STEPS = {10: 10.0, 20: 5.0, 50: 2.0, 100: 1.0, 200: 0.5}
-
-
-def synthetic_dataset(n, seed):
-    scheme = BucketScheme((10, 25, 60), tail_open=True)
-    profile = BehaviorProfile(Behavior.FOCUSED, (0.96, 0.9, 0.75, 0.4), scheme, seed)
-    draws = simulate.draw(profile, n)
-    samples = tuple(
-        dataio.Sample(str(i), ("all",), (), float(t)) for i, t in enumerate(draws)
-    )
-    return dataio.Dataset(samples, c=1.0)
 
 
 def main():
@@ -47,7 +43,7 @@ def main():
         c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
         full = dataio.load_csv(args.data, dataio.DEFAULT_SCHEMAS[args.schema], c=c)
     else:
-        full = synthetic_dataset(args.n, args.seed)
+        full = mixed_dataset(Behavior.FOCUSED, args.n, args.seed)
     train_set, test_set = dataio.split(full, 0.8, seed=args.seed)
     train_targets = train_set.targets().tolist()
 
@@ -59,7 +55,7 @@ def main():
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model
             preds = model.predict_dataset(test_set)
-            rep = metrics.evaluate(preds / full.c, test_set.raw_targets())
+            rep = metrics.evaluate(preds / full.c, test_set.raw_targets)
             rows.append({
                 "requested_buckets": n_buckets,
                 "actual_buckets": scheme.n_buckets,

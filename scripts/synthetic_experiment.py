@@ -45,16 +45,18 @@ def group_profiles(kind, seed):
 
 
 def mixed_dataset(kind, n, seed):
-    samples = []
+    """n // len(GROUPS) draws per group, shuffled; the `group` column holds
+    each row's group name."""
+    groups, totals = [], []
     per_group = n // len(GROUPS)
     for token, profile in group_profiles(kind, seed):
-        for t in simulate.draw(profile, per_group):
-            samples.append(
-                dataio.Sample(str(len(samples)), (token,), (), float(t))
-            )
-    rng = np.random.default_rng(seed + 99)
-    order = rng.permutation(len(samples))
-    return dataio.Dataset(tuple(samples[i] for i in order), c=1.0)
+        groups.extend([token] * per_group)
+        totals.extend(simulate.draw(profile, per_group))
+    order = np.random.default_rng(seed + 99).permutation(len(totals))
+    return dataio.Dataset(
+        [str(i) for i in order], np.asarray(totals, dtype=float)[order],
+        {"group": np.asarray(groups, dtype=object)[order]},
+    )
 
 
 def fit_and_score(train_set, test_set, head, seed):
@@ -65,7 +67,7 @@ def fit_and_score(train_set, test_set, head, seed):
     config = TrainConfig(head=head, scheme=scheme, hash_dim=16, max_epochs=30, seed=seed)
     model = predictor.train(train_set, config).model
     preds = model.predict_dataset(test_set)
-    return metrics.evaluate(preds, test_set.raw_targets())
+    return metrics.evaluate(preds, test_set.raw_targets)
 
 
 def main():
@@ -77,7 +79,7 @@ def main():
     for kind in Behavior:
         full = mixed_dataset(kind, args.n, args.seed)
         train_set, test_set = dataio.split(full, 0.8, seed=args.seed)
-        mean_t = full.raw_targets().mean()
+        mean_t = full.raw_targets.mean()
         print(f"\n== {kind.value} population: n={len(full)}, "
               f"{len(GROUPS)} groups, mean watch time {mean_t:.3f} ==")
         print(f"{'head':8s}  {'mae':>8s}  {'xauc':>6s}  {'pearson':>8s}")

@@ -1,12 +1,14 @@
 """CSV ingestion, target scaling, train/test splitting, prediction output.
 
-A sample holds only what its CSV row says.  The integer targets the heads
-need are derived per dataset: ``Dataset.targets()`` = round(c * raw_target),
-half to even.  Rows whose target is unparseable, negative, not finite or
-scales beyond int64, and rows with an unparseable or non-finite numeric
-cell, are skipped and counted.  Metrics run on unscaled predictions
-(prediction / c) against raw targets, so reported errors stay in the
-original units.
+A dataset holds the usable rows of one CSV as columns: ids, raw targets,
+numerics, and the raw cells of each feature column.  Cells are tokenised
+only when a model encodes them (``tokenize``), so reading the targets alone
+never tokenises.  The integer targets the heads need are derived per
+dataset: ``Dataset.targets()`` = round(c * raw_target), half to even.  Rows
+whose target is unparseable, negative, not finite or scales beyond int64,
+and rows with an unparseable or non-finite numeric cell, are skipped and
+counted.  Metrics run on unscaled predictions (prediction / c) against raw
+targets, so reported errors stay in the original units.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TOKEN_SPLIT = re.compile(r"[|\s]+")
 _TARGET_LIMIT = 2.0**63  # scaled targets must round into int64
 _LINE_END = re.compile(rb"\r\n|\r|\n")  # the line ends csv.reader counts with newline=""
 
@@ -49,42 +50,101 @@ DEFAULT_SCHEMAS = {
 DEFAULT_C = {"sim": 1.0, "kuairec": 50.0, "cikm": 100.0}
 
 
+def tokenize(column: str, cell: str | None) -> list[str]:
+    """Tokens of one feature cell: split on whitespace and '|', each prefixed
+    with its column name.  An absent cell has none."""
+    return [f"{column}={tok}" for tok in (cell or "").replace("|", " ").split()]
+
+
 @dataclass(frozen=True)
 class Sample:
+    """One row of a Dataset, as ``Dataset.samples`` lists it."""
+
     id: str
     categorical_ids: tuple[str, ...]
     numeric: tuple[float, ...]
     raw_target: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple[Sample, ...]
-    c: float
+    """Column arrays of n rows.
+
+    ``ids`` and each ``features`` column are (n,) object arrays of strings
+    (a feature cell missing from a short CSV row is None); ``raw_targets``
+    is (n,) float64 and ``numeric`` is (n, k) float64, with k = 0 when None.
+    """
+
+    ids: np.ndarray
+    raw_targets: np.ndarray
+    features: dict[str, np.ndarray]
+    numeric: np.ndarray | None = None
+    c: float = 1.0
     skipped: int = 0
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        ids = np.asarray(self.ids, dtype=object)
+        n = len(ids)
+        raw_targets = np.asarray(self.raw_targets, dtype=np.float64)
+        features = {col: np.asarray(cells, dtype=object) for col, cells in self.features.items()}
+        numeric = np.empty((n, 0)) if self.numeric is None else np.asarray(self.numeric, dtype=np.float64)
+        if n == 0:
             raise ValueError("dataset is empty")
         if self.c <= 0:
             raise ValueError(f"scaling constant must be positive, got {self.c}")
+        vectors = [ids, raw_targets, *features.values()]
+        if any(v.shape != (n,) for v in vectors) or numeric.ndim != 2 or len(numeric) != n:
+            raise ValueError(f"dataset columns disagree on the row count {n}")
+        columns = {"ids": ids, "raw_targets": raw_targets, "features": features, "numeric": numeric}
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     def targets(self) -> np.ndarray:
         """Integer targets round(c * raw_target) on the bucket grid."""
-        return np.rint(self.c * self.raw_targets()).astype(np.int64)
+        return np.rint(self.c * self.raw_targets).astype(np.int64)
 
-    def raw_targets(self) -> np.ndarray:
-        return np.asarray([s.raw_target for s in self.samples], dtype=np.float64)
+    def take(self, idx) -> Dataset:
+        """The rows at ``idx``, in that order."""
+        features = {col: cells[idx] for col, cells in self.features.items()}
+        return Dataset(self.ids[idx], self.raw_targets[idx], features, self.numeric[idx], self.c, self.skipped)
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """One Sample per row, tokens included.
+
+        Only perfbench/tracer.py reads this, to count the tokens that
+        ``FeatureSpec.encode_dataset`` pools; the library works on the
+        columns.  The benchmark change of ROADMAP item 1, which takes that
+        count from the library instead, deletes this view and Sample.
+        """
+        tokens = [[] for _ in range(len(self))]
+        for col, cells in self.features.items():
+            for row, cell in zip(tokens, cells.tolist()):
+                row.extend(tokenize(col, cell))
+        rows = zip(self.ids.tolist(), tokens, self.numeric.tolist(), self.raw_targets.tolist())
+        return tuple(Sample(i, tuple(toks), tuple(num), raw) for i, toks, num, raw in rows)
 
 
-def _finite_float(cell) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
+def _float_or_nan(cell) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _floats(cells: list) -> np.ndarray:
+    """float(cell) of each cell; NaN, which every skip rule rejects, where a
+    cell is absent or no number."""
+    return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
+
+
+def _interned(cells: list) -> np.ndarray:
+    """Object array of the cells in which equal strings share one object."""
+    seen: dict = {}
+    return np.fromiter(map(seen.setdefault, cells, cells), object, len(cells))
 
 
 def _not_utf8(path) -> str:
@@ -107,52 +167,61 @@ def _not_utf8(path) -> str:
 def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
-    Raises on a missing file, a missing configured column, malformed CSV or
-    bytes that are not UTF-8 (ValueError naming the file and line), or zero
-    usable rows; bad rows are skipped and counted instead.
+    Reads as csv.DictReader would: blank lines are dropped and not counted,
+    cells missing from a short row read as None, and of repeated header
+    names the last one wins.  An empty id becomes the row's index.  Raises
+    on a missing file, a missing configured column, malformed CSV or bytes
+    that are not UTF-8 (ValueError naming the file and line), or zero usable
+    rows; bad rows are skipped and counted instead.
     """
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
-    samples: list[Sample] = []
-    skipped = 0
     needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            missing = [col for col in needed if col not in (reader.fieldnames or [])]
+            header = next(reader, [])
+            missing = [col for col in needed if col not in header]
             if missing:
                 raise ValueError(f"{path}: missing configured columns {missing}")
-            for i, row in enumerate(reader):
-                try:
-                    raw = float(row[schema.target_column])
-                except (TypeError, ValueError):
-                    skipped += 1
-                    continue
-                if not 0.0 <= c * raw < _TARGET_LIMIT:
-                    skipped += 1
-                    continue
-                tokens: list[str] = []
-                for col in schema.feature_columns:
-                    cell = (row[col] or "").strip()
-                    tokens.extend(f"{col}={tok}" for tok in _TOKEN_SPLIT.split(cell) if tok)
-                try:
-                    numeric = tuple(_finite_float(row[col]) for col in schema.numeric_columns)
-                except (TypeError, ValueError):
-                    skipped += 1
-                    continue
-                samples.append(Sample(row[schema.id_column] or str(i), tuple(tokens), numeric, raw))
+            index = {name: j for j, name in enumerate(header)}  # the last of repeated names
+            width = max(index[col] for col in needed) + 1
+            rows = []
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                rows.append(row)
         except csv.Error as exc:
-            # DictReader.line_num lags on a failed row; its inner reader's does not
-            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}, {_not_utf8(path)}") from None
-    if not samples:
+    cells = {j: [row[j] for row in rows] for j in {index[col] for col in needed}}
+    del rows
+
+    def column(name: str) -> list:
+        return cells[index[name]]
+
+    raw = _floats(column(schema.target_column))
+    numeric = np.empty((len(raw), len(schema.numeric_columns)))
+    for j, col in enumerate(schema.numeric_columns):
+        numeric[:, j] = _floats(column(col))
+    with np.errstate(over="ignore"):
+        scaled = c * raw
+    keep = np.flatnonzero((0.0 <= scaled) & (scaled < _TARGET_LIMIT) & np.isfinite(numeric).all(axis=1))
+    skipped = len(raw) - len(keep)
+    if not len(keep):
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
-    return Dataset(tuple(samples), c=c, skipped=skipped)
+    text = {index[col]: _interned(column(col)) for col in (schema.id_column, *schema.feature_columns)}
+    id_cells = text[index[schema.id_column]].tolist()
+    ids = [id_cells[i] or str(i) for i in keep.tolist()]
+    features = {col: text[index[col]][keep] for col in schema.feature_columns}
+    return Dataset(ids, raw[keep], features, numeric[keep], c=c, skipped=skipped)
 
 
 def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle; the first floor(ratio * n) samples become the train set."""
+    """Seeded shuffle; the first floor(ratio * n) rows become the train set."""
     if not 0 < ratio < 1:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     n = len(dataset)
@@ -160,19 +229,13 @@ def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
         raise ValueError("need at least two samples to split")
     perm = np.random.default_rng(seed).permutation(n)
     cut = int(ratio * n)
-    train = tuple(dataset.samples[i] for i in perm[:cut])
-    test = tuple(dataset.samples[i] for i in perm[cut:])
-    return (
-        Dataset(train, c=dataset.c, skipped=dataset.skipped),
-        Dataset(test, c=dataset.c, skipped=dataset.skipped),
-    )
+    return dataset.take(perm[:cut]), dataset.take(perm[cut:])
 
 
 def write_predictions(path, dataset: Dataset, predictions) -> None:
-    """Per-sample CSV: (id, raw_target, prediction), unscaled units."""
+    """Per-row CSV: (id, raw_target, prediction), unscaled units."""
+    preds = np.asarray(predictions, dtype=np.float64).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "raw_target", "prediction"])
-        for sample, pred in zip(dataset.samples, predictions):
-            writer.writerow([sample.id, repr(sample.raw_target), repr(float(pred))])
-
+        writer.writerows(zip(dataset.ids.tolist(), map(repr, dataset.raw_targets.tolist()), map(repr, preds)))

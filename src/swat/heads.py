@@ -247,5 +247,4 @@ def expectation_batch(
     if logits.ndim != 2 or logits.shape[1] != n:
         raise ValueError(f"{kind.value} head expects {n} logits per row, got shape {logits.shape}")
     probs = clamp_probs(sigmoid(logits))
-    del logits  # freed before the estimator runs when the caller keeps no reference, as in predict
     return HEADS[kind].expectation(probs, scheme)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import heads
 from .buckets import BucketScheme
-from .dataio import Dataset
+from .dataio import Dataset, tokenize
 from .heads import HeadKind
 
 ARTIFACT_VERSION = 2  # 2: the geo stop factor uses the bucket of second t + 1
+PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,21 +61,27 @@ class FeatureSpec:
         return int.from_bytes(digest, "little") % self.hash_dim
 
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:
-        """(n, input_dim) rows: the mean-pooled slots of each sample's tokens,
-        then its numerics.  Each distinct token is hashed once."""
-        samples = dataset.samples
-        for s in samples:
-            if len(s.numeric) != self.numeric_dims:
-                raise ValueError(f"expected {self.numeric_dims} numeric features, got {len(s.numeric)}")
-        n = len(samples)
-        counts = np.fromiter((len(s.categorical_ids) for s in samples), np.int64, n)
+        """(n, input_dim) rows: the mean-pooled slots of each row's tokens,
+        then its numerics.  Each distinct cell is tokenised once and each
+        distinct token hashed once."""
+        if dataset.numeric.shape[1] != self.numeric_dims:
+            raise ValueError(f"expected {self.numeric_dims} numeric features, got {dataset.numeric.shape[1]}")
+        n = len(dataset)
         slot = functools.cache(self.slot)
-        flat = np.fromiter((slot(t) for s in samples for t in s.categorical_ids), np.int64, counts.sum())
-        flat += np.repeat(np.arange(n, dtype=np.int64) * self.input_dim, counts)  # row offsets
+        rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for column, cells in dataset.features.items():
+            cells = cells.tolist()
+            memo = {cell: [slot(t) for t in tokenize(column, cell)] for cell in dict.fromkeys(cells)}
+            per_row = list(map(memo.__getitem__, cells))
+            counts = np.fromiter(map(len, per_row), np.int64, n)
+            rows.append(np.repeat(np.arange(n), counts))
+            slots.append(np.fromiter(itertools.chain.from_iterable(per_row), np.int64, counts.sum()))
+        rows, slots = np.concatenate(rows), np.concatenate(slots)
         x = np.zeros((n, self.input_dim))
-        # add.at applies repeated cells in token order, as a per-row loop would
-        np.add.at(x.reshape(-1), flat, np.repeat(1.0 / np.maximum(counts, 1), counts))
-        x[:, self.hash_dim:] = [s.numeric for s in samples]
+        # every token of a row adds the same 1/len(row), so the order of the
+        # additions to a cell cannot change its sum
+        np.add.at(x, (rows, slots), (1.0 / np.maximum(np.bincount(rows, minlength=n), 1))[rows])
+        x[:, self.hash_dim:] = dataset.numeric
         return x
 
     def to_dict(self) -> dict:
@@ -141,7 +149,9 @@ class Model:
         return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        return self.predict(self.feature_spec.encode_dataset(dataset))
+        x = self.feature_spec.encode_dataset(dataset)
+        blocks = range(0, len(x), PREDICT_BLOCK)
+        return np.concatenate([self.predict(x[i : i + PREDICT_BLOCK]) for i in blocks])
 
     def to_dict(self) -> dict:
         return {
@@ -257,8 +267,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
     not suit the head or a watch time is negative, and TrainingDiverged on a
     non-finite batch loss.
     """
-    numeric_dims = len(dataset.samples[0].numeric)
-    spec = FeatureSpec(config.hash_dim, numeric_dims, seed=config.seed)
+    spec = FeatureSpec(config.hash_dim, dataset.numeric.shape[1], seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
     x = spec.encode_dataset(dataset)

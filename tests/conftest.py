@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from swat.buckets import BucketScheme
-from swat.dataio import Dataset, Sample
+from swat.dataio import Dataset
 
 
 @st.composite
@@ -14,19 +14,12 @@ def schemes(draw, max_buckets=8, max_width=25, tail_open=None):
 
 
 def constant_feature_dataset(targets, c=1.0):
-    """Every sample carries the same categorical token; targets are integers."""
-    samples = tuple(
-        Sample(
-            id=str(i),
-            categorical_ids=("all",),
-            numeric=(),
-            raw_target=float(t),
-        )
-        for i, t in enumerate(targets)
-    )
-    return Dataset(samples, c=c)
+    """Every row carries the one token `feat=all`; targets are integers."""
+    n = len(targets)
+    return Dataset([str(i) for i in range(n)], np.asarray(targets, dtype=float), {"feat": ["all"] * n}, c=c)
 
 
 def encode_tokens(spec, tokens, numeric=()):
-    """(1, input_dim) features of one sample, through the batch encoder."""
-    return spec.encode_dataset(Dataset((Sample("0", tuple(tokens), tuple(numeric), 0.0),), c=1.0))
+    """(1, input_dim) features of one row whose `feat` cell holds the tokens,
+    through the batch encoder; each is pooled as `feat=<token>`."""
+    return spec.encode_dataset(Dataset(["0"], [0.0], {"feat": [" ".join(tokens)]}, [numeric]))

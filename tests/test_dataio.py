@@ -1,8 +1,17 @@
+import csv
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swat import dataio
-from swat.dataio import DEFAULT_SCHEMAS, Dataset, Sample, SchemaConfig
+from swat.dataio import DEFAULT_SCHEMAS, Dataset, SchemaConfig
 
 
 def write_csv(path, rows, header="sample_id,feat,watch_time"):
@@ -18,7 +27,7 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["a,u1,3.4"])
         ds = dataio.load_csv(path, SIM, c=50)
         assert ds.targets().tolist() == [170]
-        assert ds.samples[0].raw_target == 3.4
+        assert ds.raw_targets.tolist() == [3.4]
 
     def test_negative_target_skipped_and_counted(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,-1", "b,u2,2", "c,u3,oops"])
@@ -35,19 +44,19 @@ class TestLoadCsv:
         schema = SchemaConfig("session_id", ("items",), "dwell_time")
         path = write_csv(tmp_path / "d.csv", ['s1,"i1 i2|i3",4.0'], header="session_id,items,dwell_time")
         ds = dataio.load_csv(path, schema, c=1)
-        assert ds.samples[0].categorical_ids == ("items=i1", "items=i2", "items=i3")
+        assert dataio.tokenize("items", ds.features["items"][0]) == ["items=i1", "items=i2", "items=i3"]
 
     def test_numeric_columns(self, tmp_path):
         schema = SchemaConfig("id", ("tok",), "y", numeric_columns=("d1", "d2"))
         path = write_csv(tmp_path / "d.csv", ["a,u,1.0,0.5,2"], header="id,tok,y,d1,d2")
         ds = dataio.load_csv(path, schema, c=1)
-        assert ds.samples[0].numeric == (0.5, 2.0)
+        assert ds.numeric.tolist() == [[0.5, 2.0]]
 
     def test_non_finite_numeric_cell_skipped_and_counted(self, tmp_path):
         schema = SchemaConfig("id", ("tok",), "y", numeric_columns=("d1",))
         rows = ["a,u,1.0,nan", "b,u,1.0,inf", "c,u,1.0,-inf", "d,u,1.0,oops", "e,u,1.0,0.5"]
         ds = dataio.load_csv(write_csv(tmp_path / "d.csv", rows, header="id,tok,y,d1"), schema, c=1)
-        assert [s.id for s in ds.samples] == ["e"]
+        assert ds.ids.tolist() == ["e"]
         assert ds.skipped == 4
 
     def test_target_beyond_int64_skipped_and_counted(self, tmp_path):
@@ -89,12 +98,133 @@ class TestLoadCsv:
             dataio.load_csv(path, SIM, c=0)
 
 
+def dictreader_load(path, schema, c):
+    """The per-row csv.DictReader loader that load_csv replaced, kept as the
+    reference: (ids, tokens, numerics, raw targets, skipped) of the kept rows."""
+    rows, skipped = [], 0
+    needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            missing = [col for col in needed if col not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: missing configured columns {missing}")
+            for i, row in enumerate(reader):
+                try:
+                    raw = float(row[schema.target_column])
+                except (TypeError, ValueError):
+                    skipped += 1
+                    continue
+                if not 0.0 <= c * raw < 2.0**63:
+                    skipped += 1
+                    continue
+                tokens = []
+                for col in schema.feature_columns:
+                    cell = (row[col] or "").strip()
+                    tokens.extend(f"{col}={tok}" for tok in re.split(r"[|\s]+", cell) if tok)
+                try:
+                    numeric = tuple(float(row[col]) for col in schema.numeric_columns)
+                    if not all(map(math.isfinite, numeric)):
+                        raise ValueError("non-finite")
+                except (TypeError, ValueError):
+                    skipped += 1
+                    continue
+                rows.append((row[schema.id_column] or str(i), tuple(tokens), numeric, raw))
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}, {dataio._not_utf8(path)}") from None
+    if not rows:
+        raise ValueError(f"{path}: no usable rows (skipped {skipped})")
+    ids, tokens, numeric, raws = map(list, zip(*rows))
+    return ids, tokens, numeric, raws, skipped
+
+
+EQUIV_SCHEMA = SchemaConfig("id", ("a", "b"), "y", numeric_columns=("n",))
+GOOD_NUMBERS = ["0", "1", "2.5", " 7 ", "1_0", "-0", "9.2e16"]
+BAD_NUMBERS = ["-1", "1e30", "9.3e16", "1e400", "-1e400", "nan", "inf", "-inf", "oops", "", "0x10"]
+cells = st.one_of(
+    st.sampled_from(GOOD_NUMBERS),
+    st.sampled_from(GOOD_NUMBERS),
+    st.sampled_from(BAD_NUMBERS),
+    st.text(st.sampled_from(["t", "u", "é", "|", " ", "\t", "\x1c", "\u2003", "\x85", "\n", ",", '"']),
+            max_size=6),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV over EQUIV_SCHEMA's names: repeated or absent header
+    names, blank, short and long rows, quoted separators, bad numbers, and
+    now and then an oversized field, a byte that is not UTF-8 or an
+    unterminated quote."""
+    header = draw(st.lists(st.sampled_from(["id", "a", "b", "y", "n", "z"]), max_size=8))
+    if draw(st.integers(0, 4)):
+        header += draw(st.permutations(["id", "a", "b", "y", "n"]))
+    width = len(header)
+    row = st.lists(cells, min_size=width, max_size=width + 2) | st.lists(cells, max_size=width + 2)
+    rows = draw(st.lists(row, max_size=12))
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows([header, *rows])
+    lines = text.getvalue().encode("utf-8").splitlines(keepends=True)
+    fault = draw(st.sampled_from([None, None, None, "oversized", "not-utf8", "open-quote"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "oversized":
+        lines.insert(at, b"1," + b"x" * (csv.field_size_limit() + 1) + b",2\n")
+    elif fault == "not-utf8":
+        lines.insert(at, b"1,t\xff,2\n")
+    elif fault == "open-quote":
+        lines.append(b'7,"t,u')
+    return b"".join(lines)
+
+
+class TestLoaderMatchesDictReader:
+    @settings(max_examples=300, deadline=None)
+    @given(data=csv_files(), c=st.sampled_from([1.0, 50.0, 100.0]))
+    def test_same_rows_tokens_and_errors(self, data, c):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(data)
+            try:
+                expected = dictreader_load(path, EQUIV_SCHEMA, c)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    dataio.load_csv(path, EQUIV_SCHEMA, c=c)
+                assert str(got.value) == str(exc)
+                return
+            ds = dataio.load_csv(path, EQUIV_SCHEMA, c=c)
+        tokens = [
+            tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
+            for i in range(len(ds))
+        ]
+        got = ds.ids.tolist(), tokens, list(map(tuple, ds.numeric.tolist())), ds.raw_targets.tolist(), ds.skipped
+        assert got == expected
+
+
+class TestDataset:
+    def test_columns_must_agree_on_the_row_count(self):
+        with pytest.raises(ValueError, match="empty"):
+            Dataset([], [], {})
+        with pytest.raises(ValueError, match="row count"):
+            Dataset(["a", "b"], [1.0], {})
+        with pytest.raises(ValueError, match="row count"):
+            Dataset(["a", "b"], [1.0, 2.0], {"feat": ["x"]})
+        with pytest.raises(ValueError, match="row count"):
+            Dataset(["a", "b"], [1.0, 2.0], {}, numeric=[[1.0]])
+
+    def test_take_selects_every_column(self):
+        ds = Dataset(["a", "b", "c"], [1.0, 2.0, 3.0], {"feat": ["x", None, "y z"]}, [[1.0], [2.0], [3.0]], c=2.0, skipped=4)
+        part = ds.take(np.array([2, 0]))
+        assert part.ids.tolist() == ["c", "a"]
+        assert part.raw_targets.tolist() == [3.0, 1.0]
+        assert part.features["feat"].tolist() == ["y z", "x"]
+        assert part.numeric.tolist() == [[3.0], [1.0]]
+        assert (part.c, part.skipped) == (2.0, 4)
+
+
 class TestSplit:
     def _dataset(self, n):
-        samples = tuple(
-            Sample(str(i), (f"u{i}",), (), float(i)) for i in range(n)
-        )
-        return Dataset(samples, c=1.0)
+        return Dataset([str(i) for i in range(n)], np.arange(n, dtype=float), {"feat": [f"u{i}" for i in range(n)]})
 
     def test_80_20_sizes(self):
         train, test = dataio.split(self._dataset(10), 0.8, seed=0)
@@ -108,14 +238,14 @@ class TestSplit:
         ds = self._dataset(50)
         a = dataio.split(ds, 0.8, seed=3)
         b = dataio.split(ds, 0.8, seed=3)
-        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
+        assert a[0].ids.tolist() == b[0].ids.tolist()
 
     def test_partition(self):
         ds = self._dataset(31)
         train, test = dataio.split(ds, 0.7, seed=1)
-        ids = sorted(s.id for s in train.samples) + sorted(s.id for s in test.samples)
-        assert sorted(ids) == sorted(s.id for s in ds.samples)
-        assert not set(s.id for s in train.samples) & set(s.id for s in test.samples)
+        ids = sorted(train.ids) + sorted(test.ids)
+        assert sorted(ids) == sorted(ds.ids)
+        assert not set(train.ids) & set(test.ids)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -125,7 +255,7 @@ class TestSplit:
 
 
 def raw_dataset(raws, c):
-    return Dataset(tuple(Sample(str(i), (), (), float(r)) for i, r in enumerate(raws)), c=c)
+    return Dataset([str(i) for i in range(len(raws))], raws, {}, c=c)
 
 
 class TestUnscale:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from swat import heads, labels, predictor, simulate
 from swat.buckets import from_endpoints
-from swat.dataio import Dataset, Sample
+from swat.dataio import Dataset
 from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig, TrainingDiverged
 from swat.simulate import Behavior, BehaviorProfile
@@ -40,7 +40,7 @@ class TestFeatureSpec:
         spec = FeatureSpec(hash_dim=64, seed=0)
         x = encode_tokens(spec, ("a", "b", "a"))[0]
         assert x.sum() == pytest.approx(1.0)
-        assert x[spec.slot("a")] == pytest.approx(2 / 3)
+        assert x[spec.slot("feat=a")] == pytest.approx(2 / 3)
 
     def test_numeric_appended(self):
         spec = FeatureSpec(hash_dim=4, numeric_dims=2, seed=0)
@@ -63,19 +63,21 @@ class TestFeatureSpec:
         expected = np.zeros((len(rows), spec.input_dim))
         for i, (tokens, value) in enumerate(rows):
             for token in tokens:
-                expected[i, spec.slot(token)] += 1.0 / len(tokens)
+                expected[i, spec.slot(f"feat={token}")] += 1.0 / len(tokens)
             expected[i, -1] = value
-        samples = tuple(Sample(str(i), tuple(t), (v,), 0.0) for i, (t, v) in enumerate(rows))
-        assert spec.encode_dataset(Dataset(samples, c=1.0)).tobytes() == expected.tobytes()
+        ds = Dataset([str(i) for i in range(len(rows))], np.zeros(len(rows)),
+                     {"feat": ["|".join(t) for t, _ in rows]}, [[v] for _, v in rows])
+        assert spec.encode_dataset(ds).tobytes() == expected.tobytes()
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
-        calls = []
-        slot = FeatureSpec.slot
-        monkeypatch.setattr(FeatureSpec, "slot", lambda self, t: calls.append(t) or slot(self, t))
-        rows = [("a", "b", "a"), (), ("b", "c"), ("c", "c", "a")]
-        samples = tuple(Sample(str(i), row, (), 0.0) for i, row in enumerate(rows))
-        FeatureSpec(hash_dim=8).encode_dataset(Dataset(samples, c=1.0))
-        assert sorted(calls) == ["a", "b", "c"]
+        hashed, tokenised = [], []
+        slot, tokenize = FeatureSpec.slot, predictor.tokenize
+        monkeypatch.setattr(FeatureSpec, "slot", lambda self, t: hashed.append(t) or slot(self, t))
+        monkeypatch.setattr(predictor, "tokenize", lambda col, cell: tokenised.append(cell) or tokenize(col, cell))
+        cells = ["a b a", "", "b c", "c c a", "b c", None, "a b a"]
+        FeatureSpec(hash_dim=8).encode_dataset(Dataset(list("0123456"), np.zeros(7), {"feat": cells}))
+        assert sorted(hashed) == ["feat=a", "feat=b", "feat=c"]
+        assert len(tokenised) == 5
 
 
 class TestForward:
@@ -93,7 +95,7 @@ class TestForward:
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
-        assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(token)])
+        assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(f"feat={token}")])
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
@@ -251,10 +253,7 @@ class TestTraining:
     def test_non_finite_loss_aborts_with_diagnostics(self):
         # log-sigmoid losses stay finite at every finite logit, so the abort
         # path guards against corrupt inputs reaching the forward pass
-        samples = tuple(
-            Sample(str(i), ("all",), (float("nan"),), float(i)) for i in range(8)
-        )
-        ds = Dataset(samples, c=1.0)
+        ds = Dataset([str(i) for i in range(8)], np.arange(8.0), {"feat": ["all"] * 8}, np.full((8, 1), np.nan))
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
         with pytest.raises(TrainingDiverged) as err:
             predictor.train(ds, cfg)
@@ -324,10 +323,8 @@ class TestHiddenLayerTraining:
         for token, p in (("a", 0.5), ("b", 0.9)):
             draws = rng.geometric(1 - p, size=3000) - 1
             rows.extend((token, int(t)) for t in draws)
-        samples = tuple(
-            Sample(str(i), (tok,), (), float(t)) for i, (tok, t) in enumerate(rows)
-        )
-        ds = Dataset(samples, c=1.0)
+        ds = Dataset([str(i) for i in range(len(rows))], [float(t) for _, t in rows],
+                     {"feat": [tok for tok, _ in rows]})
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=16, hidden=8, lr=5e-3,
                           batch_size=256, max_epochs=150, rel_tol=1e-8, seed=3)
         model = predictor.train(ds, cfg).model

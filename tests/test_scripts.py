@@ -1,6 +1,7 @@
 """Smoke tests: the experiment scripts under scripts/ run end to end on small inputs."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -33,3 +34,7 @@ def test_bucket_sweep_writes_one_row_per_head_and_bucket_count(tmp_path):
     assert {(r["requested_buckets"], r["head"]) for r in rows} == {
         (n, head) for n in ("10", "20", "50", "100", "200") for head in ("binom", "geo")
     }
+    # the synthetic groups differ, so predictions rank rows and correlate
+    for r in rows:
+        assert float(r["xauc"]) != 0.5, r
+        assert math.isfinite(float(r["pearson"])), r
