@@ -62,10 +62,6 @@ class BucketScheme:
             return self.n_buckets
         return i
 
-    def clips(self, t: int) -> bool:
-        """True when t falls beyond x_N of a closed-tail scheme."""
-        return not self.tail_open and t > self.endpoints[-1]
-
     def to_dict(self) -> dict:
         return {"endpoints": list(self.endpoints), "tail_open": self.tail_open}
 

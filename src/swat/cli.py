@@ -200,11 +200,6 @@ def cmd_eval(args) -> int:
         raise UsageError(f"model file not found: {model_path}")
     model = Model.load(model_path)
     dataset = _load_dataset(args, part="test")
-    if dataset.numeric.shape[1] != model.feature_spec.numeric_dims:
-        raise UsageError(
-            f"dataset has {dataset.numeric.shape[1]} numeric features, "
-            f"model expects {model.feature_spec.numeric_dims}"
-        )
     preds = model.predict_dataset(dataset) / dataset.c
     report = metrics.evaluate(preds, dataset.raw_targets)
     outdir = _ensure_outdir(args.out)

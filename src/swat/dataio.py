@@ -1,14 +1,13 @@
 """CSV ingestion, target scaling, train/test splitting, prediction output.
 
 A dataset holds the usable rows of one CSV as columns: ids, raw targets,
-numerics, and the raw cells of each feature column.  Cells are tokenised
-only when a model encodes them (``tokenize``), so reading the targets alone
-never tokenises.  The integer targets the heads need are derived per
-dataset: ``Dataset.targets()`` = round(c * raw_target), half to even.  Rows
-whose target is unparseable, negative, not finite or scales beyond int64,
-and rows with an unparseable or non-finite numeric cell, are skipped and
-counted.  Metrics run on unscaled predictions (prediction / c) against raw
-targets, so reported errors stay in the original units.
+and the raw cells of each feature column.  Cells are tokenised only when a
+model encodes them (``tokenize``), so reading the targets alone never
+tokenises.  The integer targets the heads need are derived per dataset:
+``Dataset.targets()`` = round(c * raw_target), half to even.  Rows whose
+target is unparseable, negative, not finite or scales beyond int64 are
+skipped and counted.  Metrics run on unscaled predictions (prediction / c)
+against raw targets, so reported errors stay in the original units.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class SchemaConfig:
     id_column: str
     feature_columns: tuple[str, ...]
     target_column: str
-    numeric_columns: tuple[str, ...] = ()
 
 
 DEFAULT_SCHEMAS = {
@@ -62,7 +60,6 @@ class Sample:
 
     id: str
     categorical_ids: tuple[str, ...]
-    numeric: tuple[float, ...]
     raw_target: float
 
 
@@ -72,13 +69,12 @@ class Dataset:
 
     ``ids`` and each ``features`` column are (n,) object arrays of strings
     (a feature cell missing from a short CSV row is None); ``raw_targets``
-    is (n,) float64 and ``numeric`` is (n, k) float64, with k = 0 when None.
+    is (n,) float64.
     """
 
     ids: np.ndarray
     raw_targets: np.ndarray
     features: dict[str, np.ndarray]
-    numeric: np.ndarray | None = None
     c: float = 1.0
     skipped: int = 0
 
@@ -87,15 +83,12 @@ class Dataset:
         n = len(ids)
         raw_targets = np.asarray(self.raw_targets, dtype=np.float64)
         features = {col: np.asarray(cells, dtype=object) for col, cells in self.features.items()}
-        numeric = np.empty((n, 0)) if self.numeric is None else np.asarray(self.numeric, dtype=np.float64)
         if n == 0:
             raise ValueError("dataset is empty")
-        if self.c <= 0:
-            raise ValueError(f"scaling constant must be positive, got {self.c}")
-        vectors = [ids, raw_targets, *features.values()]
-        if any(v.shape != (n,) for v in vectors) or numeric.ndim != 2 or len(numeric) != n:
+        _check_c(self.c)
+        if any(v.shape != (n,) for v in (ids, raw_targets, *features.values())):
             raise ValueError(f"dataset columns disagree on the row count {n}")
-        columns = {"ids": ids, "raw_targets": raw_targets, "features": features, "numeric": numeric}
+        columns = {"ids": ids, "raw_targets": raw_targets, "features": features}
         for name, value in columns.items():
             object.__setattr__(self, name, value)
 
@@ -109,7 +102,7 @@ class Dataset:
     def take(self, idx) -> Dataset:
         """The rows at ``idx``, in that order."""
         features = {col: cells[idx] for col, cells in self.features.items()}
-        return Dataset(self.ids[idx], self.raw_targets[idx], features, self.numeric[idx], self.c, self.skipped)
+        return Dataset(self.ids[idx], self.raw_targets[idx], features, self.c, self.skipped)
 
     @property
     def samples(self) -> tuple[Sample, ...]:
@@ -124,8 +117,13 @@ class Dataset:
         for col, cells in self.features.items():
             for row, cell in zip(tokens, cells.tolist()):
                 row.extend(tokenize(col, cell))
-        rows = zip(self.ids.tolist(), tokens, self.numeric.tolist(), self.raw_targets.tolist())
-        return tuple(Sample(i, tuple(toks), tuple(num), raw) for i, toks, num, raw in rows)
+        rows = zip(self.ids.tolist(), tokens, self.raw_targets.tolist())
+        return tuple(Sample(i, tuple(toks), raw) for i, toks, raw in rows)
+
+
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"scaling constant must be positive and finite, got {c}")
 
 
 def _float_or_nan(cell) -> float:
@@ -174,9 +172,8 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     that are not UTF-8 (ValueError naming the file and line), or zero usable
     rows; bad rows are skipped and counted instead.
     """
-    if c <= 0:
-        raise ValueError(f"scaling constant must be positive, got {c}")
-    needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
+    _check_c(c)
+    needed = [schema.id_column, schema.target_column, *schema.feature_columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -204,12 +201,9 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
         return cells[index[name]]
 
     raw = _floats(column(schema.target_column))
-    numeric = np.empty((len(raw), len(schema.numeric_columns)))
-    for j, col in enumerate(schema.numeric_columns):
-        numeric[:, j] = _floats(column(col))
     with np.errstate(over="ignore"):
         scaled = c * raw
-    keep = np.flatnonzero((0.0 <= scaled) & (scaled < _TARGET_LIMIT) & np.isfinite(numeric).all(axis=1))
+    keep = np.flatnonzero((0.0 <= scaled) & (scaled < _TARGET_LIMIT))
     skipped = len(raw) - len(keep)
     if not len(keep):
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
@@ -217,7 +211,7 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     id_cells = text[index[schema.id_column]].tolist()
     ids = [id_cells[i] or str(i) for i in keep.tolist()]
     features = {col: text[index[col]][keep] for col in schema.feature_columns}
-    return Dataset(ids, raw[keep], features, numeric[keep], c=c, skipped=skipped)
+    return Dataset(ids, raw[keep], features, c=c, skipped=skipped)
 
 
 def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:

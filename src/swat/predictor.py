@@ -1,7 +1,7 @@
 """Trainable predictor: hashed features -> small feed-forward net -> head logits.
 
-The feature encoder mean-pools hashed one-hot id tokens and appends dense
-numerics.  The net is a single affine map, or one rectified hidden layer when
+The feature encoder mean-pools the hashed one-hot slots of each row's tokens.
+The net is a single affine map, or one rectified hidden layer when
 ``hidden > 0``.  Training is seeded mini-batch Adam against any head's loss;
 given the same config and seed, two runs produce bit-identical models.
 """
@@ -22,7 +22,7 @@ from .buckets import BucketScheme
 from .dataio import Dataset, tokenize
 from .heads import HeadKind
 
-ARTIFACT_VERSION = 2  # 2: the geo stop factor uses the bucket of second t + 1
+ARTIFACT_VERSION = 3  # 2: the geo stop factor uses the bucket of second t + 1; 3: token features only
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -40,19 +40,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Deterministic hashed encoding of id lists plus dense numerics."""
+    """Deterministic hashed encoding of token lists."""
 
     hash_dim: int
-    numeric_dims: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.hash_dim + self.numeric_dims
 
     def slot(self, token: str) -> int:
         digest = hashlib.blake2b(
@@ -61,11 +56,9 @@ class FeatureSpec:
         return int.from_bytes(digest, "little") % self.hash_dim
 
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:
-        """(n, input_dim) rows: the mean-pooled slots of each row's tokens,
-        then its numerics.  Each distinct cell is tokenised once and each
-        distinct token hashed once."""
-        if dataset.numeric.shape[1] != self.numeric_dims:
-            raise ValueError(f"expected {self.numeric_dims} numeric features, got {dataset.numeric.shape[1]}")
+        """(n, hash_dim) rows: the mean-pooled slots of each row's tokens.
+        Each distinct cell is tokenised once and each distinct token hashed
+        once."""
         n = len(dataset)
         slot = functools.cache(self.slot)
         rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -77,15 +70,14 @@ class FeatureSpec:
             rows.append(np.repeat(np.arange(n), counts))
             slots.append(np.fromiter(itertools.chain.from_iterable(per_row), np.int64, counts.sum()))
         rows, slots = np.concatenate(rows), np.concatenate(slots)
-        x = np.zeros((n, self.input_dim))
+        x = np.zeros((n, self.hash_dim))
         # every token of a row adds the same 1/len(row), so the order of the
         # additions to a cell cannot change its sum
         np.add.at(x, (rows, slots), (1.0 / np.maximum(np.bincount(rows, minlength=n), 1))[rows])
-        x[:, self.hash_dim:] = dataset.numeric
         return x
 
     def to_dict(self) -> dict:
-        return {"hash_dim": self.hash_dim, "numeric_dims": self.numeric_dims, "seed": self.seed}
+        return {"hash_dim": self.hash_dim, "seed": self.seed}
 
 
 @dataclass
@@ -103,7 +95,7 @@ class Model:
     @classmethod
     def init(cls, feature_spec, hidden, head, scheme, seed, rng) -> "Model":
         arity = heads.arity(head, scheme)
-        d = feature_spec.input_dim
+        d = feature_spec.hash_dim
         params: dict[str, np.ndarray] = {}
         if hidden > 0:
             params["w1"] = rng.uniform(-1.0, 1.0, size=(hidden, d)) / np.sqrt(d)
@@ -117,10 +109,8 @@ class Model:
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """(B, d) features -> (B, arity) logits."""
-        if x.shape[1] != self.feature_spec.input_dim:
-            raise ValueError(
-                f"input dim {x.shape[1]} != feature dim {self.feature_spec.input_dim}"
-            )
+        if x.shape[1] != self.feature_spec.hash_dim:
+            raise ValueError(f"input dim {x.shape[1]} != feature dim {self.feature_spec.hash_dim}")
         if self.hidden > 0:
             z = x @ self.params["w1"].T + self.params["b1"]
             return np.maximum(z, 0.0) @ self.params["w2"].T + self.params["b2"]
@@ -157,7 +147,7 @@ class Model:
         return {
             "format_version": ARTIFACT_VERSION,
             "feature_spec": self.feature_spec.to_dict(),
-            "layer_sizes": [self.feature_spec.input_dim, self.hidden, self.arity],
+            "layer_sizes": [self.feature_spec.hash_dim, self.hidden, self.arity],
             "head": self.head.value,
             "scheme": self.scheme.to_dict() if self.scheme is not None else None,
             "seed": self.seed,
@@ -176,13 +166,13 @@ class Model:
         if d.get("format_version") != ARTIFACT_VERSION:
             raise ValueError(f"unsupported model format {d.get('format_version')!r}")
         spec = FeatureSpec(**d["feature_spec"])
-        input_dim, hidden, arity = d["layer_sizes"]
+        _, hidden, arity = d["layer_sizes"]
         scheme = None if d["scheme"] is None else BucketScheme.from_dict(d["scheme"])
         model = cls(spec, hidden, arity, HeadKind(d["head"]), scheme, d["seed"])
         if hidden > 0:
-            shapes = {"w1": (hidden, input_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}
+            shapes = {"w1": (hidden, spec.hash_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}
         else:
-            shapes = {"w": (arity, input_dim), "b": (arity,)}
+            shapes = {"w": (arity, spec.hash_dim), "b": (arity,)}
         model.params = {
             k: np.asarray(d["params"][k], dtype=np.float64).reshape(shape)
             for k, shape in shapes.items()
@@ -267,7 +257,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
     not suit the head or a watch time is negative, and TrainingDiverged on a
     non-finite batch loss.
     """
-    spec = FeatureSpec(config.hash_dim, dataset.numeric.shape[1], seed=config.seed)
+    spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
     x = spec.encode_dataset(dataset)

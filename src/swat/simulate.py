@@ -109,6 +109,8 @@ def draw_stationary(profile: BehaviorProfile, n: int) -> np.ndarray:
 
 def draw(profile: BehaviorProfile, n: int) -> np.ndarray:
     """Total watch times for any profile kind."""
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
     if profile.kind is Behavior.WANDERING:
         return draw_wandering(profile, n)[0]
     if profile.kind is Behavior.FOCUSED:

@@ -155,6 +155,8 @@ def check_total_mass(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def run_all(trials: int = 100, seed: int = 0, flip_gradient: str | None = None) -> dict[str, dict]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     checks: dict[str, tuple[bool, str]] = {}
     checks.update(check_gradients(max(trials // 4, 10), seed, flip_gradient))
     checks["expectation_vs_enumeration"] = check_expectation_vs_enumeration(trials, seed + 1)

@@ -19,7 +19,7 @@ def constant_feature_dataset(targets, c=1.0):
     return Dataset([str(i) for i in range(n)], np.asarray(targets, dtype=float), {"feat": ["all"] * n}, c=c)
 
 
-def encode_tokens(spec, tokens, numeric=()):
-    """(1, input_dim) features of one row whose `feat` cell holds the tokens,
+def encode_tokens(spec, tokens):
+    """(1, hash_dim) features of one row whose `feat` cell holds the tokens,
     through the batch encoder; each is pooled as `feat=<token>`."""
-    return spec.encode_dataset(Dataset(["0"], [0.0], {"feat": [" ".join(tokens)]}, [numeric]))
+    return spec.encode_dataset(Dataset(["0"], [0.0], {"feat": [" ".join(tokens)]}))

@@ -124,11 +124,11 @@ def test_criterion_03_gradient_fidelity():
     open_scheme = from_endpoints([5, 12, 22], tail_open=True)
     for kind in HeadKind:
         scheme = {HeadKind.BINOM: closed, HeadKind.GEO: open_scheme}.get(kind)
-        spec = FeatureSpec(hash_dim=3, numeric_dims=1, seed=0)
+        spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model.init(spec, 2, kind, scheme, 0, rng)
         n_params = sum(v.size for v in model.params.values())
         assert n_params <= 50
-        x = rng.normal(size=(6, spec.input_dim))
+        x = rng.normal(size=(6, spec.hash_dim))
         t = rng.integers(0, 30, size=6)
         enc = heads.encode_targets(kind, scheme, t)
 
@@ -345,7 +345,8 @@ def test_criterion_11_dataset_harness(tmp_path, shape, make, c):
     assert main(["eval", *common, "--model", str(tdir / "model.json"),
                  "--out", str(edir)]) == 0
     rep = json.loads((edir / "report.json").read_text())
-    preds = list(csv.DictReader(open(edir / "predictions.csv")))
+    with open(edir / "predictions.csv", newline="") as fh:
+        preds = list(csv.DictReader(fh))
 
     ok = (
         math.isfinite(rep["mae"])

@@ -144,8 +144,7 @@ class TestBucketOf:
     def test_closed_tail_clips(self):
         scheme = from_endpoints([5, 12, 22])
         assert scheme.bucket_of(23) == 3
-        assert scheme.clips(23)
-        assert not scheme.clips(22)
+        assert scheme.bucket_of(22) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +156,10 @@ class TestBucketOf:
         xs = (0,) + scheme.endpoints
         assert 1 <= i <= scheme.n_buckets + (1 if scheme.tail_open else 0)
         if i <= scheme.n_buckets:
-            if not scheme.clips(t):
+            clipped = t > scheme.endpoints[-1]
+            if not clipped:
                 assert t <= xs[i]
-            assert t == 0 or t > xs[i - 1] or scheme.clips(t)
+            assert t == 0 or t > xs[i - 1] or clipped
         else:
             assert t > scheme.endpoints[-1]
 

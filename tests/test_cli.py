@@ -13,6 +13,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture()
 def sim_csv(tmp_path):
     """A small stationary population in the simulate-emitted CSV shape."""
@@ -44,6 +49,12 @@ class TestBuckets:
     def test_missing_data_exits_2(self, tmp_path):
         assert run("buckets", "--data", tmp_path / "nope.csv", "--out", tmp_path / "b") == 2
 
+    @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
+    def test_unusable_scaling_constant_exits_2(self, tmp_path, sim_csv, c, capsys):
+        assert run("buckets", "--data", sim_csv, "--c", c, "--out", tmp_path / "b") == 2
+        assert "scaling constant must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "scheme.json").exists()
+
     def test_no_source_exits_2(self, tmp_path):
         assert run("buckets", "--out", tmp_path / "b") == 2
 
@@ -61,7 +72,7 @@ class TestTrainEval:
         assert run(*args, "--out", t2) == 0
         assert (t1 / "model.json").read_bytes() == (t2 / "model.json").read_bytes()
 
-        trace = list(csv.DictReader(open(t1 / "loss_trace.csv")))
+        trace = read_rows(t1 / "loss_trace.csv")
         assert len(trace) == 5
         assert float(trace[0]["mean_loss"]) > 0
 
@@ -72,7 +83,7 @@ class TestTrainEval:
         assert 0.0 <= report["xauc"] <= 1.0
         out = capsys.readouterr().out
         assert "mae" in out and "xauc" in out
-        preds = list(csv.DictReader(open(edir / "predictions.csv")))
+        preds = read_rows(edir / "predictions.csv")
         assert len(preds) == report["n"] == 400
         assert set(preds[0]) == {"id", "raw_target", "prediction"}
 
@@ -95,17 +106,20 @@ class TestTrainEval:
         assert run("eval", "--model", tmp_path / "no.json", "--data", sim_csv,
                    "--out", tmp_path / "e") == 2
 
-    def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv):
-        # format 1 charged the geo stop factor to the bucket holding t
+    def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
+        # format 1 charged the geo stop factor to the bucket holding t;
+        # format 2 carried a numeric feature width
         tdir = tmp_path / "t"
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
-        path = tdir / "model.json"
-        artifact = json.loads(path.read_text())
-        assert artifact["format_version"] == 2
-        artifact["format_version"] = 1
-        path.write_text(json.dumps(artifact), encoding="utf-8")
-        assert run("eval", "--model", path, "--data", sim_csv, "--out", tmp_path / "e") == 2
+        artifact = json.loads((tdir / "model.json").read_text())
+        assert artifact["format_version"] == 3
+        for old in (1, 2):
+            path = tmp_path / f"model_v{old}.json"
+            path.write_text(json.dumps(dict(artifact, format_version=old)), encoding="utf-8")
+            capsys.readouterr()
+            assert run("eval", "--model", path, "--data", sim_csv, "--out", tmp_path / "e") == 2
+            assert f"unsupported model format {old}" in capsys.readouterr().err
 
     def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv, caplog):
         data = tmp_path / "big.csv"
@@ -208,7 +222,7 @@ class TestMalformedCsv:
 
 class TestSimulate:
     def test_csv_shape(self, sim_csv):
-        rows = list(csv.DictReader(open(sim_csv)))
+        rows = read_rows(sim_csv)
         assert len(rows) == 400
         assert set(rows[0]) == {"sample_id", "feat", "watch_time"}
         assert all(int(r["watch_time"]) >= 0 for r in rows)
@@ -220,6 +234,13 @@ class TestSimulate:
     def test_prob_arity_checked(self, tmp_path):
         assert run("simulate", "--kind", "focused", "--probs", "0.5,0.5",
                    "--endpoints", "5,12", "--out", tmp_path / "s") == 2
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_count_below_one_exits_2(self, tmp_path, n, capsys):
+        out = tmp_path / "s"
+        assert run("simulate", "--kind", "stationary", "--probs", "0.7", "--n", n, "--out", out) == 2
+        assert "sample count must be >= 1" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -237,6 +258,14 @@ class TestVerify:
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
         results = json.loads((out / "verify.json").read_text())
         assert all(r["passed"] for r in results.values())
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_exits_2(self, tmp_path, trials, capsys):
+        assert run("verify", "--trials", trials, "--out", tmp_path / "v") == 2
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "v" / "verify.json").exists()
 
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -308,5 +337,5 @@ class TestSchemeFileForSimulate:
         assert run("simulate", "--kind", "focused", "--probs", "0.9,0.6,0.4,0.3",
                    "--scheme", bdir / "scheme.json", "--n", "50", "--seed", "2",
                    "--out", sdir) == 0
-        rows = list(csv.DictReader(open(sdir / "samples.csv")))
+        rows = read_rows(sdir / "samples.csv")
         assert len(rows) == 50

@@ -46,19 +46,6 @@ class TestLoadCsv:
         ds = dataio.load_csv(path, schema, c=1)
         assert dataio.tokenize("items", ds.features["items"][0]) == ["items=i1", "items=i2", "items=i3"]
 
-    def test_numeric_columns(self, tmp_path):
-        schema = SchemaConfig("id", ("tok",), "y", numeric_columns=("d1", "d2"))
-        path = write_csv(tmp_path / "d.csv", ["a,u,1.0,0.5,2"], header="id,tok,y,d1,d2")
-        ds = dataio.load_csv(path, schema, c=1)
-        assert ds.numeric.tolist() == [[0.5, 2.0]]
-
-    def test_non_finite_numeric_cell_skipped_and_counted(self, tmp_path):
-        schema = SchemaConfig("id", ("tok",), "y", numeric_columns=("d1",))
-        rows = ["a,u,1.0,nan", "b,u,1.0,inf", "c,u,1.0,-inf", "d,u,1.0,oops", "e,u,1.0,0.5"]
-        ds = dataio.load_csv(write_csv(tmp_path / "d.csv", rows, header="id,tok,y,d1"), schema, c=1)
-        assert ds.ids.tolist() == ["e"]
-        assert ds.skipped == 4
-
     def test_target_beyond_int64_skipped_and_counted(self, tmp_path):
         rows = ["a,u1,1e30", "b,u2,2", "c,u3,1e308", "d,u4,nan", "e,u5,inf"]
         ds = dataio.load_csv(write_csv(tmp_path / "d.csv", rows), SIM, c=50)
@@ -94,15 +81,18 @@ class TestLoadCsv:
 
     def test_bad_c_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])
-        with pytest.raises(ValueError, match="positive"):
-            dataio.load_csv(path, SIM, c=0)
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scaling constant must be positive and finite"):
+                dataio.load_csv(path, SIM, c=c)
+            with pytest.raises(ValueError, match="scaling constant must be positive and finite"):
+                Dataset(["a"], [1.0], {}, c=c)
 
 
 def dictreader_load(path, schema, c):
     """The per-row csv.DictReader loader that load_csv replaced, kept as the
-    reference: (ids, tokens, numerics, raw targets, skipped) of the kept rows."""
+    reference: (ids, tokens, raw targets, skipped) of the kept rows."""
     rows, skipped = [], 0
-    needed = [schema.id_column, schema.target_column, *schema.feature_columns, *schema.numeric_columns]
+    needed = [schema.id_column, schema.target_column, *schema.feature_columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -122,25 +112,18 @@ def dictreader_load(path, schema, c):
                 for col in schema.feature_columns:
                     cell = (row[col] or "").strip()
                     tokens.extend(f"{col}={tok}" for tok in re.split(r"[|\s]+", cell) if tok)
-                try:
-                    numeric = tuple(float(row[col]) for col in schema.numeric_columns)
-                    if not all(map(math.isfinite, numeric)):
-                        raise ValueError("non-finite")
-                except (TypeError, ValueError):
-                    skipped += 1
-                    continue
-                rows.append((row[schema.id_column] or str(i), tuple(tokens), numeric, raw))
+                rows.append((row[schema.id_column] or str(i), tuple(tokens), raw))
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}, {dataio._not_utf8(path)}") from None
     if not rows:
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
-    ids, tokens, numeric, raws = map(list, zip(*rows))
-    return ids, tokens, numeric, raws, skipped
+    ids, tokens, raws = map(list, zip(*rows))
+    return ids, tokens, raws, skipped
 
 
-EQUIV_SCHEMA = SchemaConfig("id", ("a", "b"), "y", numeric_columns=("n",))
+EQUIV_SCHEMA = SchemaConfig("id", ("a", "b"), "y")
 GOOD_NUMBERS = ["0", "1", "2.5", " 7 ", "1_0", "-0", "9.2e16"]
 BAD_NUMBERS = ["-1", "1e30", "9.3e16", "1e400", "-1e400", "nan", "inf", "-inf", "oops", "", "0x10"]
 cells = st.one_of(
@@ -154,10 +137,10 @@ cells = st.one_of(
 
 @st.composite
 def csv_files(draw):
-    """Bytes of a CSV over EQUIV_SCHEMA's names: repeated or absent header
-    names, blank, short and long rows, quoted separators, bad numbers, and
-    now and then an oversized field, a byte that is not UTF-8 or an
-    unterminated quote."""
+    """Bytes of a CSV over EQUIV_SCHEMA's names and the unconfigured "n" and
+    "z": repeated or absent header names, blank, short and long rows, quoted
+    separators, bad numbers, and now and then an oversized field, a byte that
+    is not UTF-8 or an unterminated quote."""
     header = draw(st.lists(st.sampled_from(["id", "a", "b", "y", "n", "z"]), max_size=8))
     if draw(st.integers(0, 4)):
         header += draw(st.permutations(["id", "a", "b", "y", "n"]))
@@ -197,7 +180,7 @@ class TestLoaderMatchesDictReader:
             tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
             for i in range(len(ds))
         ]
-        got = ds.ids.tolist(), tokens, list(map(tuple, ds.numeric.tolist())), ds.raw_targets.tolist(), ds.skipped
+        got = ds.ids.tolist(), tokens, ds.raw_targets.tolist(), ds.skipped
         assert got == expected
 
 
@@ -209,16 +192,13 @@ class TestDataset:
             Dataset(["a", "b"], [1.0], {})
         with pytest.raises(ValueError, match="row count"):
             Dataset(["a", "b"], [1.0, 2.0], {"feat": ["x"]})
-        with pytest.raises(ValueError, match="row count"):
-            Dataset(["a", "b"], [1.0, 2.0], {}, numeric=[[1.0]])
 
     def test_take_selects_every_column(self):
-        ds = Dataset(["a", "b", "c"], [1.0, 2.0, 3.0], {"feat": ["x", None, "y z"]}, [[1.0], [2.0], [3.0]], c=2.0, skipped=4)
+        ds = Dataset(["a", "b", "c"], [1.0, 2.0, 3.0], {"feat": ["x", None, "y z"]}, c=2.0, skipped=4)
         part = ds.take(np.array([2, 0]))
         assert part.ids.tolist() == ["c", "a"]
         assert part.raw_targets.tolist() == [3.0, 1.0]
         assert part.features["feat"].tolist() == ["y z", "x"]
-        assert part.numeric.tolist() == [[3.0], [1.0]]
         assert (part.c, part.skipped) == (2.0, 4)
 
 

@@ -42,31 +42,17 @@ class TestFeatureSpec:
         assert x.sum() == pytest.approx(1.0)
         assert x[spec.slot("feat=a")] == pytest.approx(2 / 3)
 
-    def test_numeric_appended(self):
-        spec = FeatureSpec(hash_dim=4, numeric_dims=2, seed=0)
-        x = encode_tokens(spec, ("a",), (0.5, -1.0))[0]
-        assert x.shape == (6,)
-        assert tuple(x[4:]) == (0.5, -1.0)
-
-    def test_numeric_arity_enforced(self):
-        with pytest.raises(ValueError):
-            encode_tokens(FeatureSpec(hash_dim=4, numeric_dims=1), ("a",))
-
     @settings(max_examples=50, deadline=None)
-    @given(rows=st.lists(
-        st.tuples(st.lists(st.sampled_from("abcdefgh"), max_size=7),
-                  st.floats(-1e3, 1e3, allow_nan=False)),
-        min_size=1, max_size=12))
+    @given(rows=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=7), min_size=1, max_size=12))
     def test_matches_per_row_reference(self, rows):
         # each cell adds 1/len(row) once per occurrence, in token order
-        spec = FeatureSpec(hash_dim=5, numeric_dims=1, seed=2)
-        expected = np.zeros((len(rows), spec.input_dim))
-        for i, (tokens, value) in enumerate(rows):
+        spec = FeatureSpec(hash_dim=5, seed=2)
+        expected = np.zeros((len(rows), spec.hash_dim))
+        for i, tokens in enumerate(rows):
             for token in tokens:
                 expected[i, spec.slot(f"feat={token}")] += 1.0 / len(tokens)
-            expected[i, -1] = value
         ds = Dataset([str(i) for i in range(len(rows))], np.zeros(len(rows)),
-                     {"feat": ["|".join(t) for t, _ in rows]}, [[v] for _, v in rows])
+                     {"feat": ["|".join(t) for t in rows]})
         assert spec.encode_dataset(ds).tobytes() == expected.tobytes()
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
@@ -99,9 +85,9 @@ class TestForward:
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
-        spec = FeatureSpec(hash_dim=8, numeric_dims=1, seed=0)
+        spec = FeatureSpec(hash_dim=9, seed=0)
         model = Model.init(spec, 6, HeadKind.GEO, OPEN, 0, rng)
-        x = rng.normal(size=(10, spec.input_dim))
+        x = rng.normal(size=(10, spec.hash_dim))
         assert np.all(np.isfinite(model.forward_batch(x)))
 
     def test_dimension_mismatch(self):
@@ -150,10 +136,10 @@ class TestBackward:
     def test_end_to_end_gradient_all_heads(self, kind):
         rng = np.random.default_rng(2)
         scheme = CLOSED if kind is HeadKind.BINOM else OPEN if kind is HeadKind.GEO else None
-        spec = FeatureSpec(hash_dim=3, numeric_dims=1, seed=0)
+        spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model.init(spec, 2, kind, scheme, 0, rng)  # hidden layer in the loop
         assert sum(v.size for v in model.params.values()) <= 50
-        x = rng.normal(size=(5, spec.input_dim))
+        x = rng.normal(size=(5, spec.hash_dim))
         t = rng.integers(0, 30, size=5)
         enc = heads.encode_targets(kind, scheme, t)
 
@@ -252,11 +238,14 @@ class TestTraining:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         # log-sigmoid losses stay finite at every finite logit, so the abort
-        # path guards against corrupt inputs reaching the forward pass
-        ds = Dataset([str(i) for i in range(8)], np.arange(8.0), {"feat": ["all"] * 8}, np.full((8, 1), np.nan))
-        cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
+        # path guards against corrupt inputs reaching the loss: here a NaN
+        # entry in every row's binom labels
+        ds = constant_feature_dataset(np.arange(8.0))
+        labels_with_nan = np.full((8, CLOSED.n_buckets), 0.5)
+        labels_with_nan[:, 0] = np.nan
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
         with pytest.raises(TrainingDiverged) as err:
-            predictor.train(ds, cfg)
+            predictor.train(ds, cfg, binom_labels=labels_with_nan)
         assert err.value.epoch == 0
         assert err.value.batch == 0
         assert err.value.param_norm > 0
@@ -294,7 +283,7 @@ class TestRecoveryFeasible:
 class TestArtifact:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        spec = FeatureSpec(hash_dim=8, numeric_dims=1, seed=3)
+        spec = FeatureSpec(hash_dim=9, seed=3)
         model = Model.init(spec, 4, HeadKind.GEO, OPEN, 3, rng)
         path = tmp_path / "model.json"
         model.save(path)
@@ -304,7 +293,7 @@ class TestArtifact:
         assert loaded.feature_spec == spec
         for key, value in model.params.items():
             assert np.array_equal(loaded.params[key], value)
-        x = rng.normal(size=(3, spec.input_dim))
+        x = rng.normal(size=(3, spec.hash_dim))
         assert np.array_equal(model.predict(x), loaded.predict(x))
 
     def test_unknown_version_rejected(self, tmp_path):
