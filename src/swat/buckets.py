@@ -99,6 +99,18 @@ def _as_fraction(step) -> Fraction:
     return Fraction(str(step))
 
 
+def check_percent_step(percent_step) -> Fraction:
+    """The percentile grid step as an exact fraction; ValueError unless it
+    is finite and in (0, 50]."""
+    try:
+        step = _as_fraction(percent_step)
+    except ValueError:  # nan and inf have no fraction
+        step = None
+    if step is None or not 0 < step <= 50:
+        raise ValueError(f"percent_step must be in (0, 50], got {percent_step}")
+    return step
+
+
 def _percentile_values(sorted_targets: Sequence[int], qs: Iterable[Fraction]) -> list[int]:
     """Empirical q-percentiles: element at 1-based index ceil(q*n/100)."""
     n = len(sorted_targets)
@@ -128,9 +140,7 @@ def from_percentiles(targets: Sequence[int], percent_step, tail_open: bool = Fal
     """
     if not targets:
         raise ValueError("no targets given")
-    step = _as_fraction(percent_step)
-    if not 0 < step <= 50:
-        raise ValueError(f"percent_step must be in (0, 50], got {percent_step}")
+    step = check_percent_step(percent_step)
     srt = sorted(targets)
     return from_endpoints(_percentile_values(srt, _grid(step)), tail_open)
 

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import dataio, heads, metrics, predictor, simulate, verify
-from .buckets import BucketScheme, ablation_choice, from_endpoints, from_percentiles
+from .buckets import BucketScheme, ablation_choice, check_percent_step, from_endpoints, from_percentiles
 from .heads import HeadKind
 from .predictor import Model, TrainConfig, TrainingDiverged
 
@@ -89,6 +89,9 @@ def _load_dataset(args, part: str | None = None) -> dataio.Dataset:
     The split is a pure function of (--ratio, --seed), so `train` and `eval`
     invoked with the same values see disjoint parts of the same file.
     """
+    ratio = getattr(args, "ratio", None)
+    if ratio is not None and part is not None:
+        dataio.check_ratio(ratio)  # before the file is read
     path = Path(args.data)
     if not path.exists():
         raise UsageError(f"data file not found: {path}")
@@ -96,7 +99,6 @@ def _load_dataset(args, part: str | None = None) -> dataio.Dataset:
     dataset = dataio.load_csv(path, _schema_for(args), c=c)
     if dataset.skipped:
         log.warning("%d unusable rows of %s skipped", dataset.skipped, path)
-    ratio = getattr(args, "ratio", None)
     if ratio is not None and part is not None:
         train_part, test_part = dataio.split(dataset, ratio, args.seed)
         dataset = train_part if part == "train" else test_part
@@ -123,6 +125,8 @@ def cmd_buckets(args) -> int:
     else:
         if not args.data:
             raise UsageError("buckets needs --endpoints or --data")
+        if args.choice is None:
+            check_percent_step(args.percent_step)  # before the data is read
         dataset = _load_dataset(args, part="train")
         cfg["skipped"] = dataset.skipped
         targets = dataset.targets().tolist()

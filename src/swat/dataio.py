@@ -214,10 +214,14 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     return Dataset(ids, raw[keep], features, c=c, skipped=skipped)
 
 
-def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle; the first floor(ratio * n) rows become the train set."""
+def check_ratio(ratio: float) -> None:
     if not 0 < ratio < 1:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
+
+
+def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle; the first floor(ratio * n) rows become the train set."""
+    check_ratio(ratio)
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two samples to split")

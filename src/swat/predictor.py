@@ -1,9 +1,12 @@
 """Trainable predictor: hashed features -> small feed-forward net -> head logits.
 
-The feature encoder mean-pools the hashed one-hot slots of each row's tokens.
-The net is a single affine map, or one rectified hidden layer when
-``hidden > 0``.  Training is seeded mini-batch Adam against any head's loss;
-given the same config and seed, two runs produce bit-identical models.
+The feature encoder hashes each row's tokens to slots and keeps them as CSR
+token bags.  Training and scoring densify one batch of rows at a time into
+the mean-pooled one-hot slots of each row, so feature memory grows with the
+token count and the batch size, not with rows x ``hash_dim``.  The net is a
+single affine map, or one rectified hidden layer when ``hidden > 0``.
+Training is seeded mini-batch Adam against any head's loss; given the same
+config and seed, two runs produce bit-identical models.
 """
 
 from __future__ import annotations
@@ -38,6 +41,31 @@ class TrainingDiverged(RuntimeError):
         )
 
 
+@dataclass(frozen=True, eq=False)
+class TokenBags:
+    """Hashed token slots of n rows in CSR form: row i holds
+    ``slots[offsets[i]:offsets[i + 1]]``, in token order."""
+
+    offsets: np.ndarray  # (n + 1,) int64, offsets[0] == 0
+    slots: np.ndarray  # (nnz,) int64 in [0, hash_dim)
+    hash_dim: int
+
+    def rows(self, idx) -> np.ndarray:
+        """(len(idx), hash_dim) feature rows for the row indices ``idx``:
+        each row's slots mean-pooled, a row without tokens all zeros."""
+        idx = np.asarray(idx, dtype=np.int64)
+        starts = self.offsets[idx]
+        counts = self.offsets[idx + 1] - starts
+        # position of every selected token in `slots`, row after row
+        pos = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        cells = np.repeat(np.arange(len(idx)) * self.hash_dim, counts) + self.slots[pos]
+        # every token of a row adds the same 1/len(row), so the order of the
+        # additions to a cell cannot change its sum
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        x = np.bincount(cells, weights, minlength=len(idx) * self.hash_dim)
+        return x.reshape(len(idx), self.hash_dim)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Deterministic hashed encoding of token lists."""
@@ -55,10 +83,10 @@ class FeatureSpec:
         ).digest()
         return int.from_bytes(digest, "little") % self.hash_dim
 
-    def encode_dataset(self, dataset: Dataset) -> np.ndarray:
-        """(n, hash_dim) rows: the mean-pooled slots of each row's tokens.
-        Each distinct cell is tokenised once and each distinct token hashed
-        once."""
+    def encode_dataset(self, dataset: Dataset) -> TokenBags:
+        """The hashed slots of each row's tokens, as CSR token bags; dense
+        feature rows come from ``TokenBags.rows``, a batch at a time.  Each
+        distinct cell is tokenised once and each distinct token hashed once."""
         n = len(dataset)
         slot = functools.cache(self.slot)
         rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -70,11 +98,11 @@ class FeatureSpec:
             rows.append(np.repeat(np.arange(n), counts))
             slots.append(np.fromiter(itertools.chain.from_iterable(per_row), np.int64, counts.sum()))
         rows, slots = np.concatenate(rows), np.concatenate(slots)
-        x = np.zeros((n, self.hash_dim))
-        # every token of a row adds the same 1/len(row), so the order of the
-        # additions to a cell cannot change its sum
-        np.add.at(x, (rows, slots), (1.0 / np.maximum(np.bincount(rows, minlength=n), 1))[rows])
-        return x
+        # columns come one after another; a stable sort groups each row's
+        # tokens and keeps their order
+        slots = slots[np.argsort(rows, kind="stable")]
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return TokenBags(offsets, slots, self.hash_dim)
 
     def to_dict(self) -> dict:
         return {"hash_dim": self.hash_dim, "seed": self.seed}
@@ -139,9 +167,9 @@ class Model:
         return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        x = self.feature_spec.encode_dataset(dataset)
-        blocks = range(0, len(x), PREDICT_BLOCK)
-        return np.concatenate([self.predict(x[i : i + PREDICT_BLOCK]) for i in blocks])
+        bags, n = self.feature_spec.encode_dataset(dataset), len(dataset)
+        blocks = np.split(np.arange(n), range(PREDICT_BLOCK, n, PREDICT_BLOCK))
+        return np.concatenate([self.predict(bags.rows(block)) for block in blocks])
 
     def to_dict(self) -> dict:
         return {
@@ -260,7 +288,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
-    x = spec.encode_dataset(dataset)
+    bags = spec.encode_dataset(dataset)
     targets = dataset.targets()
     clipped = 0
     if binom_labels is not None:
@@ -277,7 +305,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
         total = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            xb = x[idx]
+            xb = bags.rows(idx)
             if binom_labels is None:
                 enc = heads.encode_targets(config.head, config.scheme, targets[idx])
             else:

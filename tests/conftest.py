@@ -22,4 +22,4 @@ def constant_feature_dataset(targets, c=1.0):
 def encode_tokens(spec, tokens):
     """(1, hash_dim) features of one row whose `feat` cell holds the tokens,
     through the batch encoder; each is pooled as `feat=<token>`."""
-    return spec.encode_dataset(Dataset(["0"], [0.0], {"feat": [" ".join(tokens)]}))
+    return spec.encode_dataset(Dataset(["0"], [0.0], {"feat": [" ".join(tokens)]})).rows([0])

@@ -58,6 +58,21 @@ class TestBuckets:
     def test_no_source_exits_2(self, tmp_path):
         assert run("buckets", "--out", tmp_path / "b") == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--ratio", "1.5"), "split ratio must be in (0, 1)"),
+        (("--ratio", "0"), "split ratio must be in (0, 1)"),
+        (("--ratio", "nan"), "split ratio must be in (0, 1)"),
+        (("--percent-step", "nan"), "percent_step must be in (0, 50]"),
+        (("--percent-step", "inf"), "percent_step must be in (0, 50]"),
+        (("--percent-step", "0"), "percent_step must be in (0, 50]"),
+        (("--percent-step", "51"), "percent_step must be in (0, 50]"),
+    ])
+    def test_unusable_bucket_setting_exits_2(self, tmp_path, flags, message, capsys):
+        # the data file does not exist: the setting must be rejected before it is read
+        assert run("buckets", "--data", tmp_path / "missing.csv", *flags, "--out", tmp_path / "b") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "b" / "scheme.json").exists()
+
 
 class TestTrainEval:
     def test_pipeline_and_reproducibility(self, tmp_path, sim_csv, capsys):
@@ -144,7 +159,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", 0), ("--epochs", -1), ("--batch", 0), ("--batch", -5), ("--hidden", -1),
         ("--lr", 0), ("--lr", -1), ("--lr", "nan"), ("--lr", "inf"),
-        ("--hash-dim", 1), ("--hash-dim", 0),
+        ("--hash-dim", 1), ("--hash-dim", 0), ("--ratio", 1.5), ("--ratio", "nan"),
     ])
     def test_unusable_training_setting_exits_2(self, tmp_path, flag, value, capsys):
         # the data file does not exist: the setting must be rejected before it is read

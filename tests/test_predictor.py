@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,17 +44,26 @@ class TestFeatureSpec:
         assert x[spec.slot("feat=a")] == pytest.approx(2 / 3)
 
     @settings(max_examples=50, deadline=None)
-    @given(rows=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=7), min_size=1, max_size=12))
-    def test_matches_per_row_reference(self, rows):
-        # each cell adds 1/len(row) once per occurrence, in token order
+    @given(data=st.data(),
+           rows=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=7), min_size=1, max_size=12))
+    def test_matches_per_row_reference(self, data, rows):
+        # each cell adds 1/len(row) once per occurrence, in token order, over
+        # both columns; the bags give those rows for any selection: subsets,
+        # repeats, any order
+        kinds = data.draw(st.lists(st.lists(st.sampled_from("xyz"), max_size=3),
+                                   min_size=len(rows), max_size=len(rows)))
         spec = FeatureSpec(hash_dim=5, seed=2)
         expected = np.zeros((len(rows), spec.hash_dim))
-        for i, tokens in enumerate(rows):
+        for i, (feats, kind) in enumerate(zip(rows, kinds)):
+            tokens = [f"feat={t}" for t in feats] + [f"kind={t}" for t in kind]
             for token in tokens:
-                expected[i, spec.slot(f"feat={token}")] += 1.0 / len(tokens)
+                expected[i, spec.slot(token)] += 1.0 / len(tokens)
         ds = Dataset([str(i) for i in range(len(rows))], np.zeros(len(rows)),
-                     {"feat": ["|".join(t) for t in rows]})
-        assert spec.encode_dataset(ds).tobytes() == expected.tobytes()
+                     {"feat": ["|".join(t) for t in rows], "kind": [" ".join(t) for t in kinds]})
+        bags = spec.encode_dataset(ds)
+        assert bags.rows(np.arange(len(rows))).tobytes() == expected.tobytes()
+        idx = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+        assert bags.rows(idx).tobytes() == expected[idx].tobytes()
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
         hashed, tokenised = [], []
@@ -180,9 +190,22 @@ class TestTraining:
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
-        x = spec.encode_dataset(ds)
+        x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
         losses, _ = heads.binom_loss_batch(model.forward_batch(x), labels.matrix(CLOSED, targets))
         assert np.allclose(losses, 3 * math.log(2))
+
+    def test_train_does_not_materialise_all_features(self):
+        # the dense (4000, 4096) float64 features alone would take 125 MiB
+        ds = Dataset([str(i) for i in range(4000)], np.arange(4000.0) % 7,
+                     {"feat": [f"u{i}" for i in range(4000)]})
+        cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4096, batch_size=64, max_epochs=1)
+        tracemalloc.start()
+        try:
+            predictor.train(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_loss_trace_decreases_early(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.6,), None, seed=0)
