@@ -66,8 +66,19 @@ class BucketScheme:
         return {"endpoints": list(self.endpoints), "tail_open": self.tail_open}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BucketScheme":
-        return cls(tuple(int(x) for x in d["endpoints"]), bool(d["tail_open"]))
+    def from_dict(cls, d) -> "BucketScheme":
+        """Inverse of ``to_dict``; ValueError naming the field that is missing or ill-typed."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a scheme is a JSON object, got {type(d).__name__}")
+        for key in ("endpoints", "tail_open"):
+            if key not in d:
+                raise ValueError(f"scheme has no {key!r} field")
+        endpoints, tail_open = d["endpoints"], d["tail_open"]
+        if not isinstance(endpoints, list) or not all(type(x) is int for x in endpoints):
+            raise ValueError("scheme field 'endpoints' must be a list of integers")
+        if not isinstance(tail_open, bool):
+            raise ValueError("scheme field 'tail_open' must be true or false")
+        return cls(tuple(endpoints), tail_open)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -76,8 +87,12 @@ class BucketScheme:
 
     @classmethod
     def load(cls, path) -> "BucketScheme":
+        """Read a ``save``d scheme; ValueError naming the file when it is not one."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:

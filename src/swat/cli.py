@@ -83,11 +83,12 @@ def _schema_for(args) -> dataio.SchemaConfig:
     return dataio.DEFAULT_SCHEMAS[args.schema]
 
 
-def _load_dataset(args, part: str | None = None) -> dataio.Dataset:
+def _load_dataset(args, part: str | None = None, *, targets_only: bool = False) -> dataio.Dataset:
     """Load args.data; when --ratio is set, keep the train or test part.
 
     The split is a pure function of (--ratio, --seed), so `train` and `eval`
     invoked with the same values see disjoint parts of the same file.
+    ``targets_only`` keeps only the target column (see ``dataio.load_csv``).
     """
     ratio = getattr(args, "ratio", None)
     if ratio is not None and part is not None:
@@ -96,7 +97,7 @@ def _load_dataset(args, part: str | None = None) -> dataio.Dataset:
     if not path.exists():
         raise UsageError(f"data file not found: {path}")
     c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
-    dataset = dataio.load_csv(path, _schema_for(args), c=c)
+    dataset = dataio.load_csv(path, _schema_for(args), c=c, targets_only=targets_only)
     if dataset.skipped:
         log.warning("%d unusable rows of %s skipped", dataset.skipped, path)
     if ratio is not None and part is not None:
@@ -127,7 +128,7 @@ def cmd_buckets(args) -> int:
             raise UsageError("buckets needs --endpoints or --data")
         if args.choice is None:
             check_percent_step(args.percent_step)  # before the data is read
-        dataset = _load_dataset(args, part="train")
+        dataset = _load_dataset(args, part="train", targets_only=True)
         cfg["skipped"] = dataset.skipped
         targets = dataset.targets().tolist()
         if args.choice is not None:
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # OSError: a path that is no readable file or usable directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

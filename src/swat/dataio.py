@@ -68,8 +68,9 @@ class Dataset:
     """Column arrays of n rows.
 
     ``ids`` and each ``features`` column are (n,) object arrays of strings
-    (a feature cell missing from a short CSV row is None); ``raw_targets``
-    is (n,) float64.
+    (a feature cell missing from a short CSV row is None, and so is every
+    id of a ``load_csv(targets_only=True)`` read); ``raw_targets`` is (n,)
+    float64.
     """
 
     ids: np.ndarray
@@ -162,7 +163,7 @@ def _not_utf8(path) -> str:
     return "not UTF-8"
 
 
-def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
+def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
     Reads as csv.DictReader would: blank lines are dropped and not counted,
@@ -171,9 +172,15 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     on a missing file, a missing configured column, malformed CSV or bytes
     that are not UTF-8 (ValueError naming the file and line), or zero usable
     rows; bad rows are skipped and counted instead.
+
+    With ``targets_only`` the header is checked against every configured
+    column as before, but only the target cells are kept: the rows, skips
+    and errors are those of the full read, while the ids are None and there
+    are no feature columns.
     """
     _check_c(c)
     needed = [schema.id_column, schema.target_column, *schema.feature_columns]
+    kept = [schema.target_column] if targets_only else needed
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -182,20 +189,22 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
             if missing:
                 raise ValueError(f"{path}: missing configured columns {missing}")
             index = {name: j for j, name in enumerate(header)}  # the last of repeated names
-            width = max(index[col] for col in needed) + 1
-            rows = []
+            # one list per kept column, filled as the rows stream past, so no
+            # row list outlives its line
+            cells = {index[col]: [] for col in kept}
+            appends = [(j, cells[j].append) for j in cells]
+            width = max(cells) + 1
             for row in reader:
                 if len(row) < width:
                     if not row:
                         continue
                     row += [None] * (width - len(row))
-                rows.append(row)
+                for j, append in appends:
+                    append(row[j])
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}, {_not_utf8(path)}") from None
-    cells = {j: [row[j] for row in rows] for j in {index[col] for col in needed}}
-    del rows
 
     def column(name: str) -> list:
         return cells[index[name]]
@@ -207,6 +216,8 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0) -> Dataset:
     skipped = len(raw) - len(keep)
     if not len(keep):
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
+    if targets_only:
+        return Dataset(np.full(len(keep), None, dtype=object), raw[keep], {}, c=c, skipped=skipped)
     text = {index[col]: _interned(column(col)) for col in (schema.id_column, *schema.feature_columns)}
     id_cells = text[index[schema.id_column]].tolist()
     ids = [id_cells[i] or str(i) for i in keep.tolist()]

@@ -42,12 +42,22 @@ PROB_EPS = 1e-7
 
 
 def log_sigmoid(y) -> np.ndarray:
-    """log sigmoid(y) = -logaddexp(0, -y), finite at every finite y, without logaddexp's slower loop."""
-    return np.minimum(y, 0.0) - np.log1p(np.exp(-np.abs(y)))
+    """log sigmoid(y) = -logaddexp(0, -y), finite at every finite y, without logaddexp's slower loop.
+
+    Computed as min(y, 0) - log1p(exp(-|y|)) in two buffers.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    out = np.minimum(y, 0.0, out=np.empty(y.shape))
+    tail = np.abs(y, out=np.empty(y.shape))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return np.subtract(out, tail, out=out)
 
 
 def sigmoid(y) -> np.ndarray:
-    return np.exp(log_sigmoid(y))
+    log_p = log_sigmoid(y)
+    return np.exp(log_p, out=log_p)
 
 
 def clamp_probs(p) -> np.ndarray:
@@ -94,20 +104,34 @@ def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndar
     ends = np.asarray(scheme.endpoints, dtype=np.int64)
     lows = np.concatenate(([0], ends))
     in_idx = np.searchsorted(ends, t, side="left")  # bucket holding t, 0-based, N = tail
-    cols = np.arange(scheme.n_buckets + 1)
+    n = scheme.n_buckets + 1
     widths_ext = np.concatenate((np.asarray(scheme.widths, dtype=np.float64), [0.0]))
-    a = np.where(cols[None, :] < in_idx[:, None], widths_ext[None, :], 0.0)
+    # row k: the widths of the buckets before bucket k, 0 from column k on
+    watched_through = np.tril(np.broadcast_to(widths_ext, (n, n)), k=-1)
+    a = watched_through[in_idx]
     a[np.arange(len(t)), in_idx] = t - lows[in_idx]
     return a, np.searchsorted(ends, t, side="right")
 
 
 def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log pmf and its logit gradient -A (1 - p), plus p at the stop bucket.
+
+    log(1 - p) = log p - y is formed only at the stop bucket, and the
+    (B, N+1) buffers are reused, so the loss takes three of them.
+    """
     if logits.shape != a.shape:
         raise ValueError(f"logits shape {logits.shape} != coefficient shape {a.shape}")
-    log_p, log_q, p = _log_probs(logits)
+    log_p = log_sigmoid(logits)
     rows = np.arange(len(a))
-    losses = -(a * log_p).sum(axis=1) - log_q[rows, stop_idx]
-    grads = -a * (1.0 - p)
+    stop_log_q = log_p[rows, stop_idx] - logits[rows, stop_idx]
+    work = np.multiply(a, log_p)
+    losses = work.sum(axis=1)
+    np.negative(losses, out=losses)
+    losses -= stop_log_q
+    p = np.exp(log_p, out=log_p)
+    grads = np.subtract(1.0, p, out=work)
+    grads *= a
+    np.negative(grads, out=grads)
     grads[rows, stop_idx] += p[rows, stop_idx]
     return losses, grads
 

@@ -76,6 +76,8 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
+        if not 0 <= self.seed < 2**64:  # the hash salt is the seed's 8 bytes
+            raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
 
     def slot(self, token: str) -> int:
         digest = hashlib.blake2b(
@@ -189,26 +191,54 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Read a ``save``d artifact; ValueError naming the file, and the
+        field that is missing or ill-typed, when it is not one."""
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            try:
+                return cls._from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_dict(cls, d) -> "Model":
+        if not isinstance(d, dict):
+            raise ValueError(f"a model is a JSON object, got {type(d).__name__}")
         if d.get("format_version") != ARTIFACT_VERSION:
             raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-        spec = FeatureSpec(**d["feature_spec"])
-        _, hidden, arity = d["layer_sizes"]
-        scheme = None if d["scheme"] is None else BucketScheme.from_dict(d["scheme"])
-        model = cls(spec, hidden, arity, HeadKind(d["head"]), scheme, d["seed"])
+        spec = FeatureSpec(_field(d, "feature_spec.hash_dim", int), _field(d, "feature_spec.seed", int))
+        sizes = _field(d, "layer_sizes", list)
+        if len(sizes) != 3 or not all(type(v) is int for v in sizes):
+            raise ValueError("field 'layer_sizes' must be three integers")
+        _, hidden, arity = sizes
+        raw_scheme = _field(d, "scheme", (dict, type(None)))
+        scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme)
+        model = cls(spec, hidden, arity, HeadKind(_field(d, "head", str)), scheme, _field(d, "seed", int))
         if hidden > 0:
             shapes = {"w1": (hidden, spec.hash_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}
         else:
             shapes = {"w": (arity, spec.hash_dim), "b": (arity,)}
-        model.params = {
-            k: np.asarray(d["params"][k], dtype=np.float64).reshape(shape)
-            for k, shape in shapes.items()
-        }
-        for key, value in model.params.items():
-            if not np.all(np.isfinite(value)):
+        for key, shape in shapes.items():
+            values = _field(d, f"params.{key}", list)
+            try:
+                model.params[key] = np.asarray(values, dtype=np.float64).reshape(shape)
+            except (TypeError, ValueError):
+                raise ValueError(f"field 'params.{key}' must be {math.prod(shape)} numbers") from None
+            if not np.all(np.isfinite(model.params[key])):
                 raise ValueError(f"non-finite parameters in artifact ({key})")
         return model
+
+
+def _field(d: dict, name: str, kind):
+    """The value at the dotted ``name`` in nested JSON objects; ValueError
+    naming the field when it is absent or not a ``kind`` (no bool passes as int)."""
+    value = d
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"missing field {name!r}")
+        value = value[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise ValueError(f"field {name!r} has the wrong type ({type(value).__name__})")
+    return value
 
 
 ADAM_BETAS = (0.9, 0.999)
@@ -267,6 +297,8 @@ class TrainConfig:
             raise ValueError(f"hidden width must be >= 0, got {self.hidden}")
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
+        if not 0 <= self.seed < 2**64:  # the hash salt is the seed's 8 bytes
+            raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -354,3 +354,136 @@ class TestSchemeFileForSimulate:
                    "--out", sdir) == 0
         rows = read_rows(sdir / "samples.csv")
         assert len(rows) == 50
+
+
+class TestUnreadablePaths:
+    """A path that is no readable file, or an --out that names a file, exits 2
+    with a message naming it, never 1, which `verify` uses for a failure."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, sim_csv):
+        model = tmp_path / "m"
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "1",
+                   "--hash-dim", "4", "--out", model) == 0
+        scheme = tmp_path / "b"
+        assert run("buckets", "--endpoints", "2,5", "--tail-open", "--out", scheme) == 0
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        return {"data": sim_csv, "model": model / "model.json", "scheme": scheme / "scheme.json",
+                "dir": directory, "file": a_file, "out": tmp_path / "out"}
+
+    CASES = {
+        "buckets --data dir": ("buckets", "--data", "{dir}", "--out", "{out}"),
+        "buckets --out file": ("buckets", "--data", "{data}", "--out", "{file}"),
+        "train --data dir": ("train", "--data", "{dir}", "--head", "vgeo", "--out", "{out}"),
+        "train --scheme dir": ("train", "--data", "{data}", "--head", "geo", "--scheme", "{dir}",
+                               "--out", "{out}"),
+        "train --out file": ("train", "--data", "{data}", "--head", "vgeo", "--epochs", "1",
+                             "--out", "{file}"),
+        "eval --data dir": ("eval", "--data", "{dir}", "--model", "{model}", "--out", "{out}"),
+        "eval --model dir": ("eval", "--data", "{data}", "--model", "{dir}", "--out", "{out}"),
+        "eval --out file": ("eval", "--data", "{data}", "--model", "{model}", "--out", "{file}"),
+        "simulate --scheme dir": ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5",
+                                  "--scheme", "{dir}", "--out", "{out}"),
+        "simulate --out file": ("simulate", "--kind", "stationary", "--probs", "0.5", "--n", "5",
+                                "--out", "{file}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_path(self, paths, case, capsys):
+        argv = [arg.format(**paths) for arg in self.CASES[case]]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert str(paths["dir" if "dir" in case else "file"]) in err
+
+
+class TestMalformedArtifacts:
+    """A scheme or model JSON that lacks a field or holds one of the wrong
+    type exits 2 naming the file and the field."""
+
+    SCHEMES = {
+        "empty object": ("{}", "scheme has no 'endpoints' field"),
+        "a list": ("[1]", "a scheme is a JSON object, got list"),
+        "no tail": ('{"endpoints": [2, 5]}', "scheme has no 'tail_open' field"),
+        "text endpoints": ('{"endpoints": "2,5", "tail_open": true}',
+                           "scheme field 'endpoints' must be a list of integers"),
+        "fractional endpoint": ('{"endpoints": [2.5, 5], "tail_open": true}',
+                                "scheme field 'endpoints' must be a list of integers"),
+        "text tail": ('{"endpoints": [2, 5], "tail_open": "yes"}',
+                      "scheme field 'tail_open' must be true or false"),
+        "not JSON": ("{endpoints", "Expecting property name"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SCHEMES))
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_bad_scheme_exits_2(self, tmp_path, sim_csv, case, command, capsys):
+        text, message = self.SCHEMES[case]
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(text, encoding="utf-8")
+        if command == "train":
+            argv = ("train", "--data", sim_csv, "--head", "geo", "--scheme", scheme)
+        else:
+            argv = ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5", "--scheme", scheme)
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert f"error: {scheme}: {message}" in capsys.readouterr().err
+
+    def _model_with(self, tmp_path, sim_csv, edit):
+        tdir = tmp_path / "t"
+        assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
+                   "--epochs", "1", "--hash-dim", "4", "--out", tdir) == 0
+        artifact = json.loads((tdir / "model.json").read_text())
+        edit(artifact)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(artifact), encoding="utf-8")
+        return path
+
+    MODELS = {
+        "no params.b": (lambda d: d["params"].pop("b"), "missing field 'params.b'"),
+        "no params": (lambda d: d.pop("params"), "missing field 'params.w'"),
+        "short params.w": (lambda d: d["params"]["w"].pop(), "field 'params.w' must be 12 numbers"),
+        "text in params.b": (lambda d: d["params"]["b"].__setitem__(0, "x"),
+                             "field 'params.b' must be 3 numbers"),
+        "no feature_spec": (lambda d: d.pop("feature_spec"), "missing field 'feature_spec.hash_dim'"),
+        "negative feature seed": (lambda d: d["feature_spec"].__setitem__("seed", -1),
+                                  "feature seed must be in [0, 2**64), got -1"),
+        "text hash_dim": (lambda d: d["feature_spec"].__setitem__("hash_dim", "4"),
+                          "field 'feature_spec.hash_dim' has the wrong type (str)"),
+        "two layer sizes": (lambda d: d.__setitem__("layer_sizes", [4, 0]),
+                            "field 'layer_sizes' must be three integers"),
+        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "scheme has no 'tail_open' field"),
+        "empty object": (lambda d: d.clear(), "unsupported model format None"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MODELS))
+    def test_bad_model_exits_2(self, tmp_path, sim_csv, case, capsys):
+        edit, message = self.MODELS[case]
+        path = self._model_with(tmp_path, sim_csv, edit)
+        capsys.readouterr()
+        assert run("eval", "--data", sim_csv, "--model", path, "--out", tmp_path / "e") == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_model_that_is_a_list_exits_2(self, tmp_path, sim_csv, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]", encoding="utf-8")
+        assert run("eval", "--data", sim_csv, "--model", path, "--out", tmp_path / "e") == 2
+        assert f"error: {path}: a model is a JSON object, got list" in capsys.readouterr().err
+
+
+class TestBucketsReadsTargetsOnly:
+    def test_missing_feature_column_exits_2_with_the_full_read_message(self, tmp_path, capsys):
+        # buckets keeps only the target cells but checks the header against
+        # every configured column, as train does
+        data = tmp_path / "k.csv"
+        data.write_text("user_id,play_duration\n1,3.5\n2,4.0\n", encoding="utf-8")
+        common = ("--data", data, "--schema", "kuairec")
+        assert run("train", *common, "--head", "vgeo", "--out", tmp_path / "t") == 2
+        expected = capsys.readouterr().err
+        assert "missing configured columns ['video_id']" in expected
+        assert run("buckets", *common, "--out", tmp_path / "b") == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "b").exists()

@@ -171,17 +171,24 @@ class TestLoaderMatchesDictReader:
             try:
                 expected = dictreader_load(path, EQUIV_SCHEMA, c)
             except ValueError as exc:
-                with pytest.raises(ValueError) as got:
-                    dataio.load_csv(path, EQUIV_SCHEMA, c=c)
-                assert str(got.value) == str(exc)
+                for targets_only in (False, True):
+                    with pytest.raises(ValueError) as got:
+                        dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=targets_only)
+                    assert str(got.value) == str(exc)
                 return
             ds = dataio.load_csv(path, EQUIV_SCHEMA, c=c)
+            targets = dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=True)
         tokens = [
             tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
             for i in range(len(ds))
         ]
         got = ds.ids.tolist(), tokens, ds.raw_targets.tolist(), ds.skipped
         assert got == expected
+        # the targets-only read keeps the same rows and skips, and no other column
+        assert targets.raw_targets.tolist() == expected[2]
+        assert targets.skipped == expected[3]
+        assert targets.ids.tolist() == [None] * len(ds)
+        assert targets.features == {}
 
 
 class TestDataset:

@@ -181,6 +181,70 @@ class TestGeoLoss:
             loss(HeadKind.GEO, np.full(3, 0.5), 5)
 
 
+def reference_log_sigmoid(y):
+    """log_sigmoid as first written, one temporary per operation."""
+    return np.minimum(y, 0.0) - np.log1p(np.exp(-np.abs(y)))
+
+
+def reference_geo_coefficients(scheme, targets):
+    """geo_coefficients as first written: the width mask from np.where."""
+    t = np.asarray(targets, dtype=np.int64)
+    ends = np.asarray(scheme.endpoints, dtype=np.int64)
+    lows = np.concatenate(([0], ends))
+    in_idx = np.searchsorted(ends, t, side="left")
+    cols = np.arange(scheme.n_buckets + 1)
+    widths_ext = np.concatenate((np.asarray(scheme.widths, dtype=np.float64), [0.0]))
+    a = np.where(cols[None, :] < in_idx[:, None], widths_ext[None, :], 0.0)
+    a[np.arange(len(t)), in_idx] = t - lows[in_idx]
+    return a, np.searchsorted(ends, t, side="right")
+
+
+def reference_geo_loss_batch(logits, a, stop_idx):
+    """geo_loss_batch as first written: full log(1 - p), fresh temporaries."""
+    log_p = reference_log_sigmoid(logits)
+    log_q, p = log_p - logits, np.exp(log_p)
+    rows = np.arange(len(a))
+    losses = -(a * log_p).sum(axis=1) - log_q[rows, stop_idx]
+    grads = -a * (1.0 - p)
+    grads[rows, stop_idx] += p[rows, stop_idx]
+    return losses, grads
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # zeros keep their sign
+
+
+class TestGeoKernelMatchesReference:
+    """The buffer-reusing geo kernel performs the reference's floating-point
+    operations, so it must agree exactly, not to a tolerance."""
+
+    def test_exactly_equal_on_random_open_schemes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            n = int(rng.integers(1, 40))
+            ends = np.unique(rng.integers(1, 400, size=n))
+            scheme = BucketScheme(tuple(int(e) for e in ends), tail_open=True)
+            # every endpoint, both its neighbours, zero and well beyond the last
+            t = np.concatenate([[0], ends - 1, ends, ends + 1, ends[-1] + rng.integers(2, 500, size=3)])
+            got_a, got_stop = heads.geo_coefficients(scheme, t)
+            want_a, want_stop = reference_geo_coefficients(scheme, t)
+            assert_bit_equal(got_a, want_a)
+            assert np.array_equal(got_stop, want_stop)
+            logits = rng.uniform(-40.0, 40.0, size=want_a.shape)
+            logits.flat[rng.integers(0, logits.size, size=3)] = rng.choice([-40.0, 0.0, 40.0], size=3)
+            for got, want in zip(heads.geo_loss_batch(logits, got_a, got_stop),
+                                 reference_geo_loss_batch(logits, want_a, want_stop)):
+                assert_bit_equal(got, want)
+
+    def test_log_sigmoid_and_sigmoid_exactly_equal(self):
+        y = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, size=(257, 7)).ravel(),
+                            [-40.0, -0.0, 0.0, 40.0, 745.0, -745.0]])
+        assert_bit_equal(heads.log_sigmoid(y), reference_log_sigmoid(y))
+        assert_bit_equal(heads.sigmoid(y), np.exp(reference_log_sigmoid(y)))
+
+
 class TestGeoPmf:
     def test_first_bucket_value(self):
         assert head_pmf(np.full(4, 0.5), 4)[0] == pytest.approx(0.5**4 * 0.5, rel=1e-12)
