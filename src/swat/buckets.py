@@ -106,19 +106,11 @@ def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:
     return BucketScheme(tuple(kept), tail_open)
 
 
-def _as_fraction(step) -> Fraction:
-    if isinstance(step, Fraction):
-        return step
-    if isinstance(step, int):
-        return Fraction(step)
-    return Fraction(str(step))
-
-
 def check_percent_step(percent_step) -> Fraction:
     """The percentile grid step as an exact fraction; ValueError unless it
     is finite and in (0, 50]."""
     try:
-        step = _as_fraction(percent_step)
+        step = Fraction(str(percent_step))  # exact for int, float and Fraction
     except ValueError:  # nan and inf have no fraction
         step = None
     if step is None or not 0 < step <= 50:

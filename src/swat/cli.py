@@ -28,10 +28,6 @@ from .predictor import Model, TrainConfig, TrainingDiverged
 log = logging.getLogger("swat")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -65,43 +61,39 @@ def _parse_endpoints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --endpoints value {text!r}: {exc}") from None
+        raise ValueError(f"bad --endpoints value {text!r}: {exc}") from None
 
 
 def _parse_probs(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise UsageError(f"bad --probs value {text!r}: {exc}") from None
+        raise ValueError(f"bad --probs value {text!r}: {exc}") from None
 
 
-def _schema_for(args) -> dataio.SchemaConfig:
-    if args.schema not in dataio.DEFAULT_SCHEMAS:
-        raise UsageError(
-            f"unknown schema {args.schema!r}; pick one of {sorted(dataio.DEFAULT_SCHEMAS)}"
-        )
-    return dataio.DEFAULT_SCHEMAS[args.schema]
+def _seed(text: str) -> int:
+    """The type of every --seed: an integer >= 0, checked while parsing."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
-def _load_dataset(args, part: str | None = None, *, targets_only: bool = False) -> dataio.Dataset:
+def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Dataset:
     """Load args.data; when --ratio is set, keep the train or test part.
 
     The split is a pure function of (--ratio, --seed), so `train` and `eval`
     invoked with the same values see disjoint parts of the same file.
     ``targets_only`` keeps only the target column (see ``dataio.load_csv``).
     """
-    ratio = getattr(args, "ratio", None)
-    if ratio is not None and part is not None:
-        dataio.check_ratio(ratio)  # before the file is read
-    path = Path(args.data)
-    if not path.exists():
-        raise UsageError(f"data file not found: {path}")
+    if args.ratio is not None:
+        dataio.check_ratio(args.ratio)  # before the file is read
     c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
-    dataset = dataio.load_csv(path, _schema_for(args), c=c, targets_only=targets_only)
+    schema = dataio.DEFAULT_SCHEMAS[args.schema]
+    dataset = dataio.load_csv(args.data, schema, c=c, targets_only=targets_only)
     if dataset.skipped:
-        log.warning("%d unusable rows of %s skipped", dataset.skipped, path)
-    if ratio is not None and part is not None:
-        train_part, test_part = dataio.split(dataset, ratio, args.seed)
+        log.warning("%d unusable rows of %s skipped", dataset.skipped, args.data)
+    if args.ratio is not None:
+        train_part, test_part = dataio.split(dataset, args.ratio, args.seed)
         dataset = train_part if part == "train" else test_part
     return dataset
 
@@ -125,7 +117,7 @@ def cmd_buckets(args) -> int:
         inputs = []
     else:
         if not args.data:
-            raise UsageError("buckets needs --endpoints or --data")
+            raise ValueError("buckets needs --endpoints or --data")
         if args.choice is None:
             check_percent_step(args.percent_step)  # before the data is read
         dataset = _load_dataset(args, part="train", targets_only=True)
@@ -145,19 +137,10 @@ def cmd_buckets(args) -> int:
     return 0
 
 
-def _load_scheme(args) -> BucketScheme | None:
-    if args.scheme is None:
-        return None
-    path = Path(args.scheme)
-    if not path.exists():
-        raise UsageError(f"scheme file not found: {path}")
-    return BucketScheme.load(path)
-
-
 def cmd_train(args) -> int:
     started = _utcnow()
     head = HeadKind(args.head)
-    scheme = _load_scheme(args)
+    scheme = None if args.scheme is None else BucketScheme.load(args.scheme)
     if scheme is None and args.endpoints:
         tail_open = bool(heads.HEADS[head].tail_open)
         scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=tail_open)
@@ -173,10 +156,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
     )
     dataset = _load_dataset(args, part="train")
-    try:
-        result = predictor.train(dataset, config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = predictor.train(dataset, config)
     if result.clipped:
         log.warning("%d samples clipped beyond the last bucket edge", result.clipped)
 
@@ -200,10 +180,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = _utcnow()
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise UsageError(f"model file not found: {model_path}")
-    model = Model.load(model_path)
+    model = Model.load(args.model)
     dataset = _load_dataset(args, part="test")
     preds = model.predict_dataset(dataset) / dataset.c
     report = metrics.evaluate(preds, dataset.raw_targets)
@@ -231,13 +208,10 @@ def cmd_simulate(args) -> int:
                 _parse_endpoints(args.endpoints), tail_open=kind is simulate.Behavior.FOCUSED
             )
         elif args.scheme:
-            scheme = _load_scheme(args)
+            scheme = BucketScheme.load(args.scheme)
         else:
-            raise UsageError(f"{kind.value} simulation needs --endpoints or --scheme")
-    try:
-        profile = simulate.BehaviorProfile(kind, _parse_probs(args.probs), scheme, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            raise ValueError(f"{kind.value} simulation needs --endpoints or --scheme")
+    profile = simulate.BehaviorProfile(kind, _parse_probs(args.probs), scheme, args.seed)
     totals = simulate.draw(profile, args.n)
     outdir = _ensure_outdir(args.out)
     csv_path = outdir / "samples.csv"
@@ -283,23 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="swat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p):
-        p.add_argument("--data", help="input CSV path")
-        p.add_argument("--schema", default="sim", help="CSV layout: sim, kuairec, or cikm")
+    def add_data_flags(p, data_required=True):
+        p.add_argument("--data", required=data_required, help="input CSV path")
+        p.add_argument("--schema", default="sim", choices=sorted(dataio.DEFAULT_SCHEMAS),
+                       help="CSV layout")
         p.add_argument("--c", type=float, default=None,
                        help="target scaling constant (default per schema)")
         p.add_argument("--ratio", type=float, default=None,
                        help="train fraction; buckets/train use it, eval takes the rest")
 
     p = sub.add_parser("buckets", help="construct a bucket scheme")
-    add_data_flags(p)
+    add_data_flags(p, data_required=False)
     p.add_argument("--endpoints", help="explicit endpoints, e.g. 5,12,22")
-    p.add_argument("--choice", type=int, default=None, help="endpoint construction 1..6")
+    p.add_argument("--choice", type=int, choices=range(1, 7), default=None,
+                   help="endpoint construction 1..6")
     p.add_argument("--percent-step", type=float, default=1.0,
                    help="percentile grid step when --choice is absent")
     p.add_argument("--tail-open", action="store_true",
                    help="include the unbounded tail bucket (geometric heads)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="buckets_out")
     p.set_defaults(fn=cmd_buckets)
 
@@ -308,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", required=True, choices=[k.value for k in HeadKind])
     p.add_argument("--scheme", help="scheme JSON path (binom/geo heads)")
     p.add_argument("--endpoints", help="inline scheme, e.g. 5,12,22 (tail set by head)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch", type=int, default=1024)
@@ -320,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model artifact on a CSV")
     add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="eval_out")
     p.set_defaults(fn=cmd_eval)
 
@@ -331,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoints", help="bucket endpoints, e.g. 5,12,22")
     p.add_argument("--scheme", help="scheme JSON path")
     p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="simulate_out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the built-in property suite")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--flip-gradient", default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
@@ -351,9 +327,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:  # OSError: a path that is no readable file or usable directory
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,7 +111,7 @@ class Dataset:
 
         Only perfbench/tracer.py reads this, to count the tokens that
         ``FeatureSpec.encode_dataset`` pools; the library works on the
-        columns.  The benchmark change of ROADMAP item 1, which takes that
+        columns.  The benchmark change of ROADMAP item 2, which takes that
         count from the library instead, deletes this view and Sample.
         """
         tokens = [[] for _ in range(len(self))]

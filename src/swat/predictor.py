@@ -295,10 +295,7 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.hidden < 0:
             raise ValueError(f"hidden width must be >= 0, got {self.hidden}")
-        if self.hash_dim < 2:
-            raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
-        if not 0 <= self.seed < 2**64:  # the hash salt is the seed's 8 bytes
-            raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
+        FeatureSpec(self.hash_dim, self.seed)  # checks the hash width and seed
 
 
 @dataclass

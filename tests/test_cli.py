@@ -43,12 +43,6 @@ class TestBuckets:
         assert scheme["tail_open"] is True
         assert len(scheme["endpoints"]) >= 1
 
-    def test_bad_choice_exits_2(self, tmp_path, sim_csv):
-        assert run("buckets", "--data", sim_csv, "--choice", "9", "--out", tmp_path / "b") == 2
-
-    def test_missing_data_exits_2(self, tmp_path):
-        assert run("buckets", "--data", tmp_path / "nope.csv", "--out", tmp_path / "b") == 2
-
     @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
     def test_unusable_scaling_constant_exits_2(self, tmp_path, sim_csv, c, capsys):
         assert run("buckets", "--data", sim_csv, "--c", c, "--out", tmp_path / "b") == 2
@@ -117,9 +111,13 @@ class TestTrainEval:
             run("train", "--data", sim_csv, "--head", "nonsense", "--out", tmp_path / "t")
         assert err.value.code == 2
 
-    def test_missing_model_exits_2(self, tmp_path, sim_csv):
-        assert run("eval", "--model", tmp_path / "no.json", "--data", sim_csv,
-                   "--out", tmp_path / "e") == 2
+    @pytest.mark.parametrize("command", [("train", "--head", "vgeo"), ("eval", "--model", "m.json")],
+                             ids=["train", "eval"])
+    def test_data_is_required(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(*command, "--out", tmp_path / "out")
+        assert err.value.code == 2
+        assert "--data" in capsys.readouterr().err
 
     def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
         # format 1 charged the geo stop factor to the bucket holding t;
@@ -356,9 +354,33 @@ class TestSchemeFileForSimulate:
         assert len(rows) == 50
 
 
+class TestSettingsCheckedWhileParsing:
+    """A setting argparse can check exits 2 before any file is read: --data
+    does not exist, so a later check would name the path, not the flag."""
+
+    CASES = {
+        "buckets --schema nonsense": ("buckets", "--schema", "nonsense"),
+        "train --schema nonsense": ("train", "--head", "vgeo", "--schema", "nonsense"),
+        "buckets --seed -1": ("buckets", "--seed", "-1"),
+        "buckets --seed 1.5": ("buckets", "--seed", "1.5"),
+        "eval --seed -1": ("eval", "--model", "missing.json", "--ratio", "0.8", "--seed", "-1"),
+        "buckets --choice 9": ("buckets", "--choice", "9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_flag(self, tmp_path, case, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run(*self.CASES[case], "--data", tmp_path / "missing.csv", "--out", out)
+        assert err.value.code == 2
+        assert f"argument {case.split()[1]}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUnreadablePaths:
-    """A path that is no readable file, or an --out that names a file, exits 2
-    with a message naming it, never 1, which `verify` uses for a failure."""
+    """A path that is missing or no readable file, or an --out that names a
+    file, exits 2 with a message naming it, never 1, which `verify` uses for
+    a failure."""
 
     @pytest.fixture()
     def paths(self, tmp_path, sim_csv):
@@ -372,21 +394,29 @@ class TestUnreadablePaths:
         a_file = tmp_path / "a_file"
         a_file.write_text("", encoding="utf-8")
         return {"data": sim_csv, "model": model / "model.json", "scheme": scheme / "scheme.json",
-                "dir": directory, "file": a_file, "out": tmp_path / "out"}
+                "dir": directory, "file": a_file, "missing": tmp_path / "missing",
+                "out": tmp_path / "out"}
 
     CASES = {
         "buckets --data dir": ("buckets", "--data", "{dir}", "--out", "{out}"),
+        "buckets --data missing": ("buckets", "--data", "{missing}", "--out", "{out}"),
         "buckets --out file": ("buckets", "--data", "{data}", "--out", "{file}"),
         "train --data dir": ("train", "--data", "{dir}", "--head", "vgeo", "--out", "{out}"),
         "train --scheme dir": ("train", "--data", "{data}", "--head", "geo", "--scheme", "{dir}",
                                "--out", "{out}"),
+        "train --scheme missing": ("train", "--data", "{data}", "--head", "geo",
+                                   "--scheme", "{missing}", "--out", "{out}"),
         "train --out file": ("train", "--data", "{data}", "--head", "vgeo", "--epochs", "1",
                              "--out", "{file}"),
         "eval --data dir": ("eval", "--data", "{dir}", "--model", "{model}", "--out", "{out}"),
         "eval --model dir": ("eval", "--data", "{data}", "--model", "{dir}", "--out", "{out}"),
+        "eval --model missing": ("eval", "--data", "{data}", "--model", "{missing}",
+                                 "--out", "{out}"),
         "eval --out file": ("eval", "--data", "{data}", "--model", "{model}", "--out", "{file}"),
         "simulate --scheme dir": ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5",
                                   "--scheme", "{dir}", "--out", "{out}"),
+        "simulate --scheme missing": ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5",
+                                      "--scheme", "{missing}", "--out", "{out}"),
         "simulate --out file": ("simulate", "--kind", "stationary", "--probs", "0.5", "--n", "5",
                                 "--out", "{file}"),
     }
@@ -399,7 +429,7 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-        assert str(paths["dir" if "dir" in case else "file"]) in err
+        assert str(paths[case.rsplit(" ", 1)[1]]) in err
 
 
 class TestMalformedArtifacts:
