@@ -129,11 +129,7 @@ def _percentile_values(sorted_targets: Sequence[int], qs: Iterable[Fraction]) ->
 
 
 def _grid(step: Fraction, upto: int = 100) -> list[Fraction]:
-    qs = []
-    q = step
-    while q <= upto:
-        qs.append(q)
-        q += step
+    qs = [step * k for k in range(1, int(upto / step) + 1)]
     if upto == 100 and (not qs or qs[-1] != 100):
         qs.append(Fraction(100))
     return qs
@@ -148,8 +144,9 @@ def from_percentiles(targets: Sequence[int], percent_step, tail_open: bool = Fal
     if not targets:
         raise ValueError("no targets given")
     step = check_percent_step(percent_step)
-    srt = sorted(targets)
-    return from_endpoints(_percentile_values(srt, _grid(step)), tail_open)
+    if step * len(targets) <= 100:  # no grid step skips a sorted target: all are endpoints
+        return from_endpoints([int(round(t)) for t in targets], tail_open)
+    return from_endpoints(_percentile_values(sorted(targets), _grid(step)), tail_open)
 
 
 def ablation_choice(targets: Sequence[int], choice: int, tail_open: bool = False) -> BucketScheme:

@@ -52,23 +52,25 @@ def _write_manifest(
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (outdir / "manifest.json").write_text(text, encoding="utf-8")
 
 
-def _parse_endpoints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --endpoints value {text!r}: {exc}") from None
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _parse_probs(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad --probs value {text!r}: {exc}") from None
+def _list_of(kind):
+    """The type of a comma-separated list flag whose non-blank items parse as ``kind``."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -98,6 +100,13 @@ def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Data
     return dataset
 
 
+def _scheme(args, tail_open: bool) -> BucketScheme | None:
+    """The scheme of --scheme, else of --endpoints with the given tail, else None."""
+    if args.scheme is not None:
+        return BucketScheme.load(args.scheme)
+    return from_endpoints(args.endpoints, tail_open=tail_open) if args.endpoints else None
+
+
 def _ensure_outdir(path_str: str) -> Path:
     outdir = Path(path_str)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -112,12 +121,10 @@ def _ensure_outdir(path_str: str) -> Path:
 def cmd_buckets(args) -> int:
     started = _utcnow()
     cfg = dict(vars(args))
-    if args.endpoints:
-        scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=args.tail_open)
+    if args.endpoints is not None:
+        scheme = from_endpoints(args.endpoints, tail_open=args.tail_open)
         inputs = []
     else:
-        if not args.data:
-            raise ValueError("buckets needs --endpoints or --data")
         if args.choice is None:
             check_percent_step(args.percent_step)  # before the data is read
         dataset = _load_dataset(args, part="train", targets_only=True)
@@ -140,10 +147,7 @@ def cmd_buckets(args) -> int:
 def cmd_train(args) -> int:
     started = _utcnow()
     head = HeadKind(args.head)
-    scheme = None if args.scheme is None else BucketScheme.load(args.scheme)
-    if scheme is None and args.endpoints:
-        tail_open = bool(heads.HEADS[head].tail_open)
-        scheme = from_endpoints(_parse_endpoints(args.endpoints), tail_open=tail_open)
+    scheme = _scheme(args, tail_open=bool(heads.HEADS[head].tail_open))
     heads.arity(head, scheme)  # reject unsuitable settings before reading the data
     config = TrainConfig(
         head=head,
@@ -164,11 +168,8 @@ def cmd_train(args) -> int:
     model_path = outdir / "model.json"
     trace_path = outdir / "loss_trace.csv"
     result.model.save(model_path)
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(result.epoch_losses):
-            writer.writerow([epoch, repr(loss)])
+    _write_csv(trace_path, ["epoch", "mean_loss"],
+               ([epoch, repr(loss)] for epoch, loss in enumerate(result.epoch_losses)))
     inputs = [args.data] + ([args.scheme] if args.scheme else [])
     cfg = dict(vars(args), clipped=result.clipped, skipped=dataset.skipped)
     _write_manifest(outdir, "train", cfg, inputs, [model_path, trace_path], started)
@@ -187,9 +188,7 @@ def cmd_eval(args) -> int:
     outdir = _ensure_outdir(args.out)
     report_path = outdir / "report.json"
     preds_path = outdir / "predictions.csv"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     dataio.write_predictions(preds_path, dataset, preds)
     cfg = dict(vars(args), skipped=dataset.skipped)
     _write_manifest(outdir, "eval", cfg, [args.model, args.data],
@@ -201,25 +200,13 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     started = _utcnow()
     kind = simulate.Behavior(args.kind)
-    scheme = None
-    if kind is not simulate.Behavior.STATIONARY:
-        if args.endpoints:
-            scheme = from_endpoints(
-                _parse_endpoints(args.endpoints), tail_open=kind is simulate.Behavior.FOCUSED
-            )
-        elif args.scheme:
-            scheme = BucketScheme.load(args.scheme)
-        else:
-            raise ValueError(f"{kind.value} simulation needs --endpoints or --scheme")
-    profile = simulate.BehaviorProfile(kind, _parse_probs(args.probs), scheme, args.seed)
+    scheme = _scheme(args, tail_open=kind is simulate.Behavior.FOCUSED)
+    profile = simulate.BehaviorProfile(kind, tuple(args.probs), scheme, args.seed)
     totals = simulate.draw(profile, args.n)
     outdir = _ensure_outdir(args.out)
     csv_path = outdir / "samples.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "feat", "watch_time"])
-        for i, t in enumerate(totals):
-            writer.writerow([i, "all", int(t)])
+    _write_csv(csv_path, ["sample_id", "feat", "watch_time"],
+               ([i, "all", int(t)] for i, t in enumerate(totals)))
     _write_manifest(outdir, "simulate", vars(args), [], [csv_path], started)
     print(f"simulated {args.n} {kind.value} samples, mean watch time {totals.mean():.4f}")
     print(f"wrote {csv_path}")
@@ -228,16 +215,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     started = _utcnow()
-    results = verify.run_all(trials=args.trials, seed=args.seed, flip_gradient=args.flip_gradient)
+    results = verify.run_all(trials=args.trials, seed=args.seed)
     failed = [name for name, r in results.items() if not r["passed"]]
     for name, r in results.items():
         print(f"[{'PASS' if r['passed'] else 'FAIL'}] {name}: {r['detail']}")
     if args.out:
         outdir = _ensure_outdir(args.out)
         results_path = outdir / "verify.json"
-        with open(results_path, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(results, indent=2, sort_keys=True) + "\n"
+        results_path.write_text(text, encoding="utf-8")
         _write_manifest(outdir, "verify", vars(args), [], [results_path], started)
     else:
         print(json.dumps(results, sort_keys=True))
@@ -257,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="swat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p, data_required=True):
-        p.add_argument("--data", required=data_required, help="input CSV path")
+    def add_data_flags(p, source=None):
+        """--data, required unless it is one of the group `source`, and the CSV layout flags."""
+        (source or p).add_argument("--data", required=source is None, help="input CSV path")
         p.add_argument("--schema", default="sim", choices=sorted(dataio.DEFAULT_SCHEMAS),
                        help="CSV layout")
         p.add_argument("--c", type=float, default=None,
@@ -266,9 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ratio", type=float, default=None,
                        help="train fraction; buckets/train use it, eval takes the rest")
 
+    def add_scheme_flags(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--scheme", help="scheme JSON path")
+        source.add_argument("--endpoints", type=_list_of(int),
+                            help="inline scheme, e.g. 5,12,22 (tail set by the head or kind)")
+
     p = sub.add_parser("buckets", help="construct a bucket scheme")
-    add_data_flags(p, data_required=False)
-    p.add_argument("--endpoints", help="explicit endpoints, e.g. 5,12,22")
+    source = p.add_mutually_exclusive_group(required=True)
+    add_data_flags(p, source)
+    source.add_argument("--endpoints", type=_list_of(int), help="explicit endpoints, e.g. 5,12,22")
     p.add_argument("--choice", type=int, choices=range(1, 7), default=None,
                    help="endpoint construction 1..6")
     p.add_argument("--percent-step", type=float, default=1.0,
@@ -282,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a head on a CSV")
     add_data_flags(p)
     p.add_argument("--head", required=True, choices=[k.value for k in HeadKind])
-    p.add_argument("--scheme", help="scheme JSON path (binom/geo heads)")
-    p.add_argument("--endpoints", help="inline scheme, e.g. 5,12,22 (tail set by head)")
+    add_scheme_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--epochs", type=int, default=50)
@@ -303,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw synthetic watch times")
     p.add_argument("--kind", required=True,
                    choices=[b.value for b in simulate.Behavior])
-    p.add_argument("--probs", required=True, help="per-bucket probabilities, e.g. 0.9,0.5,0.2")
-    p.add_argument("--endpoints", help="bucket endpoints, e.g. 5,12,22")
-    p.add_argument("--scheme", help="scheme JSON path")
+    p.add_argument("--probs", required=True, type=_list_of(float),
+                   help="per-bucket probabilities, e.g. 0.9,0.5,0.2")
+    add_scheme_flags(p)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="simulate_out")
@@ -315,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--flip-gradient", default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
     return parser
 

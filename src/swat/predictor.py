@@ -209,10 +209,14 @@ class Model:
         sizes = _field(d, "layer_sizes", list)
         if len(sizes) != 3 or not all(type(v) is int for v in sizes):
             raise ValueError("field 'layer_sizes' must be three integers")
-        _, hidden, arity = sizes
         raw_scheme = _field(d, "scheme", (dict, type(None)))
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme)
-        model = cls(spec, hidden, arity, HeadKind(_field(d, "head", str)), scheme, _field(d, "seed", int))
+        head = HeadKind(_field(d, "head", str))
+        _, hidden, arity = sizes
+        if sizes[0] != spec.hash_dim or hidden < 0 or arity != heads.arity(head, scheme):
+            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, "
+                             f"{heads.arity(head, scheme)}], got {sizes}")
+        model = cls(spec, hidden, arity, head, scheme, _field(d, "seed", int))
         if hidden > 0:
             shapes = {"w1": (hidden, spec.hash_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}
         else:

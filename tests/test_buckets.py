@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestFromPercentiles:
     def test_bad_step_raises(self):
         with pytest.raises(ValueError, match="percent_step"):
             from_percentiles([1, 2, 3], 60)
+
+    def test_tiny_step_makes_every_target_an_endpoint(self):
+        # a grid of 1e-9 steps would hold 1e11 points; it must not be built
+        targets = [7, 3, 3, 0, 12, 5]
+        for tail_open in (False, True):
+            assert from_percentiles(targets, 1e-9, tail_open) == from_endpoints(targets, tail_open)
+
+    @given(st.lists(st.integers(1, 300), min_size=2, max_size=120),
+           st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 2)]))
+    def test_step_at_most_100_over_n_matches_sort_oracle(self, targets, scale):
+        step = Fraction(100, len(targets)) * scale
+        qs = [step * k for k in range(1, math.floor(100 / step) + 1)] + [100]
+        expected = from_endpoints([sorted_percentile(targets, q) for q in qs])
+        assert from_percentiles(targets, step) == expected
 
     @given(st.lists(st.integers(1, 200), min_size=1, max_size=80), st.randoms())
     def test_permutation_invariant(self, targets, rnd):

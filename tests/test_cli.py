@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from swat import heads
 from swat.cli import main
+from swat.heads import HeadKind
 
 
 def run(*argv):
@@ -49,8 +54,12 @@ class TestBuckets:
         assert "scaling constant must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "b" / "scheme.json").exists()
 
-    def test_no_source_exits_2(self, tmp_path):
-        assert run("buckets", "--out", tmp_path / "b") == 2
+    def test_tiny_percent_step_keeps_every_target(self, tmp_path, sim_csv):
+        # a 1e-9 grid would hold 1e11 percentiles; 400 targets need none of them
+        out = tmp_path / "b"
+        assert run("buckets", "--data", sim_csv, "--percent-step", "1e-9", "--out", out) == 0
+        targets = {int(r["watch_time"]) for r in read_rows(sim_csv)} - {0}
+        assert json.loads((out / "scheme.json").read_text())["endpoints"] == sorted(targets)
 
     @pytest.mark.parametrize("flags, message", [
         (("--ratio", "1.5"), "split ratio must be in (0, 1)"),
@@ -286,8 +295,15 @@ class TestVerify:
         assert run("verify", "--trials", "25", "--seed", "7", "--out", b) == 0
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
 
-    def test_injected_bad_gradient_fails_naming_head(self, capsys):
-        assert run("verify", "--trials", "20", "--flip-gradient", "geo") == 1
+    def test_injected_bad_gradient_fails_naming_head(self, monkeypatch, capsys):
+        entry = heads.HEADS[HeadKind.GEO]
+
+        def flipped(logits, encoded):
+            losses, grad = entry.loss(logits, encoded)
+            return losses, -grad
+
+        monkeypatch.setitem(heads.HEADS, HeadKind.GEO, dataclasses.replace(entry, loss=flipped))
+        assert run("verify", "--trials", "20") == 1
         out = capsys.readouterr()
         assert "[FAIL] gradient_fd_geo" in out.out
         assert "gradient_fd_geo" in out.err
@@ -358,22 +374,47 @@ class TestSettingsCheckedWhileParsing:
     """A setting argparse can check exits 2 before any file is read: --data
     does not exist, so a later check would name the path, not the flag."""
 
+    DATA = ("--data", "{missing}")
+    BOTH_SCHEMES = ("--scheme", "{scheme}", "--endpoints", "2,5")
     CASES = {
-        "buckets --schema nonsense": ("buckets", "--schema", "nonsense"),
-        "train --schema nonsense": ("train", "--head", "vgeo", "--schema", "nonsense"),
-        "buckets --seed -1": ("buckets", "--seed", "-1"),
-        "buckets --seed 1.5": ("buckets", "--seed", "1.5"),
-        "eval --seed -1": ("eval", "--model", "missing.json", "--ratio", "0.8", "--seed", "-1"),
-        "buckets --choice 9": ("buckets", "--choice", "9"),
+        "buckets --schema nonsense": (("buckets", "--schema", "nonsense", *DATA),
+                                      "argument --schema:"),
+        "train --schema nonsense": (("train", "--head", "vgeo", "--schema", "nonsense", *DATA),
+                                    "argument --schema:"),
+        "buckets --seed -1": (("buckets", "--seed", "-1", *DATA), "argument --seed:"),
+        "buckets --seed 1.5": (("buckets", "--seed", "1.5", *DATA), "argument --seed:"),
+        "eval --seed -1": (("eval", "--model", "missing.json", "--ratio", "0.8", "--seed", "-1", *DATA),
+                           "argument --seed:"),
+        "buckets --choice 9": (("buckets", "--choice", "9", *DATA), "argument --choice:"),
+        "buckets --endpoints 5,x": (("buckets", "--endpoints", "5,x"),
+                                    "argument --endpoints: invalid literal for int()"),
+        "train --endpoints 5,x": (("train", "--head", "geo", "--endpoints", "5,x", *DATA),
+                                  "argument --endpoints: invalid literal for int()"),
+        "simulate --endpoints 5,x": (("simulate", "--kind", "wandering", "--probs", "0.5,0.5",
+                                      "--endpoints", "5,x"),
+                                     "argument --endpoints: invalid literal for int()"),
+        "simulate --probs 0.5,x": (("simulate", "--kind", "stationary", "--probs", "0.5,x"),
+                                   "argument --probs: could not convert string to float"),
+        "train --scheme and --endpoints": (("train", "--head", "geo", *BOTH_SCHEMES, *DATA),
+                                           "argument --endpoints: not allowed with argument --scheme"),
+        "simulate --scheme and --endpoints": (("simulate", "--kind", "focused",
+                                               "--probs", "0.5,0.5,0.5", *BOTH_SCHEMES),
+                                              "argument --endpoints: not allowed with argument --scheme"),
+        "buckets --data and --endpoints": (("buckets", "--endpoints", "2,5", *DATA),
+                                           "argument --data: not allowed with argument --endpoints"),
+        "buckets no source": (("buckets",), "one of the arguments --data --endpoints is required"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_2_naming_the_flag(self, tmp_path, case, capsys):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"endpoints": [2, 5], "tail_open": true}\n', encoding="utf-8")
+        argv, message = self.CASES[case]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
-            run(*self.CASES[case], "--data", tmp_path / "missing.csv", "--out", out)
+            run(*[a.format(missing=tmp_path / "missing.csv", scheme=scheme) for a in argv], "--out", out)
         assert err.value.code == 2
-        assert f"argument {case.split()[1]}:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -485,6 +526,12 @@ class TestMalformedArtifacts:
                           "field 'feature_spec.hash_dim' has the wrong type (str)"),
         "two layer sizes": (lambda d: d.__setitem__("layer_sizes", [4, 0]),
                             "field 'layer_sizes' must be three integers"),
+        "negative hidden size": (lambda d: d.__setitem__("layer_sizes", [4, -1, 3]),
+                                 "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, -1, 3]"),
+        "input size not hash_dim": (lambda d: d.__setitem__("layer_sizes", [99, 0, 3]),
+                                    "field 'layer_sizes' must be [4, hidden >= 0, 3], got [99, 0, 3]"),
+        "output size not the head's arity": (lambda d: d.__setitem__("layer_sizes", [4, 0, 2]),
+                                             "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, 0, 2]"),
         "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "scheme has no 'tail_open' field"),
         "empty object": (lambda d: d.clear(), "unsupported model format None"),
     }
@@ -517,3 +564,15 @@ class TestBucketsReadsTargetsOnly:
         assert run("buckets", *common, "--out", tmp_path / "b") == 2
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "b").exists()
+
+
+class TestReadmeWalkthrough:
+    def test_cli_block_runs_in_order(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("swat ")]
+        assert len(commands) >= 8
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            assert run(*shlex.split(command)[1:]) == 0, command
