@@ -143,9 +143,9 @@ def from_percentiles(targets: Sequence[int], percent_step, tail_open: bool = Fal
     """
     if not targets:
         raise ValueError("no targets given")
-    step = check_percent_step(percent_step)
-    if step * len(targets) <= 100:  # no grid step skips a sorted target: all are endpoints
-        return from_endpoints([int(round(t)) for t in targets], tail_open)
+    # a step below 100/n skips no sorted target, so 100/n gives the same scheme
+    # with n grid points instead of 100/step
+    step = max(check_percent_step(percent_step), Fraction(100, len(targets)))
     return from_endpoints(_percentile_values(sorted(targets), _grid(step)), tail_open)
 
 

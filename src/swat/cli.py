@@ -104,7 +104,7 @@ def _scheme(args, tail_open: bool) -> BucketScheme | None:
     """The scheme of --scheme, else of --endpoints with the given tail, else None."""
     if args.scheme is not None:
         return BucketScheme.load(args.scheme)
-    return from_endpoints(args.endpoints, tail_open=tail_open) if args.endpoints else None
+    return from_endpoints(args.endpoints, tail_open=tail_open) if args.endpoints is not None else None
 
 
 def _ensure_outdir(path_str: str) -> Path:

@@ -212,10 +212,11 @@ class Model:
         raw_scheme = _field(d, "scheme", (dict, type(None)))
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme)
         head = HeadKind(_field(d, "head", str))
-        _, hidden, arity = sizes
-        if sizes[0] != spec.hash_dim or hidden < 0 or arity != heads.arity(head, scheme):
-            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, "
-                             f"{heads.arity(head, scheme)}], got {sizes}")
+        inputs, hidden, arity = sizes
+        want = heads.arity(head, scheme)
+        if inputs != spec.hash_dim or hidden < 0 or arity != want:
+            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, {want}], "
+                             f"got {sizes}")
         model = cls(spec, hidden, arity, head, scheme, _field(d, "seed", int))
         if hidden > 0:
             shapes = {"w1": (hidden, spec.hash_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}

@@ -358,6 +358,17 @@ class TestInlineScheme:
         assert all(len(h) == 64 for h in manifest["inputs"].values())
 
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--head", "vgeo", "--data", "missing.csv"),
+        ("simulate", "--kind", "stationary", "--probs", "0.5"),
+    ], ids=["train", "simulate"])
+    def test_empty_endpoints_exit_2(self, tmp_path, argv, capsys):
+        # a scheme source that is given must be usable, even where the law needs no scheme
+        assert run(*argv, "--endpoints", ",", "--out", tmp_path / "o") == 2
+        assert "no endpoints given" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSchemeFileForSimulate:
     def test_simulate_accepts_scheme_json(self, tmp_path):
         bdir = tmp_path / "b"
