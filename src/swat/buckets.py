@@ -45,10 +45,6 @@ class BucketScheme:
         xs = (0,) + self.endpoints
         return tuple(xs[i + 1] - xs[i] for i in range(len(self.endpoints)))
 
-    def lower(self, i: int) -> int:
-        """Lower edge x_{i-1} of bucket i (1-based); bucket 1 starts at 0."""
-        return 0 if i == 1 else self.endpoints[i - 2]
-
     def bucket_of(self, t: int) -> int:
         """1-based bucket index of watch time t >= 0.
 

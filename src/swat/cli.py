@@ -319,7 +319,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # OSError: a path that is no readable file or usable directory
+    except (OSError, ValueError, MemoryError) as exc:
+        # OSError: a path that is no readable file or usable directory;
+        # MemoryError: a size setting whose arrays cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

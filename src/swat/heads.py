@@ -95,22 +95,11 @@ def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndar
 
     Watching exactly t seconds means continuing at seconds 1..t and stopping
     before second t + 1, so log pmf(t) = sum_i A[b, i] log p_i + log(1 - p_k)
-    with k the bucket of second t + 1.  Returns (A, stop_idx): A[b, i] is the
-    log p_i weight (width for buckets watched through, in-bucket seconds for
-    the bucket holding t) and stop_idx[b] is k, 0-based.  At an endpoint
-    t = x_i the stop lands in bucket i + 1, so the pmf sums to 1.
+    with A = `labels.seconds` and k the bucket of second t + 1.  Returns
+    (A, stop_idx) with stop_idx[b] = k, 0-based.  At an endpoint t = x_i the
+    stop lands in bucket i + 1, so the pmf sums to 1.
     """
-    t = np.asarray(targets, dtype=np.int64)
-    ends = np.asarray(scheme.endpoints, dtype=np.int64)
-    lows = np.concatenate(([0], ends))
-    in_idx = np.searchsorted(ends, t, side="left")  # bucket holding t, 0-based, N = tail
-    n = scheme.n_buckets + 1
-    widths_ext = np.concatenate((np.asarray(scheme.widths, dtype=np.float64), [0.0]))
-    # row k: the widths of the buckets before bucket k, 0 from column k on
-    watched_through = np.tril(np.broadcast_to(widths_ext, (n, n)), k=-1)
-    a = watched_through[in_idx]
-    a[np.arange(len(t)), in_idx] = t - lows[in_idx]
-    return a, np.searchsorted(ends, t, side="right")
+    return labels.seconds(scheme, targets), np.searchsorted(scheme.endpoints, targets, side="right")
 
 
 def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -124,18 +124,20 @@ class Model:
 
     @classmethod
     def init(cls, feature_spec, hidden, head, scheme, seed, rng) -> "Model":
-        arity = heads.arity(head, scheme)
-        d = feature_spec.hash_dim
-        params: dict[str, np.ndarray] = {}
-        if hidden > 0:
-            params["w1"] = rng.uniform(-1.0, 1.0, size=(hidden, d)) / np.sqrt(d)
-            params["b1"] = np.zeros(hidden)
-            params["w2"] = rng.uniform(-1.0, 1.0, size=(arity, hidden)) / np.sqrt(hidden)
-            params["b2"] = np.zeros(arity)
-        else:
-            params["w"] = rng.uniform(-1.0, 1.0, size=(arity, d)) / np.sqrt(d)
-            params["b"] = np.zeros(arity)
-        return cls(feature_spec, hidden, arity, head, scheme, seed, params)
+        model = cls(feature_spec, hidden, heads.arity(head, scheme), head, scheme, seed)
+        for key, shape in model.shapes().items():
+            if len(shape) == 2:  # weights (out, in): uniform over +-1/sqrt(fan-in)
+                model.params[key] = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
+            else:
+                model.params[key] = np.zeros(shape)
+        return model
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's key and shape, in layer order."""
+        d, h, k = self.feature_spec.hash_dim, self.hidden, self.arity
+        if h > 0:
+            return {"w1": (h, d), "b1": (h,), "w2": (k, h), "b2": (k,)}
+        return {"w": (k, d), "b": (k,)}
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """(B, d) features -> (B, arity) logits."""
@@ -218,11 +220,7 @@ class Model:
             raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, {want}], "
                              f"got {sizes}")
         model = cls(spec, hidden, arity, head, scheme, _field(d, "seed", int))
-        if hidden > 0:
-            shapes = {"w1": (hidden, spec.hash_dim), "b1": (hidden,), "w2": (arity, hidden), "b2": (arity,)}
-        else:
-            shapes = {"w": (arity, spec.hash_dim), "b": (arity,)}
-        for key, shape in shapes.items():
+        for key, shape in model.shapes().items():
             values = _field(d, f"params.{key}", list)
             try:
                 model.params[key] = np.asarray(values, dtype=np.float64).reshape(shape)

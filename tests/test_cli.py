@@ -272,6 +272,29 @@ class TestSimulate:
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
 
+class TestAllocationFailure:
+    """A size setting whose arrays cannot be allocated exits 2, not with a traceback.
+    1e15 float64 or int64 values need 8 PB, more than a process's 128 TiB address
+    space, so the allocation fails at once."""
+
+    HUGE = "1000000000000000"
+
+    def test_train_hash_dim(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_text(f"{SIM_HEADER}\na,x,1\nb,y,3\nc,z,8\n", encoding="utf-8")
+        out = tmp_path / "t"
+        assert run("train", "--data", data, "--head", "vgeo", "--epochs", "1",
+                   "--hash-dim", self.HUGE, "--out", out) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_simulate_sample_count(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run("simulate", "--kind", "stationary", "--probs", "0.5", "--n", self.HUGE, "--out", out) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
+
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
         out = tmp_path / "v"
