@@ -14,7 +14,6 @@ feature.
 """
 
 import argparse
-import csv
 import sys
 
 from synthetic_experiment import mixed_dataset
@@ -67,10 +66,7 @@ def main():
             print(f"{head.value:6s} buckets={scheme.n_buckets:4d} "
                   f"mae={rep.mae:.4f} xauc={rep.xauc:.4f}", file=sys.stderr)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    dataio.write_csv(args.out, list(rows[0]), (row.values() for row in rows))
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 

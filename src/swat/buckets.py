@@ -8,12 +8,13 @@ N+1 (geometric-style heads); otherwise watch times beyond x_N clip to bucket N.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
+
+from . import dataio
 
 
 @dataclass(frozen=True)
@@ -66,29 +67,18 @@ class BucketScheme:
         """Inverse of ``to_dict``; ValueError naming the field that is missing or ill-typed."""
         if not isinstance(d, dict):
             raise ValueError(f"a scheme is a JSON object, got {type(d).__name__}")
-        for key in ("endpoints", "tail_open"):
-            if key not in d:
-                raise ValueError(f"scheme has no {key!r} field")
-        endpoints, tail_open = d["endpoints"], d["tail_open"]
-        if not isinstance(endpoints, list) or not all(type(x) is int for x in endpoints):
-            raise ValueError("scheme field 'endpoints' must be a list of integers")
-        if not isinstance(tail_open, bool):
-            raise ValueError("scheme field 'tail_open' must be true or false")
-        return cls(tuple(endpoints), tail_open)
+        endpoints = dataio.json_field(d, "endpoints", list)
+        if not all(type(x) is int for x in endpoints):
+            raise ValueError("field 'endpoints' must be a list of integers")
+        return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        dataio.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "BucketScheme":
         """Read a ``save``d scheme; ValueError naming the file when it is not one."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        return dataio.read_json(path, cls.from_dict)
 
 
 def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:

@@ -11,7 +11,7 @@ input hashes, and output paths.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -40,9 +40,8 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(
-    outdir: Path, command: str, config: dict, inputs: list, outputs: list, started: str
-) -> None:
+def _write_manifest(outdir: Path, command: str, config: dict, inputs: list, outputs: list,
+                    started: str) -> None:
     config = {k: v for k, v in config.items() if k != "fn"}
     manifest = {
         "command": command,
@@ -52,15 +51,7 @@ def _write_manifest(
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (outdir / "manifest.json").write_text(text, encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    dataio.write_json(outdir / "manifest.json", manifest, indent=2)
 
 
 def _list_of(kind):
@@ -168,8 +159,7 @@ def cmd_train(args) -> int:
     model_path = outdir / "model.json"
     trace_path = outdir / "loss_trace.csv"
     result.model.save(model_path)
-    _write_csv(trace_path, ["epoch", "mean_loss"],
-               ([epoch, repr(loss)] for epoch, loss in enumerate(result.epoch_losses)))
+    dataio.write_csv(trace_path, ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
     inputs = [args.data] + ([args.scheme] if args.scheme else [])
     cfg = dict(vars(args), clipped=result.clipped, skipped=dataset.skipped)
     _write_manifest(outdir, "train", cfg, inputs, [model_path, trace_path], started)
@@ -188,7 +178,7 @@ def cmd_eval(args) -> int:
     outdir = _ensure_outdir(args.out)
     report_path = outdir / "report.json"
     preds_path = outdir / "predictions.csv"
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    dataio.write_json(report_path, dataclasses.asdict(report))
     dataio.write_predictions(preds_path, dataset, preds)
     cfg = dict(vars(args), skipped=dataset.skipped)
     _write_manifest(outdir, "eval", cfg, [args.model, args.data],
@@ -205,8 +195,8 @@ def cmd_simulate(args) -> int:
     totals = simulate.draw(profile, args.n)
     outdir = _ensure_outdir(args.out)
     csv_path = outdir / "samples.csv"
-    _write_csv(csv_path, ["sample_id", "feat", "watch_time"],
-               ([i, "all", int(t)] for i, t in enumerate(totals)))
+    dataio.write_csv(csv_path, ["sample_id", "feat", "watch_time"],
+                     ([i, "all", int(t)] for i, t in enumerate(totals)))
     _write_manifest(outdir, "simulate", vars(args), [], [csv_path], started)
     print(f"simulated {args.n} {kind.value} samples, mean watch time {totals.mean():.4f}")
     print(f"wrote {csv_path}")
@@ -222,8 +212,7 @@ def cmd_verify(args) -> int:
     if args.out:
         outdir = _ensure_outdir(args.out)
         results_path = outdir / "verify.json"
-        text = json.dumps(results, indent=2, sort_keys=True) + "\n"
-        results_path.write_text(text, encoding="utf-8")
+        dataio.write_json(results_path, results, indent=2)
         _write_manifest(outdir, "verify", vars(args), [], [results_path], started)
     else:
         print(json.dumps(results, sort_keys=True))

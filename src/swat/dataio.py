@@ -1,4 +1,5 @@
-"""CSV ingestion, target scaling, train/test splitting, prediction output.
+"""The file formats: CSV ingestion, target scaling, train/test splitting,
+and the one JSON writer, JSON reader, field checker and CSV writer.
 
 A dataset holds the usable rows of one CSV as columns: ids, raw targets,
 and the raw cells of each feature column.  Cells are tokenised only when a
@@ -13,9 +14,11 @@ against raw targets, so reported errors stay in the original units.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -48,10 +51,14 @@ DEFAULT_SCHEMAS = {
 DEFAULT_C = {"sim": 1.0, "kuairec": 50.0, "cikm": 100.0}
 
 
+def split_cell(cell: str | None) -> list[str]:
+    """The raw tokens of one feature cell, split on whitespace and '|'; none if it is absent."""
+    return (cell or "").replace("|", " ").split()
+
+
 def tokenize(column: str, cell: str | None) -> list[str]:
-    """Tokens of one feature cell: split on whitespace and '|', each prefixed
-    with its column name.  An absent cell has none."""
-    return [f"{column}={tok}" for tok in (cell or "").replace("|", " ").split()]
+    """Tokens of one feature cell, each prefixed with its column name."""
+    return [f"{column}={tok}" for tok in split_cell(cell)]
 
 
 @dataclass(frozen=True)
@@ -241,10 +248,42 @@ def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     return dataset.take(perm[:cut]), dataset.take(perm[cut:])
 
 
+def write_csv(path, header: list, rows) -> None:
+    """A UTF-8 CSV: the header row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_predictions(path, dataset: Dataset, predictions) -> None:
     """Per-row CSV: (id, raw_target, prediction), unscaled units."""
     preds = np.asarray(predictions, dtype=np.float64).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "raw_target", "prediction"])
-        writer.writerows(zip(dataset.ids.tolist(), map(repr, dataset.raw_targets.tolist()), map(repr, preds)))
+    write_csv(path, ["id", "raw_target", "prediction"],
+              zip(dataset.ids.tolist(), map(repr, dataset.raw_targets.tolist()), map(repr, preds)))
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """``obj`` as UTF-8 JSON with sorted keys and one final newline."""
+    Path(path).write_text(json.dumps(obj, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path, from_dict):
+    """``from_dict`` of the parsed file; any ValueError (the parser's too) gains the path."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def json_field(d: dict, name: str, kind):
+    """The value at the dotted ``name`` in nested JSON objects; ValueError
+    naming the field when it is absent or not a ``kind`` (no bool passes as int)."""
+    value = d
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"missing field {name!r}")
+        value = value[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise ValueError(f"field {name!r} has the wrong type ({type(value).__name__})")
+    return value

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,6 @@ class EvalReport:
     pearson: float
     n: int
     xauc_pairs: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def table(self) -> str:
         rows = [

@@ -1,28 +1,27 @@
 """Trainable predictor: hashed features -> small feed-forward net -> head logits.
 
-The feature encoder hashes each row's tokens to slots and keeps them as CSR
-token bags.  Training and scoring densify one batch of rows at a time into
-the mean-pooled one-hot slots of each row, so feature memory grows with the
-token count and the batch size, not with rows x ``hash_dim``.  The net is a
-single affine map, or one rectified hidden layer when ``hidden > 0``.
-Training is seeded mini-batch Adam against any head's loss; given the same
-config and seed, two runs produce bit-identical models.
+The feature encoder splits each distinct cell once, hashes each distinct
+``column=token`` once and keeps each row's slots as CSR token bags.  Training
+and scoring densify one batch of rows at a time into the mean-pooled one-hot
+slots of each row, so feature memory grows with the token count and the batch
+size, not with rows x ``hash_dim``.  The net is a single affine map, or one
+rectified hidden layer when ``hidden > 0``.  Training is seeded mini-batch
+Adam against any head's loss; given the same config and seed, two runs
+produce bit-identical models, which ``dataio`` writes and reads as JSON.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import heads
+from . import dataio, heads
 from .buckets import BucketScheme
-from .dataio import Dataset, tokenize
+from .dataio import Dataset, json_field, split_cell
 from .heads import HeadKind
 
 ARTIFACT_VERSION = 3  # 2: the geo stop factor uses the bucket of second t + 1; 3: token features only
@@ -86,28 +85,32 @@ class FeatureSpec:
         return int.from_bytes(digest, "little") % self.hash_dim
 
     def encode_dataset(self, dataset: Dataset) -> TokenBags:
-        """The hashed slots of each row's tokens, as CSR token bags; dense
-        feature rows come from ``TokenBags.rows``, a batch at a time.  Each
-        distinct cell is tokenised once and each distinct token hashed once."""
-        n = len(dataset)
-        slot = functools.cache(self.slot)
-        rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        """The hashed slots of each row's tokens, as CSR token bags (each distinct
+        cell split once); dense feature rows come from ``TokenBags.rows``."""
+        counts, per_column = np.zeros(len(dataset), np.int64), []
         for column, cells in dataset.features.items():
-            cells = cells.tolist()
-            memo = {cell: [slot(t) for t in tokenize(column, cell)] for cell in dict.fromkeys(cells)}
-            per_row = list(map(memo.__getitem__, cells))
-            counts = np.fromiter(map(len, per_row), np.int64, n)
-            rows.append(np.repeat(np.arange(n), counts))
-            slots.append(np.fromiter(itertools.chain.from_iterable(per_row), np.int64, counts.sum()))
-        rows, slots = np.concatenate(rows), np.concatenate(slots)
-        # columns come one after another; a stable sort groups each row's
-        # tokens and keeps their order
-        slots = slots[np.argsort(rows, kind="stable")]
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return TokenBags(offsets, slots, self.hash_dim)
+            cells, cache = cells.tolist(), _Slots(self, column)
+            memo = {cell: list(map(cache.__getitem__, split_cell(cell))) for cell in dict.fromkeys(cells)}
+            per_column.append(list(map(memo.__getitem__, cells)))
+            counts += np.fromiter(map(len, per_column[-1]), np.int64, len(cells))
+        # each row's tokens, column after column, row after row
+        tokens = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*per_column)))
+        slots = np.fromiter(tokens, np.int64, counts.sum())
+        return TokenBags(np.concatenate([[0], np.cumsum(counts)]), slots, self.hash_dim)
 
     def to_dict(self) -> dict:
         return {"hash_dim": self.hash_dim, "seed": self.seed}
+
+
+class _Slots(dict):
+    """Raw token -> slot of ``column=token``, hashed on first lookup."""
+
+    def __init__(self, spec: FeatureSpec, column: str):
+        self.spec, self.column = spec, column
+
+    def __missing__(self, token: str) -> int:
+        self[token] = slot = self.spec.slot(f"{self.column}={token}")
+        return slot
 
 
 @dataclass
@@ -116,7 +119,6 @@ class Model:
 
     feature_spec: FeatureSpec
     hidden: int
-    arity: int
     head: HeadKind
     scheme: BucketScheme | None
     seed: int
@@ -124,13 +126,17 @@ class Model:
 
     @classmethod
     def init(cls, feature_spec, hidden, head, scheme, seed, rng) -> "Model":
-        model = cls(feature_spec, hidden, heads.arity(head, scheme), head, scheme, seed)
+        model = cls(feature_spec, hidden, head, scheme, seed)
         for key, shape in model.shapes().items():
             if len(shape) == 2:  # weights (out, in): uniform over +-1/sqrt(fan-in)
                 model.params[key] = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
             else:
                 model.params[key] = np.zeros(shape)
         return model
+
+    @property
+    def arity(self) -> int:
+        return heads.arity(self.head, self.scheme)
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Each parameter's key and shape, in layer order."""
@@ -187,19 +193,12 @@ class Model:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        dataio.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Read a ``save``d artifact; ValueError naming the file, and the
-        field that is missing or ill-typed, when it is not one."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls._from_dict(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        """Read a ``save``d artifact; ValueError naming the file and the faulty field when it is not one."""
+        return dataio.read_json(path, cls._from_dict)
 
     @classmethod
     def _from_dict(cls, d) -> "Model":
@@ -207,21 +206,20 @@ class Model:
             raise ValueError(f"a model is a JSON object, got {type(d).__name__}")
         if d.get("format_version") != ARTIFACT_VERSION:
             raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-        spec = FeatureSpec(_field(d, "feature_spec.hash_dim", int), _field(d, "feature_spec.seed", int))
-        sizes = _field(d, "layer_sizes", list)
+        spec = FeatureSpec(json_field(d, "feature_spec.hash_dim", int),
+                           json_field(d, "feature_spec.seed", int))
+        sizes = json_field(d, "layer_sizes", list)
         if len(sizes) != 3 or not all(type(v) is int for v in sizes):
             raise ValueError("field 'layer_sizes' must be three integers")
-        raw_scheme = _field(d, "scheme", (dict, type(None)))
+        raw_scheme = json_field(d, "scheme", (dict, type(None)))
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme)
-        head = HeadKind(_field(d, "head", str))
-        inputs, hidden, arity = sizes
-        want = heads.arity(head, scheme)
-        if inputs != spec.hash_dim or hidden < 0 or arity != want:
-            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, {want}], "
+        head = HeadKind(json_field(d, "head", str))
+        model = cls(spec, sizes[1], head, scheme, json_field(d, "seed", int))
+        if model.hidden < 0 or sizes != [spec.hash_dim, model.hidden, model.arity]:
+            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, {model.arity}], "
                              f"got {sizes}")
-        model = cls(spec, hidden, arity, head, scheme, _field(d, "seed", int))
         for key, shape in model.shapes().items():
-            values = _field(d, f"params.{key}", list)
+            values = json_field(d, f"params.{key}", list)
             try:
                 model.params[key] = np.asarray(values, dtype=np.float64).reshape(shape)
             except (TypeError, ValueError):
@@ -229,19 +227,6 @@ class Model:
             if not np.all(np.isfinite(model.params[key])):
                 raise ValueError(f"non-finite parameters in artifact ({key})")
         return model
-
-
-def _field(d: dict, name: str, kind):
-    """The value at the dotted ``name`` in nested JSON objects; ValueError
-    naming the field when it is absent or not a ``kind`` (no bool passes as int)."""
-    value = d
-    for key in name.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"missing field {name!r}")
-        value = value[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
-        raise ValueError(f"field {name!r} has the wrong type ({type(value).__name__})")
-    return value
 
 
 ADAM_BETAS = (0.9, 0.999)

@@ -190,6 +190,11 @@ class TestSerialization:
         scheme.save(path)
         assert BucketScheme.load(path) == scheme
 
+    def test_saved_bytes(self, tmp_path):
+        path = tmp_path / "scheme.json"
+        BucketScheme((5, 12, 22), True).save(path)
+        assert path.read_bytes() == b'{"endpoints": [5, 12, 22], "tail_open": true}\n'
+
 
 class TestEdgeCases:
     def test_non_integer_endpoint_rejected(self):

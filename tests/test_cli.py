@@ -392,6 +392,27 @@ class TestInlineScheme:
         assert not (tmp_path / "o").exists()
 
 
+class TestJsonLayout:
+    """Every JSON file has sorted keys and ends in exactly one newline; the
+    manifest and verify results are indented by 2, the report is one line."""
+
+    @staticmethod
+    def assert_layout(path, indent):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+
+    def test_train_eval_and_verify_files(self, tmp_path, sim_csv):
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "2",
+                   "--out", tmp_path / "t") == 0
+        assert run("eval", "--data", sim_csv, "--model", tmp_path / "t" / "model.json",
+                   "--out", tmp_path / "e") == 0
+        assert run("verify", "--trials", "5", "--out", tmp_path / "v") == 0
+        self.assert_layout(tmp_path / "e" / "report.json", None)
+        for command in "tev":
+            self.assert_layout(tmp_path / command / "manifest.json", 2)
+        self.assert_layout(tmp_path / "v" / "verify.json", 2)
+
+
 class TestSchemeFileForSimulate:
     def test_simulate_accepts_scheme_json(self, tmp_path):
         bdir = tmp_path / "b"
@@ -512,15 +533,15 @@ class TestMalformedArtifacts:
     type exits 2 naming the file and the field."""
 
     SCHEMES = {
-        "empty object": ("{}", "scheme has no 'endpoints' field"),
+        "empty object": ("{}", "missing field 'endpoints'"),
         "a list": ("[1]", "a scheme is a JSON object, got list"),
-        "no tail": ('{"endpoints": [2, 5]}', "scheme has no 'tail_open' field"),
+        "no tail": ('{"endpoints": [2, 5]}', "missing field 'tail_open'"),
         "text endpoints": ('{"endpoints": "2,5", "tail_open": true}',
-                           "scheme field 'endpoints' must be a list of integers"),
+                           "field 'endpoints' has the wrong type (str)"),
         "fractional endpoint": ('{"endpoints": [2.5, 5], "tail_open": true}',
-                                "scheme field 'endpoints' must be a list of integers"),
+                                "field 'endpoints' must be a list of integers"),
         "text tail": ('{"endpoints": [2, 5], "tail_open": "yes"}',
-                      "scheme field 'tail_open' must be true or false"),
+                      "field 'tail_open' has the wrong type (str)"),
         "not JSON": ("{endpoints", "Expecting property name"),
     }
 
@@ -566,7 +587,7 @@ class TestMalformedArtifacts:
                                     "field 'layer_sizes' must be [4, hidden >= 0, 3], got [99, 0, 3]"),
         "output size not the head's arity": (lambda d: d.__setitem__("layer_sizes", [4, 0, 2]),
                                              "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, 0, 2]"),
-        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "scheme has no 'tail_open' field"),
+        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "missing field 'tail_open'"),
         "empty object": (lambda d: d.clear(), "unsupported model format None"),
     }
 

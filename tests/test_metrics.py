@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -132,7 +132,7 @@ class TestPearson:
 class TestEvaluate:
     def test_report_fields_and_json(self):
         report = metrics.evaluate([1.0, 2.0, 3.0], [1.5, 2.0, 2.5])
-        decoded = json.loads(report.to_json())
+        decoded = dataclasses.asdict(report)
         assert decoded["n"] == 3
         assert 0.0 <= decoded["xauc"] <= 1.0
         assert decoded["mae"] >= 0.0

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import tracemalloc
 
@@ -66,20 +68,52 @@ class TestFeatureSpec:
         assert bags.rows(idx).tobytes() == expected[idx].tobytes()
 
     def test_each_distinct_token_hashed_once(self, monkeypatch):
-        hashed, tokenised = [], []
-        slot, tokenize = FeatureSpec.slot, predictor.tokenize
+        hashed, split = [], []
+        slot, split_cell = FeatureSpec.slot, predictor.split_cell
         monkeypatch.setattr(FeatureSpec, "slot", lambda self, t: hashed.append(t) or slot(self, t))
-        monkeypatch.setattr(predictor, "tokenize", lambda col, cell: tokenised.append(cell) or tokenize(col, cell))
+        monkeypatch.setattr(predictor, "split_cell", lambda cell: split.append(cell) or split_cell(cell))
         cells = ["a b a", "", "b c", "c c a", "b c", None, "a b a"]
         FeatureSpec(hash_dim=8).encode_dataset(Dataset(list("0123456"), np.zeros(7), {"feat": cells}))
         assert sorted(hashed) == ["feat=a", "feat=b", "feat=c"]
-        assert len(tokenised) == 5
+        assert len(split) == 5
+
+    @staticmethod
+    def _reference_bags(spec, dataset):
+        """A direct encoder: the token rule written out, one hashed
+        ``column=token`` per occurrence, rows merged by a stable sort."""
+        n = len(dataset)
+        rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for column, cells in dataset.features.items():
+            per_row = [[spec.slot(f"{column}={tok}") for tok in (cell or "").replace("|", " ").split()]
+                       for cell in cells.tolist()]
+            counts = np.fromiter(map(len, per_row), np.int64, n)
+            rows.append(np.repeat(np.arange(n), counts))
+            slots.append(np.fromiter(itertools.chain.from_iterable(per_row), np.int64, counts.sum()))
+        rows, slots = np.concatenate(rows), np.concatenate(slots)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return offsets, slots[np.argsort(rows, kind="stable")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), n_columns=st.integers(1, 3))
+    def test_bags_match_the_token_rule(self, data, n, n_columns):
+        # separators of every kind str.split knows, '=' and non-ASCII letters
+        # inside tokens, absent cells, and short alphabets, so the same raw
+        # token turns up in several columns and must hash with each one's name
+        cell = st.none() | st.text(st.sampled_from("ab=é|| \t\n\xa0\u3000\x1c"), max_size=12)
+        columns = ["feat", "kind", "ключ"][:n_columns]
+        features = {col: data.draw(st.lists(cell, min_size=n, max_size=n)) for col in columns}
+        dataset = Dataset([str(i) for i in range(n)], np.zeros(n), features)
+        spec = FeatureSpec(hash_dim=1024, seed=3)
+        bags = spec.encode_dataset(dataset)
+        offsets, slots = self._reference_bags(spec, dataset)
+        assert np.array_equal(bags.offsets, offsets) and bags.offsets.dtype == offsets.dtype
+        assert np.array_equal(bags.slots, slots) and bags.slots.dtype == slots.dtype
 
 
 class TestForward:
     def test_zero_model_gives_half_probs(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0,
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         logits = model.forward_batch(encode_tokens(spec, ("a",)))
         assert np.allclose(logits, 0.0)
@@ -88,7 +122,7 @@ class TestForward:
     def test_affine_lookup_on_one_hot(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
         w = np.arange(12, dtype=float).reshape(3, 4)
-        model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
         assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(f"feat={token}")])
@@ -188,7 +222,7 @@ class TestTraining:
         targets = np.array([0, 3, 10, 22])
         ds = constant_feature_dataset(targets)
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, 3, HeadKind.BINOM, CLOSED, 0,
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
         losses, _ = heads.binom_loss_batch(model.forward_batch(x), labels.matrix(CLOSED, targets))
@@ -324,6 +358,15 @@ class TestArtifact:
         path.write_text('{"format_version": 99}', encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             Model.load(path)
+
+    def test_saved_bytes(self, tmp_path):
+        spec = FeatureSpec(hash_dim=2, seed=1)
+        model = Model(spec, 0, HeadKind.BINOM, from_endpoints([3]), 4,
+                      {"w": np.array([[0.5, -1.25]]), "b": np.array([0.1])})
+        model.save(tmp_path / "model.json")
+        expected = json.dumps(model.to_dict(), sort_keys=True) + "\n"
+        assert (tmp_path / "model.json").read_bytes() == expected.encode("utf-8")
+        assert expected.startswith('{"feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 3, ')
 
 
 class TestHiddenLayerTraining:
