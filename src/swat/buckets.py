@@ -63,14 +63,16 @@ class BucketScheme:
         return {"endpoints": list(self.endpoints), "tail_open": self.tail_open}
 
     @classmethod
-    def from_dict(cls, d) -> "BucketScheme":
-        """Inverse of ``to_dict``; ValueError naming the field that is missing or ill-typed."""
+    def from_dict(cls, d, prefix: str = "") -> "BucketScheme":
+        """Inverse of ``to_dict``; ValueError naming the field that is missing
+        or ill-typed, by its path in the document when ``prefix`` gives the
+        scheme's (``"scheme."`` inside a model)."""
         if not isinstance(d, dict):
             raise ValueError(f"a scheme is a JSON object, got {type(d).__name__}")
-        endpoints = dataio.json_field(d, "endpoints", list)
+        endpoints = dataio.json_field(d, "endpoints", list, prefix)
         if not all(type(x) is int for x in endpoints):
-            raise ValueError("field 'endpoints' must be a list of integers")
-        return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool))
+            raise ValueError(f"field '{prefix}endpoints' must be a list of integers")
+        return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool, prefix))
 
     def save(self, path) -> None:
         dataio.write_json(path, self.to_dict())

@@ -225,7 +225,9 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
     if targets_only:
         return Dataset(np.full(len(keep), None, dtype=object), raw[keep], {}, c=c, skipped=skipped)
-    text = {index[col]: _interned(column(col)) for col in (schema.id_column, *schema.feature_columns)}
+    # the id column may also be a feature column (kuairec's user_id): intern it once
+    text_columns = dict.fromkeys((schema.id_column, *schema.feature_columns))
+    text = {index[col]: _interned(column(col)) for col in text_columns}
     id_cells = text[index[schema.id_column]].tolist()
     ids = [id_cells[i] or str(i) for i in keep.tolist()]
     features = {col: text[index[col]][keep] for col in schema.feature_columns}
@@ -276,14 +278,18 @@ def read_json(path, from_dict):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def json_field(d: dict, name: str, kind):
+def json_field(d: dict, name: str, kind, prefix: str = ""):
     """The value at the dotted ``name`` in nested JSON objects; ValueError
-    naming the field when it is absent or not a ``kind`` (no bool passes as int)."""
+    naming the field when it is absent or not a ``kind`` (no bool passes as int).
+
+    ``prefix`` is the dotted path of ``d`` in its document, such as
+    ``"scheme."``; the error names the field by its full path.
+    """
     value = d
     for key in name.split("."):
         if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"missing field {name!r}")
+            raise ValueError(f"missing field {prefix + name!r}")
         value = value[key]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
-        raise ValueError(f"field {name!r} has the wrong type ({type(value).__name__})")
+        raise ValueError(f"field {prefix + name!r} has the wrong type ({type(value).__name__})")
     return value

@@ -21,6 +21,12 @@ the exact derivative of the loss it returns at every finite logit.  Only
 `expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
 finite: an odds factor p / (1 - p) is at most about 1e7.
 
+The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the
+losses compute in the float dtype of the logits (float64 for any other
+input), and a loss reads its encoded targets in that dtype.  Training passes
+float32 logits; float64 logits give float64 results.  The estimators always
+read float64 probabilities.
+
 All functions are pure and work on (B, arity) batches; watch times reach a
 loss only through `encode_targets`, which turns a batch of integer watch
 times into the targets that head's loss takes.  Adding a head means adding
@@ -41,14 +47,20 @@ from .buckets import BucketScheme
 PROB_EPS = 1e-7
 
 
+def _floating(y) -> np.ndarray:
+    """y as an array of its own dtype when that is float32 or float64, else as float64."""
+    y = np.asarray(y)
+    return y if y.dtype in (np.float32, np.float64) else y.astype(np.float64)
+
+
 def log_sigmoid(y) -> np.ndarray:
     """log sigmoid(y) = -logaddexp(0, -y), finite at every finite y, without logaddexp's slower loop.
 
-    Computed as min(y, 0) - log1p(exp(-|y|)) in two buffers.
+    Computed as min(y, 0) - log1p(exp(-|y|)) in two buffers of y's float dtype.
     """
-    y = np.asarray(y, dtype=np.float64)
-    out = np.minimum(y, 0.0, out=np.empty(y.shape))
-    tail = np.abs(y, out=np.empty(y.shape))
+    y = _floating(y)
+    out = np.minimum(y, 0.0, out=np.empty(y.shape, y.dtype))
+    tail = np.abs(y, out=np.empty(y.shape, y.dtype))
     np.negative(tail, out=tail)
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
@@ -85,6 +97,7 @@ def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def binom_loss_batch(logits: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if logits.shape != soft.shape:
         raise ValueError(f"logits shape {logits.shape} != labels shape {soft.shape}")
+    soft = np.asarray(soft, dtype=logits.dtype)
     log_p, log_q, p = _log_probs(logits)
     losses = -(soft * log_p + (1.0 - soft) * log_q).sum(axis=1)
     return losses, p - soft
@@ -110,6 +123,7 @@ def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> t
     """
     if logits.shape != a.shape:
         raise ValueError(f"logits shape {logits.shape} != coefficient shape {a.shape}")
+    a = np.asarray(a, dtype=logits.dtype)
     log_p = log_sigmoid(logits)
     rows = np.arange(len(a))
     stop_log_q = log_p[rows, stop_idx] - logits[rows, stop_idx]
@@ -126,6 +140,7 @@ def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> t
 
 
 def vgeo_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = np.asarray(t, dtype=logits.dtype)
     log_p, log_q, p = _log_probs(logits[:, 0])
     losses = -(t * log_p + log_q)
     grads = -(t * (1.0 - p) - p)
@@ -133,6 +148,7 @@ def vgeo_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def wlr_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = np.asarray(t, dtype=logits.dtype)
     log_p, log_q, p = _log_probs(logits[:, 0])
     zero = t == 0
     losses = -np.where(zero, log_q, t * log_p)
@@ -248,8 +264,9 @@ def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets) -> Any:
 
 
 def loss_batch(kind: HeadKind, logits: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and logit gradients; encoded_targets comes from encode_targets."""
-    return HEADS[kind].loss(np.asarray(logits, dtype=np.float64), encoded_targets)
+    """Per-row losses and logit gradients in the logits' float dtype (float64
+    for any other input); encoded_targets comes from encode_targets."""
+    return HEADS[kind].loss(_floating(logits), encoded_targets)
 
 
 def expectation_batch(

@@ -100,11 +100,13 @@ def pearson(preds, targets) -> float:
     p, t = _pair(preds, targets)
     if len(p) < 2:
         raise ValueError("pearson needs at least two samples")
+    # tested exactly: the rounded mean of equal values need not equal them,
+    # so the deviations of a constant vector need not be zero
+    if p.min() == p.max() or t.min() == t.max():
+        raise ValueError("pearson is undefined for a constant vector")
     dp = p - p.mean()
     dt = t - t.mean()
     denom = np.sqrt((dp * dp).sum() * (dt * dt).sum())
-    if denom == 0.0:
-        raise ValueError("pearson is undefined for a constant vector")
     return float((dp * dt).sum() / denom)
 
 

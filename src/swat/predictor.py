@@ -8,6 +8,11 @@ size, not with rows x ``hash_dim``.  The net is a single affine map, or one
 rectified hidden layer when ``hidden > 0``.  Training is seeded mini-batch
 Adam against any head's loss; given the same config and seed, two runs
 produce bit-identical models, which ``dataio`` writes and reads as JSON.
+
+Training computes in float32: the parameters, the Adam moments, each batch's
+feature rows and the head's loss and gradient.  The trained parameters are
+cast back to float64, and everything after training (scoring, the
+estimators and the artifact) works in float64.
 """
 
 from __future__ import annotations
@@ -212,7 +217,7 @@ class Model:
         if len(sizes) != 3 or not all(type(v) is int for v in sizes):
             raise ValueError("field 'layer_sizes' must be three integers")
         raw_scheme = json_field(d, "scheme", (dict, type(None)))
-        scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme)
+        scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme, "scheme.")
         head = HeadKind(json_field(d, "head", str))
         model = cls(spec, sizes[1], head, scheme, json_field(d, "seed", int))
         if model.hidden < 0 or sizes != [spec.hash_dim, model.hidden, model.arity]:
@@ -294,22 +299,24 @@ class TrainResult:
 
 
 def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResult:
-    """Seeded shuffled mini-batch Adam fit of the configured head.
+    """Seeded shuffled mini-batch Adam fit of the configured head, in float32.
 
-    Targets are encoded one batch at a time.  ``binom_labels`` optionally
-    replaces the binom head's soft labels derived from total watch time with
-    true per-bucket fractions (n, N).  Raises ValueError when the scheme does
-    not suit the head or a watch time is negative, and TrainingDiverged on a
-    non-finite batch loss.
+    Targets are encoded one batch at a time, and the loss reads them in
+    float32; the returned model's parameters are float64.  ``binom_labels``
+    optionally replaces the binom head's soft labels derived from total watch
+    time with true per-bucket fractions (n, N).  Raises ValueError when the
+    scheme does not suit the head or a watch time is negative, and
+    TrainingDiverged on a non-finite batch loss.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
+    model.params = {key: value.astype(np.float32) for key, value in model.params.items()}
     bags = spec.encode_dataset(dataset)
     targets = dataset.targets()
     clipped = 0
     if binom_labels is not None:
-        binom_labels = np.asarray(binom_labels, dtype=np.float64)
+        binom_labels = np.asarray(binom_labels, dtype=np.float32)
     elif heads.HEADS[config.head].tail_open is False:
         clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
 
@@ -322,7 +329,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
         total = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            xb = bags.rows(idx)
+            xb = bags.rows(idx).astype(np.float32)
             if binom_labels is None:
                 enc = heads.encode_targets(config.head, config.scheme, targets[idx])
             else:
@@ -338,5 +345,6 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
             prev, cur = epoch_losses[-2], epoch_losses[-1]
             if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
                 break
+    model.params = {key: value.astype(np.float64) for key, value in model.params.items()}
     return TrainResult(model, epoch_losses, clipped)
 

@@ -587,7 +587,9 @@ class TestMalformedArtifacts:
                                     "field 'layer_sizes' must be [4, hidden >= 0, 3], got [99, 0, 3]"),
         "output size not the head's arity": (lambda d: d.__setitem__("layer_sizes", [4, 0, 2]),
                                              "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, 0, 2]"),
-        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "missing field 'tail_open'"),
+        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "missing field 'scheme.tail_open'"),
+        "scheme with a text endpoint": (lambda d: d["scheme"]["endpoints"].__setitem__(0, "5"),
+                                        "field 'scheme.endpoints' must be a list of integers"),
         "empty object": (lambda d: d.clear(), "unsupported model format None"),
     }
 

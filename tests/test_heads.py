@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swat import heads, labels, simulate
 from swat.buckets import BucketScheme, from_endpoints
 from swat.heads import HeadKind
+
+from conftest import schemes
 
 CLOSED = from_endpoints([5, 12, 22])
 OPEN = from_endpoints([5, 12, 22], tail_open=True)
@@ -243,6 +247,100 @@ class TestGeoKernelMatchesReference:
                             [-40.0, -0.0, 0.0, 40.0, 745.0, -745.0]])
         assert_bit_equal(heads.log_sigmoid(y), reference_log_sigmoid(y))
         assert_bit_equal(heads.sigmoid(y), np.exp(reference_log_sigmoid(y)))
+
+
+def float64_log_sigmoid(y):
+    """heads.log_sigmoid before it kept its input's dtype: float64 for every input."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.minimum(y, 0.0, out=np.empty(y.shape))
+    tail = np.abs(y, out=np.empty(y.shape))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return np.subtract(out, tail, out=out)
+
+
+@st.composite
+def float32_batches(draw, kind):
+    """A scheme that suits the head, encoded targets of a batch of watch times
+    (some at or above 2**24, where float32 no longer holds every integer) and
+    float32 logits for them."""
+    tail_open = heads.HEADS[kind].tail_open
+    scheme = None
+    if tail_open is not None:  # up to the 101 logits of a 100-bucket geo head
+        scheme = draw(schemes(max_buckets=110, max_width=60, tail_open=tail_open))
+    t = draw(st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26)), min_size=1, max_size=12))
+    y = draw(arrays(np.float32, (len(t), heads.arity(kind, scheme)), elements=st.floats(-40, 40, width=32)))
+    return heads.encode_targets(kind, scheme, t), y
+
+
+def term_scales(kind, y, encoded):
+    """Each row's absolute loss terms summed, and its largest absolute gradient term.
+
+    The terms are what a kernel adds up: target coefficients times log p, and
+    log p and y where it forms log(1 - p) = log p - y; in the gradient,
+    coefficients a and a p of a (1 - p), and p.  A float32 error is measured
+    against these, not against the result, since the sums cancel near the
+    optimum.  A loss adds up to N + 1 terms per row, so its rounding grows
+    with their count and with their absolute sum; each gradient entry adds
+    at most three.
+    """
+    log_p = float64_log_sigmoid(y)
+    p = np.exp(log_p)
+    if kind is HeadKind.BINOM:  # -(s log p + (1 - s)(log p - y)); p - s
+        loss_terms, grad_terms = [log_p, y], [p, encoded]
+    elif kind is HeadKind.GEO:  # -(sum a log p + log p_k - y_k); -a (1 - p) + p_k
+        a, stop = encoded
+        at_stop = np.zeros_like(y)
+        at_stop[np.arange(len(y)), stop] = 1.0
+        loss_terms, grad_terms = [a * log_p, at_stop * log_p, at_stop * y], [a, at_stop * p]
+    else:
+        t = np.asarray(encoded, dtype=np.float64)[:, None]
+        # vgeo: -(t log p + log p - y); -(t (1 - p) - p).  wlr drops the
+        # log(1 - p) terms where t > 0 and keeps only them where t = 0
+        keeps_log_q = np.ones_like(t) if kind is HeadKind.VGEO else (t == 0).astype(np.float64)
+        loss_terms = [t * log_p, keeps_log_q * log_p, keeps_log_q * y]
+        grad_terms = [t, keeps_log_q * p]
+    return (np.sum(np.abs(np.hstack(loss_terms)), axis=1),
+            np.max(np.abs(np.hstack(grad_terms)), axis=1))
+
+
+class TestFloat32Kernels:
+    """Training computes the losses in float32: they agree with float64 to
+    1e-5 of each row's terms, and float64 logits still give exactly what the
+    float64-only kernels gave."""
+
+    @pytest.mark.parametrize("kind", list(HeadKind))
+    @given(data=st.data())
+    def test_float32_within_1e_5_of_float64(self, kind, data):
+        encoded, y32 = data.draw(float32_batches(kind))
+        y64 = y32.astype(np.float64)
+        losses32, grads32 = heads.loss_batch(kind, y32, encoded)
+        losses64, grads64 = heads.loss_batch(kind, y64, encoded)
+        assert losses32.dtype == grads32.dtype == np.float32
+        assert losses64.dtype == grads64.dtype == np.float64
+        loss_scale, grad_scale = term_scales(kind, y64, encoded)
+        assert np.all(np.abs(losses32 - losses64) <= 1e-5 * loss_scale)
+        assert np.all(np.abs(grads32 - grads64) <= 1e-5 * grad_scale[:, None])
+
+    @pytest.mark.parametrize("kind", list(HeadKind))
+    @given(data=st.data())
+    def test_float64_bit_equal_to_float64_only_log_sigmoid(self, kind, data):
+        encoded, y32 = data.draw(float32_batches(kind))
+        y = y32.astype(np.float64) + data.draw(st.floats(-0.5, 0.5))  # logits float32 cannot hold
+        got = heads.loss_batch(kind, y, encoded)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heads, "log_sigmoid", float64_log_sigmoid)
+            want = heads.loss_batch(kind, y, encoded)
+        for g, w in zip(got, want):
+            assert_bit_equal(g, w)
+        assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
+
+    def test_log_sigmoid_keeps_float_dtypes_and_widens_the_rest(self):
+        y = np.array([-40, -1, 0, 3, 40])
+        assert heads.log_sigmoid(y.astype(np.float32)).dtype == np.float32
+        assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
+        assert_bit_equal(heads.sigmoid(y.astype(np.float64)), np.exp(float64_log_sigmoid(y)))
 
 
 class TestGeoPmf:

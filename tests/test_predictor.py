@@ -258,6 +258,17 @@ class TestTraining:
         b = predictor.train(ds, cfg).model
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("hidden", [0, 6])
+    def test_float32_training_returns_float64_params_run_to_run_equal(self, hidden):
+        rng = np.random.default_rng(4)
+        ds = Dataset([str(i) for i in range(1500)], rng.geometric(0.1, size=1500) - 1.0,
+                     {"feat": [f"u{u} v{v}" for u, v in rng.integers(0, 12, size=(1500, 2))]})
+        cfg = TrainConfig(head=HeadKind.GEO, scheme=OPEN, hash_dim=16, hidden=hidden, lr=1e-2,
+                          batch_size=128, max_epochs=3, seed=7)
+        a = predictor.train(ds, cfg).model
+        assert {key: value.dtype for key, value in a.params.items()} == dict.fromkeys(a.shapes(), np.float64)
+        assert a.to_dict() == predictor.train(ds, cfg).model.to_dict()
+
     def test_seed_changes_model(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
         ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
