@@ -9,7 +9,7 @@ N+1 (geometric-style heads); otherwise watch times beyond x_N clip to bucket N.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
@@ -59,12 +59,9 @@ class BucketScheme:
             return self.n_buckets
         return i
 
-    def to_dict(self) -> dict:
-        return {"endpoints": list(self.endpoints), "tail_open": self.tail_open}
-
     @classmethod
     def from_dict(cls, d, prefix: str = "") -> "BucketScheme":
-        """Inverse of ``to_dict``; ValueError naming the field that is missing
+        """Inverse of ``dataclasses.asdict``; ValueError naming the field that is missing
         or ill-typed, by its path in the document when ``prefix`` gives the
         scheme's (``"scheme."`` inside a model)."""
         if not isinstance(d, dict):
@@ -75,7 +72,7 @@ class BucketScheme:
         return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool, prefix))
 
     def save(self, path) -> None:
-        dataio.write_json(path, self.to_dict())
+        dataio.write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "BucketScheme":

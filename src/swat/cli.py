@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -139,17 +140,9 @@ def cmd_train(args) -> int:
     started = _utcnow()
     head = HeadKind(args.head)
     scheme = _scheme(args, tail_open=bool(heads.HEADS[head].tail_open))
-    heads.arity(head, scheme)  # reject unsuitable settings before reading the data
-    config = TrainConfig(
-        head=head,
-        scheme=scheme,
-        lr=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        hash_dim=args.hash_dim,
-        hidden=args.hidden,
-    )
+    # TrainConfig checks every setting, so before the data is read
+    config = TrainConfig(head, scheme, lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+                         seed=args.seed, hash_dim=args.hash_dim, hidden=args.hidden)
     dataset = _load_dataset(args, part="train")
     result = predictor.train(dataset, config)
     if result.clipped:
@@ -172,13 +165,19 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = _utcnow()
     model = Model.load(args.model)
+    if args.c not in (None, model.c):
+        raise ValueError(f"--c {args.c} differs from the model's c {model.c}, the scale it was trained at")
+    args.c = model.c  # the test part is read, and the manifest records c, at the model's scale
     dataset = _load_dataset(args, part="test")
-    preds = model.predict_dataset(dataset) / dataset.c
+    preds = model.predict_dataset(dataset)
     report = metrics.evaluate(preds, dataset.raw_targets)
+    fields = dataclasses.asdict(report)
+    if math.isnan(report.pearson):
+        fields["pearson"] = None  # undefined for constant predictions; JSON has no NaN
     outdir = _ensure_outdir(args.out)
     report_path = outdir / "report.json"
     preds_path = outdir / "predictions.csv"
-    dataio.write_json(report_path, dataclasses.asdict(report))
+    dataio.write_json(report_path, fields)
     dataio.write_predictions(preds_path, dataset, preds)
     cfg = dict(vars(args), skipped=dataset.skipped)
     _write_manifest(outdir, "eval", cfg, [args.model, args.data],
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", default="sim", choices=sorted(dataio.DEFAULT_SCHEMAS),
                        help="CSV layout")
         p.add_argument("--c", type=float, default=None,
-                       help="target scaling constant (default per schema)")
+                       help="target scaling constant (default per schema; eval: the model's)")
         p.add_argument("--ratio", type=float, default=None,
                        help="train fraction; buckets/train use it, eval takes the rest")
 

@@ -93,7 +93,7 @@ class Dataset:
         features = {col: np.asarray(cells, dtype=object) for col, cells in self.features.items()}
         if n == 0:
             raise ValueError("dataset is empty")
-        _check_c(self.c)
+        check_c(self.c)
         if any(v.shape != (n,) for v in (ids, raw_targets, *features.values())):
             raise ValueError(f"dataset columns disagree on the row count {n}")
         columns = {"ids": ids, "raw_targets": raw_targets, "features": features}
@@ -129,7 +129,7 @@ class Dataset:
         return tuple(Sample(i, tuple(toks), raw) for i, toks, raw in rows)
 
 
-def _check_c(c: float) -> None:
+def check_c(c: float) -> None:
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"scaling constant must be positive and finite, got {c}")
 
@@ -185,7 +185,7 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
     and errors are those of the full read, while the ids are None and there
     are no feature columns.
     """
-    _check_c(c)
+    check_c(c)
     needed = [schema.id_column, schema.target_column, *schema.feature_columns]
     kept = [schema.target_column] if targets_only else needed
     with open(path, newline="", encoding="utf-8") as fh:
@@ -266,8 +266,10 @@ def write_predictions(path, dataset: Dataset, predictions) -> None:
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
-    """``obj`` as UTF-8 JSON with sorted keys and one final newline."""
-    Path(path).write_text(json.dumps(obj, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
+    """``obj`` as UTF-8 JSON with sorted keys and one final newline; ValueError
+    on a NaN or infinity, which JSON cannot hold."""
+    Path(path).write_text(json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def read_json(path, from_dict):

@@ -245,6 +245,8 @@ def arity(kind: HeadKind, scheme: BucketScheme | None) -> int:
     """Logits per sample; raises ValueError when the scheme does not suit the head."""
     tail_open = HEADS[kind].tail_open
     if tail_open is None:
+        if scheme is not None:
+            raise ValueError(f"{kind.value} head takes no bucket scheme")
         return 1
     if scheme is None:
         raise ValueError(f"{kind.value} head needs a bucket scheme")

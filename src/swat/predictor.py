@@ -8,6 +8,7 @@ size, not with rows x ``hash_dim``.  The net is a single affine map, or one
 rectified hidden layer when ``hidden > 0``.  Training is seeded mini-batch
 Adam against any head's loss; given the same config and seed, two runs
 produce bit-identical models, which ``dataio`` writes and reads as JSON.
+A model records the target scale ``c`` it was fitted at and predicts in raw units.
 
 Training computes in float32: the parameters, the Adam moments, each batch's
 feature rows and the head's loss and gradient.  The trained parameters are
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .buckets import BucketScheme
 from .dataio import Dataset, json_field, split_cell
 from .heads import HeadKind
 
-ARTIFACT_VERSION = 3  # 2: the geo stop factor uses the bucket of second t + 1; 3: token features only
+ARTIFACT_VERSION = 4  # 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -103,9 +104,6 @@ class FeatureSpec:
         slots = np.fromiter(tokens, np.int64, counts.sum())
         return TokenBags(np.concatenate([[0], np.cumsum(counts)]), slots, self.hash_dim)
 
-    def to_dict(self) -> dict:
-        return {"hash_dim": self.hash_dim, "seed": self.seed}
-
 
 class _Slots(dict):
     """Raw token -> slot of ``column=token``, hashed on first lookup."""
@@ -120,18 +118,19 @@ class _Slots(dict):
 
 @dataclass
 class Model:
-    """Affine(-ReLU-affine) map from features to head logits."""
+    """Affine(-ReLU-affine) map from features to head logits, fitted on the
+    integer targets round(c * raw) of a dataset scaled by ``c``."""
 
     feature_spec: FeatureSpec
     hidden: int
     head: HeadKind
     scheme: BucketScheme | None
-    seed: int
+    c: float
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, feature_spec, hidden, head, scheme, seed, rng) -> "Model":
-        model = cls(feature_spec, hidden, head, scheme, seed)
+    def init(cls, feature_spec, hidden, head, scheme, c, rng) -> "Model":
+        model = cls(feature_spec, hidden, head, scheme, c)
         for key, shape in model.shapes().items():
             if len(shape) == 2:  # weights (out, in): uniform over +-1/sqrt(fan-in)
                 model.params[key] = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[1])
@@ -182,18 +181,19 @@ class Model:
         return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
+        """Expected watch times of the dataset's rows in raw units: ``predict`` / c."""
         bags, n = self.feature_spec.encode_dataset(dataset), len(dataset)
         blocks = np.split(np.arange(n), range(PREDICT_BLOCK, n, PREDICT_BLOCK))
-        return np.concatenate([self.predict(bags.rows(block)) for block in blocks])
+        return np.concatenate([self.predict(bags.rows(block)) for block in blocks]) / self.c
 
     def to_dict(self) -> dict:
         return {
             "format_version": ARTIFACT_VERSION,
-            "feature_spec": self.feature_spec.to_dict(),
-            "layer_sizes": [self.feature_spec.hash_dim, self.hidden, self.arity],
+            "feature_spec": asdict(self.feature_spec),
+            "hidden": self.hidden,
             "head": self.head.value,
-            "scheme": self.scheme.to_dict() if self.scheme is not None else None,
-            "seed": self.seed,
+            "scheme": asdict(self.scheme) if self.scheme is not None else None,
+            "c": float(self.c),  # a JSON float, as the loader requires
             "params": {k: v.ravel().tolist() for k, v in sorted(self.params.items())},
         }
 
@@ -213,16 +213,14 @@ class Model:
             raise ValueError(f"unsupported model format {d.get('format_version')!r}")
         spec = FeatureSpec(json_field(d, "feature_spec.hash_dim", int),
                            json_field(d, "feature_spec.seed", int))
-        sizes = json_field(d, "layer_sizes", list)
-        if len(sizes) != 3 or not all(type(v) is int for v in sizes):
-            raise ValueError("field 'layer_sizes' must be three integers")
+        hidden = json_field(d, "hidden", int)
+        if hidden < 0:
+            raise ValueError(f"field 'hidden' must be >= 0, got {hidden}")
+        c = json_field(d, "c", float)
+        dataio.check_c(c)
         raw_scheme = json_field(d, "scheme", (dict, type(None)))
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme, "scheme.")
-        head = HeadKind(json_field(d, "head", str))
-        model = cls(spec, sizes[1], head, scheme, json_field(d, "seed", int))
-        if model.hidden < 0 or sizes != [spec.hash_dim, model.hidden, model.arity]:
-            raise ValueError(f"field 'layer_sizes' must be [{spec.hash_dim}, hidden >= 0, {model.arity}], "
-                             f"got {sizes}")
+        model = cls(spec, hidden, HeadKind(json_field(d, "head", str)), scheme, c)
         for key, shape in model.shapes().items():
             values = json_field(d, f"params.{key}", list)
             try:
@@ -289,6 +287,7 @@ class TrainConfig:
         if self.hidden < 0:
             raise ValueError(f"hidden width must be >= 0, got {self.hidden}")
         FeatureSpec(self.hash_dim, self.seed)  # checks the hash width and seed
+        heads.arity(self.head, self.scheme)  # checks that the scheme suits the head
 
 
 @dataclass
@@ -298,26 +297,23 @@ class TrainResult:
     clipped: int = 0
 
 
-def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResult:
+def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Seeded shuffled mini-batch Adam fit of the configured head, in float32.
 
-    Targets are encoded one batch at a time, and the loss reads them in
-    float32; the returned model's parameters are float64.  ``binom_labels``
-    optionally replaces the binom head's soft labels derived from total watch
-    time with true per-bucket fractions (n, N).  Raises ValueError when the
-    scheme does not suit the head or a watch time is negative, and
-    TrainingDiverged on a non-finite batch loss.
+    The head fits the dataset's integer targets round(c * raw), encoded one
+    batch at a time and read by the loss in float32; the returned model
+    records the dataset's c, and its parameters are float64.  Raises
+    ValueError when a watch time is negative, and TrainingDiverged on a
+    non-finite batch loss.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    model = Model.init(spec, config.hidden, config.head, config.scheme, config.seed, rng)
+    model = Model.init(spec, config.hidden, config.head, config.scheme, dataset.c, rng)
     model.params = {key: value.astype(np.float32) for key, value in model.params.items()}
     bags = spec.encode_dataset(dataset)
     targets = dataset.targets()
     clipped = 0
-    if binom_labels is not None:
-        binom_labels = np.asarray(binom_labels, dtype=np.float32)
-    elif heads.HEADS[config.head].tail_open is False:
+    if heads.HEADS[config.head].tail_open is False:
         clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
 
     optimizer = AdamState.for_params(model.params, config.lr)
@@ -330,10 +326,7 @@ def train(dataset: Dataset, config: TrainConfig, binom_labels=None) -> TrainResu
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = bags.rows(idx).astype(np.float32)
-            if binom_labels is None:
-                enc = heads.encode_targets(config.head, config.scheme, targets[idx])
-            else:
-                enc = binom_labels[idx]
+            enc = heads.encode_targets(config.head, config.scheme, targets[idx])
             losses, dlogits = heads.loss_batch(config.head, model.forward_batch(xb), enc)
             total += float(losses.sum())  # one non-finite loss makes the total non-finite
             if not np.isfinite(total):

@@ -50,12 +50,14 @@ def check_gradients(trials: int, seed: int) -> dict[str, tuple[bool, str]]:
     results = {}
     for kind in HeadKind:
         rng = np.random.default_rng(seed)
-        tail_open = bool(heads.HEADS[kind].tail_open)
+        tail_open = heads.HEADS[kind].tail_open
         worst = 0.0
         for _ in range(trials):
-            scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=tail_open)
+            # every head draws a scheme, which also bounds t; one that reads none gets None
+            drawn = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=bool(tail_open))
+            scheme = None if tail_open is None else drawn
             y = rng.uniform(-40.0, 40.0, size=heads.arity(kind, scheme))
-            t = int(rng.integers(0, scheme.endpoints[-1] + 5))
+            t = int(rng.integers(0, drawn.endpoints[-1] + 5))
             grad = _losses(kind, scheme, y[None, :], t)[1][0]
             worst = max(worst, _rel_err(grad, _central_diff(kind, scheme, y, t)))
         ok = worst <= FD_RTOL

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 from hypothesis import strategies as st
 
+from swat import heads
 from swat.buckets import BucketScheme
 from swat.dataio import Dataset
+from swat.heads import HeadKind
 
 
 @st.composite
@@ -17,6 +21,15 @@ def constant_feature_dataset(targets, c=1.0):
     """Every row carries the one token `feat=all`; targets are integers."""
     n = len(targets)
     return Dataset([str(i) for i in range(n)], np.asarray(targets, dtype=float), {"feat": ["all"] * n}, c=c)
+
+
+def fit_binom_to_labels(monkeypatch, labels):
+    """Make the binom head fit the soft labels ``labels[t]`` in place of those
+    of watch time t: on ``constant_feature_dataset(np.arange(n))`` each row's
+    target is its row number, so row i fits ``labels[i]``."""
+    entry = heads.HEADS[HeadKind.BINOM]
+    monkeypatch.setitem(heads.HEADS, HeadKind.BINOM,
+                        dataclasses.replace(entry, encode=lambda scheme, t: labels[t]))
 
 
 def encode_tokens(spec, tokens):

@@ -21,7 +21,7 @@ from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig
 from swat.simulate import Behavior, BehaviorProfile
 
-from conftest import constant_feature_dataset, encode_tokens
+from conftest import constant_feature_dataset, encode_tokens, fit_binom_to_labels
 
 
 def report(criterion, name, ok, detail):
@@ -112,9 +112,11 @@ def test_criterion_03_gradient_fidelity():
     for kind in HeadKind:
         worst[kind.value] = 0.0
         for _ in range(100):
-            scheme = random_scheme(rng, 6, 12, tail_open=kind is HeadKind.GEO)
+            # every head draws a scheme, which also bounds t; vgeo and wlr read none
+            drawn = random_scheme(rng, 6, 12, tail_open=kind is HeadKind.GEO)
+            scheme = drawn if heads.HEADS[kind].tail_open is not None else None
             y = rng.uniform(-5.0, 5.0, size=heads.arity(kind, scheme))
-            t = int(rng.integers(0, scheme.endpoints[-1] + 5))
+            t = int(rng.integers(0, drawn.endpoints[-1] + 5))
             _, grad = loss_at(kind, scheme, y, t)
             fd = fd_gradient(lambda yy: loss_at(kind, scheme, yy, t)[0], y)
             worst[kind.value] = max(worst[kind.value], max_component_rel_err(grad, fd))
@@ -125,7 +127,7 @@ def test_criterion_03_gradient_fidelity():
     for kind in HeadKind:
         scheme = {HeadKind.BINOM: closed, HeadKind.GEO: open_scheme}.get(kind)
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model.init(spec, 2, kind, scheme, 0, rng)
+        model = Model.init(spec, 2, kind, scheme, 1.0, rng)
         n_params = sum(v.size for v in model.params.values())
         assert n_params <= 50
         x = rng.normal(size=(6, spec.hash_dim))
@@ -208,17 +210,17 @@ def test_criterion_06_mle_recovery_stationary():
            f"p_hat={p_hat:.4f} (true 0.8), mean={mean_hat:.3f} (true 4.0), {elapsed:.1f}s")
 
 
-def test_criterion_07_mle_recovery_wandering():
+def test_criterion_07_mle_recovery_wandering(monkeypatch):
     """binom with true per-bucket labels on 1e5 wandering draws."""
     scheme = from_endpoints([5, 12, 22])
     true_p = (0.9, 0.5, 0.2)
     profile = BehaviorProfile(Behavior.WANDERING, true_p, scheme, seed=107)
     totals, per_bucket = simulate.draw_wandering(profile, 100_000)
-    dataset = constant_feature_dataset(totals)
-    true_labels = per_bucket / np.asarray(scheme.widths, dtype=np.float64)
+    dataset = constant_feature_dataset(np.arange(len(totals)))
+    fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(scheme.widths, dtype=np.float64))
     config = TrainConfig(head=HeadKind.BINOM, scheme=scheme, hash_dim=8,
                          max_epochs=60, rel_tol=1e-8, seed=7)
-    model = predictor.train(dataset, config, binom_labels=true_labels).model
+    model = predictor.train(dataset, config).model
     p_hat = constant_probs(model)
     estimate = float(heads.binom_expectation_batch(p_hat[None, :], scheme)[0])
     empirical = float(totals.mean())

@@ -130,18 +130,49 @@ class TestTrainEval:
 
     def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
         # format 1 charged the geo stop factor to the bucket holding t;
-        # format 2 carried a numeric feature width
+        # format 2 carried a numeric feature width; format 3 did not record c
         tdir = tmp_path / "t"
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
         artifact = json.loads((tdir / "model.json").read_text())
-        assert artifact["format_version"] == 3
-        for old in (1, 2):
+        assert artifact["format_version"] == 4
+        for old in (1, 2, 3):
             path = tmp_path / f"model_v{old}.json"
             path.write_text(json.dumps(dict(artifact, format_version=old)), encoding="utf-8")
             capsys.readouterr()
             assert run("eval", "--model", path, "--data", sim_csv, "--out", tmp_path / "e") == 2
             assert f"unsupported model format {old}" in capsys.readouterr().err
+
+    def test_eval_takes_c_from_the_model(self, tmp_path, sim_csv, capsys):
+        tdir = tmp_path / "t"
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--c", "10", "--epochs", "2",
+                   "--out", tdir) == 0
+        assert json.loads((tdir / "model.json").read_text())["c"] == 10.0
+        model = ("--model", tdir / "model.json", "--data", sim_csv)
+        assert run("eval", *model, "--out", tmp_path / "implicit") == 0
+        assert run("eval", *model, "--c", "10", "--out", tmp_path / "explicit") == 0
+        implicit, explicit = (tmp_path / d / "predictions.csv" for d in ("implicit", "explicit"))
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert json.loads((tmp_path / "implicit" / "manifest.json").read_text())["config"]["c"] == 10.0
+
+        capsys.readouterr()
+        assert run("eval", *model, "--c", "1", "--out", tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert "--c 1.0" in err and "10.0" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_constant_prediction_report_is_strict_json(self, tmp_path, sim_csv):
+        # every sim row carries the one token `feat=all`, so the predictions are constant
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "1",
+                   "--out", tmp_path / "t") == 0
+        assert run("eval", "--data", sim_csv, "--model", tmp_path / "t" / "model.json",
+                   "--out", tmp_path / "e") == 0
+
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((tmp_path / "e" / "report.json").read_text(), parse_constant=no_constant)
+        assert report["pearson"] is None
 
     def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv, caplog):
         data = tmp_path / "big.csv"
@@ -174,6 +205,14 @@ class TestTrainEval:
                    "--out", tmp_path / "t") == 2
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "t" / "model.json").exists()
+
+    @pytest.mark.parametrize("head", ["vgeo", "wlr"])
+    def test_scheme_for_a_head_that_reads_none_exits_2(self, tmp_path, head, capsys):
+        # the data file does not exist: the scheme must be rejected before it is read
+        assert run("train", "--data", tmp_path / "missing.csv", "--head", head,
+                   "--endpoints", "5,10", "--out", tmp_path / "t") == 2
+        assert f"{head} head takes no bucket scheme" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_vgeo_memorizes_distinct_tokens(self, tmp_path):
         # four distinct constant features, one per target: the model can
@@ -348,7 +387,7 @@ class TestExitCodes:
         from swat import cli
         from swat.predictor import TrainingDiverged
 
-        def explode(dataset, config, binom_labels=None):
+        def explode(dataset, config):
             raise TrainingDiverged(2, 7, 1.5)
 
         monkeypatch.setattr(cli.predictor, "train", explode)
@@ -579,14 +618,16 @@ class TestMalformedArtifacts:
                                   "feature seed must be in [0, 2**64), got -1"),
         "text hash_dim": (lambda d: d["feature_spec"].__setitem__("hash_dim", "4"),
                           "field 'feature_spec.hash_dim' has the wrong type (str)"),
-        "two layer sizes": (lambda d: d.__setitem__("layer_sizes", [4, 0]),
-                            "field 'layer_sizes' must be three integers"),
-        "negative hidden size": (lambda d: d.__setitem__("layer_sizes", [4, -1, 3]),
-                                 "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, -1, 3]"),
-        "input size not hash_dim": (lambda d: d.__setitem__("layer_sizes", [99, 0, 3]),
-                                    "field 'layer_sizes' must be [4, hidden >= 0, 3], got [99, 0, 3]"),
-        "output size not the head's arity": (lambda d: d.__setitem__("layer_sizes", [4, 0, 2]),
-                                             "field 'layer_sizes' must be [4, hidden >= 0, 3], got [4, 0, 2]"),
+        "negative hidden": (lambda d: d.__setitem__("hidden", -1), "field 'hidden' must be >= 0, got -1"),
+        "text hidden": (lambda d: d.__setitem__("hidden", "0"), "field 'hidden' has the wrong type (str)"),
+        "true hidden": (lambda d: d.__setitem__("hidden", True), "field 'hidden' has the wrong type (bool)"),
+        "hidden without its params": (lambda d: d.__setitem__("hidden", 2), "missing field 'params.w1'"),
+        "negative c": (lambda d: d.__setitem__("c", -1.0),
+                       "scaling constant must be positive and finite, got -1.0"),
+        "text c": (lambda d: d.__setitem__("c", "1"), "field 'c' has the wrong type (str)"),
+        "zero c": (lambda d: d.__setitem__("c", 0.0),
+                   "scaling constant must be positive and finite, got 0.0"),
+        "true c": (lambda d: d.__setitem__("c", True), "field 'c' has the wrong type (bool)"),
         "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "missing field 'scheme.tail_open'"),
         "scheme with a text endpoint": (lambda d: d["scheme"]["endpoints"].__setitem__(0, "5"),
                                         "field 'scheme.endpoints' must be a list of integers"),

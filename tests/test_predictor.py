@@ -15,7 +15,7 @@ from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model, TrainConfig, TrainingDiverged
 from swat.simulate import Behavior, BehaviorProfile
 
-from conftest import constant_feature_dataset, encode_tokens
+from conftest import constant_feature_dataset, encode_tokens, fit_binom_to_labels
 
 CLOSED = from_endpoints([5, 12, 22])
 OPEN = from_endpoints([5, 12, 22], tail_open=True)
@@ -113,7 +113,7 @@ class TestFeatureSpec:
 class TestForward:
     def test_zero_model_gives_half_probs(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0,
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         logits = model.forward_batch(encode_tokens(spec, ("a",)))
         assert np.allclose(logits, 0.0)
@@ -122,7 +122,7 @@ class TestForward:
     def test_affine_lookup_on_one_hot(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
         w = np.arange(12, dtype=float).reshape(3, 4)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0, {"w": w, "b": np.zeros(3)})
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
         assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(f"feat={token}")])
@@ -130,13 +130,13 @@ class TestForward:
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
         spec = FeatureSpec(hash_dim=9, seed=0)
-        model = Model.init(spec, 6, HeadKind.GEO, OPEN, 0, rng)
+        model = Model.init(spec, 6, HeadKind.GEO, OPEN, 1.0, rng)
         x = rng.normal(size=(10, spec.hash_dim))
         assert np.all(np.isfinite(model.forward_batch(x)))
 
     def test_dimension_mismatch(self):
         spec = FeatureSpec(hash_dim=8, seed=0)
-        model = Model.init(spec, 0, HeadKind.VGEO, None, 0, np.random.default_rng(0))
+        model = Model.init(spec, 0, HeadKind.VGEO, None, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             model.forward_batch(np.zeros((2, 5)))
 
@@ -162,7 +162,7 @@ class TestBackward:
         # 3-parameter model: 1 input, no hidden layer, vgeo head with bias
         rng = np.random.default_rng(1)
         spec = FeatureSpec(hash_dim=2, seed=0)
-        model = Model.init(spec, 0, HeadKind.VGEO, None, 0, rng)
+        model = Model.init(spec, 0, HeadKind.VGEO, None, 1.0, rng)
         x = rng.normal(size=(4, 2))
         t = np.array([0, 3, 1, 7])
 
@@ -181,7 +181,7 @@ class TestBackward:
         rng = np.random.default_rng(2)
         scheme = CLOSED if kind is HeadKind.BINOM else OPEN if kind is HeadKind.GEO else None
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model.init(spec, 2, kind, scheme, 0, rng)  # hidden layer in the loop
+        model = Model.init(spec, 2, kind, scheme, 1.0, rng)  # hidden layer in the loop
         assert sum(v.size for v in model.params.values()) <= 50
         x = rng.normal(size=(5, spec.hash_dim))
         t = rng.integers(0, 30, size=5)
@@ -199,7 +199,7 @@ class TestBackward:
 
     def test_zero_logit_gradient_zero_param_gradient(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model.init(spec, 3, HeadKind.VGEO, None, 0, np.random.default_rng(3))
+        model = Model.init(spec, 3, HeadKind.VGEO, None, 1.0, np.random.default_rng(3))
         x = np.random.default_rng(4).normal(size=(6, 4))
         grads = model.backward_batch(x, np.zeros((6, 1)))
         assert all(np.all(g == 0) for g in grads.values())
@@ -207,7 +207,7 @@ class TestBackward:
     def test_duplicated_sample_doubles_contribution(self):
         rng = np.random.default_rng(5)
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model.init(spec, 0, HeadKind.VGEO, None, 0, rng)
+        model = Model.init(spec, 0, HeadKind.VGEO, None, 1.0, rng)
         x = rng.normal(size=(1, 4))
         dlogit = np.array([[0.37]])
         single = model.backward_batch(x, dlogit)
@@ -222,7 +222,7 @@ class TestTraining:
         targets = np.array([0, 3, 10, 22])
         ds = constant_feature_dataset(targets)
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 0,
+        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
         losses, _ = heads.binom_loss_batch(model.forward_batch(x), labels.matrix(CLOSED, targets))
@@ -304,16 +304,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="non-negative"):
             predictor.train(ds, cfg)
 
-    def test_non_finite_loss_aborts_with_diagnostics(self):
+    def test_non_finite_loss_aborts_with_diagnostics(self, monkeypatch):
         # log-sigmoid losses stay finite at every finite logit, so the abort
         # path guards against corrupt inputs reaching the loss: here a NaN
         # entry in every row's binom labels
         ds = constant_feature_dataset(np.arange(8.0))
         labels_with_nan = np.full((8, CLOSED.n_buckets), 0.5)
         labels_with_nan[:, 0] = np.nan
+        fit_binom_to_labels(monkeypatch, labels_with_nan)
         cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
         with pytest.raises(TrainingDiverged) as err:
-            predictor.train(ds, cfg, binom_labels=labels_with_nan)
+            predictor.train(ds, cfg)
         assert err.value.epoch == 0
         assert err.value.batch == 0
         assert err.value.param_norm > 0
@@ -322,14 +323,14 @@ class TestTraining:
 class TestRecoveryFeasible:
     """MLE recovery on identifiable synthetic populations (moderate sizes)."""
 
-    def test_binom_recovery_with_true_bucket_labels(self):
+    def test_binom_recovery_with_true_bucket_labels(self, monkeypatch):
         prof = BehaviorProfile(Behavior.WANDERING, (0.8, 0.4, 0.3), CLOSED, seed=6)
         totals, per_bucket = simulate.draw_wandering(prof, 30_000)
-        ds = constant_feature_dataset(totals)
-        true_labels = per_bucket / np.asarray(CLOSED.widths, dtype=float)
+        ds = constant_feature_dataset(np.arange(len(totals)))
+        fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(CLOSED.widths, dtype=float))
         cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4,
                           max_epochs=40, rel_tol=1e-7, seed=7)
-        model = predictor.train(ds, cfg, binom_labels=true_labels).model
+        model = predictor.train(ds, cfg).model
         assert np.allclose(constant_probs(model), prof.probs, atol=0.02)
 
     def test_geo_recovery_inner_buckets(self):
@@ -352,12 +353,13 @@ class TestArtifact:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         spec = FeatureSpec(hash_dim=9, seed=3)
-        model = Model.init(spec, 4, HeadKind.GEO, OPEN, 3, rng)
+        model = Model.init(spec, 4, HeadKind.GEO, OPEN, 2.5, rng)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = Model.load(path)
         assert loaded.head is HeadKind.GEO
         assert loaded.scheme == OPEN
+        assert loaded.hidden == 4 and loaded.c == 2.5
         assert loaded.feature_spec == spec
         for key, value in model.params.items():
             assert np.array_equal(loaded.params[key], value)
@@ -372,12 +374,13 @@ class TestArtifact:
 
     def test_saved_bytes(self, tmp_path):
         spec = FeatureSpec(hash_dim=2, seed=1)
-        model = Model(spec, 0, HeadKind.BINOM, from_endpoints([3]), 4,
+        model = Model(spec, 0, HeadKind.BINOM, from_endpoints([3]), 4.0,
                       {"w": np.array([[0.5, -1.25]]), "b": np.array([0.1])})
         model.save(tmp_path / "model.json")
-        expected = json.dumps(model.to_dict(), sort_keys=True) + "\n"
-        assert (tmp_path / "model.json").read_bytes() == expected.encode("utf-8")
-        assert expected.startswith('{"feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 3, ')
+        assert (tmp_path / "model.json").read_bytes() == (
+            b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 4, '
+            b'"head": "binom", "hidden": 0, "params": {"b": [0.1], "w": [0.5, -1.25]}, '
+            b'"scheme": {"endpoints": [3], "tail_open": false}}\n')
 
 
 class TestHiddenLayerTraining:
