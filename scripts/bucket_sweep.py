@@ -43,7 +43,7 @@ def main():
         full = dataio.load_csv(args.data, dataio.DEFAULT_SCHEMAS[args.schema], c=c)
     else:
         full = mixed_dataset(Behavior.FOCUSED, args.n, args.seed)
-    train_set, test_set = dataio.split(full, 0.8, seed=args.seed)
+    train_set, test_set = map(full.take, dataio.split(len(full), 0.8, seed=args.seed))
     train_targets = train_set.targets().tolist()
 
     rows = []

@@ -78,7 +78,7 @@ def main():
 
     for kind in Behavior:
         full = mixed_dataset(kind, args.n, args.seed)
-        train_set, test_set = dataio.split(full, 0.8, seed=args.seed)
+        train_set, test_set = map(full.take, dataio.split(len(full), 0.8, seed=args.seed))
         mean_t = full.raw_targets.mean()
         print(f"\n== {kind.value} population: n={len(full)}, "
               f"{len(GROUPS)} groups, mean watch time {mean_t:.3f} ==")

@@ -73,22 +73,24 @@ def _seed(text: str) -> int:
 
 
 def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Dataset:
-    """Load args.data; when --ratio is set, keep the train or test part.
+    """Load args.data; when --ratio is set, only the train or test part.
 
-    The split is a pure function of (--ratio, --seed), so `train` and `eval`
-    invoked with the same values see disjoint parts of the same file.
-    ``targets_only`` keeps only the target column (see ``dataio.load_csv``).
+    The split is a pure function of (--ratio, --seed) and the usable-row
+    count, so `train` and `eval` invoked with the same values see disjoint
+    parts of the same file.  ``targets_only`` keeps only the target column
+    (see ``dataio.load_csv``).
     """
+    rows = None
     if args.ratio is not None:
         dataio.check_ratio(args.ratio)  # before the file is read
+
+        def rows(n: int):
+            return dataio.split(n, args.ratio, args.seed)[part == "test"]
     c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
     schema = dataio.DEFAULT_SCHEMAS[args.schema]
-    dataset = dataio.load_csv(args.data, schema, c=c, targets_only=targets_only)
+    dataset = dataio.load_csv(args.data, schema, c=c, targets_only=targets_only, rows=rows)
     if dataset.skipped:
         log.warning("%d unusable rows of %s skipped", dataset.skipped, args.data)
-    if args.ratio is not None:
-        train_part, test_part = dataio.split(dataset, args.ratio, args.seed)
-        dataset = train_part if part == "train" else test_part
     return dataset
 
 

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,6 +148,11 @@ def _floats(cells: list) -> np.ndarray:
     return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
 
 
+def _usable(scaled: np.ndarray) -> np.ndarray:
+    """Whether each scaled target rounds into int64 and is not negative."""
+    return (0.0 <= scaled) & (scaled < _TARGET_LIMIT)
+
+
 def _interned(cells: list) -> np.ndarray:
     """Object array of the cells in which equal strings share one object."""
     seen: dict = {}
@@ -170,7 +176,8 @@ def _not_utf8(path) -> str:
     return "not UTF-8"
 
 
-def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False) -> Dataset:
+def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False,
+             rows: Callable[[int], np.ndarray] | None = None) -> Dataset:
     """Parse a UTF-8 CSV with header row into a Dataset.
 
     Reads as csv.DictReader would: blank lines are dropped and not counted,
@@ -184,6 +191,10 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
     column as before, but only the target cells are kept: the rows, skips
     and errors are those of the full read, while the ids are None and there
     are no feature columns.
+
+    ``rows``, when given, maps the usable-row count to the indices of the
+    usable rows to keep, in order (``split`` gives one part); only the ids,
+    feature cells and targets of those rows make up the dataset.
     """
     check_c(c)
     needed = [schema.id_column, schema.target_column, *schema.feature_columns]
@@ -218,19 +229,21 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
 
     raw = _floats(column(schema.target_column))
     with np.errstate(over="ignore"):
-        scaled = c * raw
-    keep = np.flatnonzero((0.0 <= scaled) & (scaled < _TARGET_LIMIT))
+        keep = np.flatnonzero(_usable(c * raw))
     skipped = len(raw) - len(keep)
     if not len(keep):
         raise ValueError(f"{path}: no usable rows (skipped {skipped})")
+    if rows is not None:
+        keep = keep[rows(len(keep))]
     if targets_only:
         return Dataset(np.full(len(keep), None, dtype=object), raw[keep], {}, c=c, skipped=skipped)
-    # the id column may also be a feature column (kuairec's user_id): intern it once
+    # Whole columns are interned in file order, then the kept rows gathered:
+    # interning only the kept cells, in their shuffled order, is slower.  The
+    # id column may also be a feature column (kuairec's user_id): intern it once.
     text_columns = dict.fromkeys((schema.id_column, *schema.feature_columns))
-    text = {index[col]: _interned(column(col)) for col in text_columns}
-    id_cells = text[index[schema.id_column]].tolist()
-    ids = [id_cells[i] or str(i) for i in keep.tolist()]
-    features = {col: text[index[col]][keep] for col in schema.feature_columns}
+    text = {col: _interned(column(col))[keep] for col in text_columns}
+    ids = [cell or str(i) for cell, i in zip(text[schema.id_column].tolist(), keep.tolist())]
+    features = {col: text[col] for col in schema.feature_columns}
     return Dataset(ids, raw[keep], features, c=c, skipped=skipped)
 
 
@@ -239,15 +252,15 @@ def check_ratio(ratio: float) -> None:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
 
 
-def split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle; the first floor(ratio * n) rows become the train set."""
+def split(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of the train and test parts of n rows: a seeded
+    shuffle whose first floor(ratio * n) rows become the train part."""
     check_ratio(ratio)
-    n = len(dataset)
     if n < 2:
         raise ValueError("need at least two samples to split")
     perm = np.random.default_rng(seed).permutation(n)
     cut = int(ratio * n)
-    return dataset.take(perm[:cut]), dataset.take(perm[cut:])
+    return perm[:cut], perm[cut:]
 
 
 def write_csv(path, header: list, rows) -> None:

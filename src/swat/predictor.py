@@ -1,24 +1,28 @@
 """Trainable predictor: hashed features -> small feed-forward net -> head logits.
 
-The feature encoder splits each distinct cell once, hashes each distinct
-``column=token`` once and keeps each row's slots as CSR token bags.  Training
-and scoring densify one batch of rows at a time into the mean-pooled one-hot
-slots of each row, so feature memory grows with the token count and the batch
-size, not with rows x ``hash_dim``.  The net is a single affine map, or one
-rectified hidden layer when ``hidden > 0``.  Training is seeded mini-batch
-Adam against any head's loss; given the same config and seed, two runs
-produce bit-identical models, which ``dataio`` writes and reads as JSON.
-A model records the target scale ``c`` it was fitted at and predicts in raw units.
+The feature encoder works on whole arrays, with no Python step per token.
+It joins each column's distinct cells into one UTF-8 buffer, a chunk at a
+time, finds the token bounds with a byte table of ``dataio.split_cell``'s
+separators, and hashes every ``column=token`` with a seeded 64-bit hash:
+FNV-1a from the offset basis XOR the seed, then MurmurHash3's fmix64, then
+the remainder by ``hash_dim``.  Each row's slots are kept as CSR token bags.
+Training and scoring densify one batch of rows at a time into the
+mean-pooled one-hot slots of each row, so feature memory grows with the
+token count and the batch size, not with rows x ``hash_dim``.  The net is a
+single affine map, or one rectified hidden layer when ``hidden > 0``.
+Training is seeded mini-batch Adam against any head's loss; given the same
+config and seed, two runs produce bit-identical models, which ``dataio``
+writes and reads as JSON.  A model records the target scale ``c`` it was
+fitted at and predicts in raw units.
 
 Training computes in float32: the parameters, the Adam moments, each batch's
-feature rows and the head's loss and gradient.  The trained parameters are
-cast back to float64, and everything after training (scoring, the
-estimators and the artifact) works in float64.
+feature rows (scattered straight into float32) and the head's loss and
+gradient.  The trained parameters are cast back to float64, and everything
+after training (scoring, the estimators and the artifact) works in float64.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -27,10 +31,12 @@ import numpy as np
 
 from . import dataio, heads
 from .buckets import BucketScheme
-from .dataio import Dataset, json_field, split_cell
+from .dataio import Dataset, json_field
 from .heads import HeadKind
 
-ARTIFACT_VERSION = 4  # 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once
+# 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once;
+# 5: token slots from the FNV-1a/fmix64 hash
+ARTIFACT_VERSION = 5
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -46,6 +52,71 @@ class TrainingDiverged(RuntimeError):
         )
 
 
+# FNV-1a (64-bit) with the feature seed XOR-ed into its offset basis, then
+# MurmurHash3's fmix64 finalizer: a seeded hash whose byte steps numpy runs
+# over many tokens at once
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME_INT, _MASK64 = 0x100000001B3, 2**64 - 1
+_FNV_PRIME = np.uint64(_FNV_PRIME_INT)
+_FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+# the UTF-8 bytes that end a token: ASCII whitespace as str.isspace has it, and '|'
+_SEPARATOR = np.array([b < 128 and (chr(b).isspace() or chr(b) == "|") for b in range(256)])
+# the other characters str.split splits on; a cell maps them to a space first
+_WIDE_SPACES = str.maketrans(dict.fromkeys("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+                                           "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+                                           "\u205f\u3000", " "))
+ENCODE_CHUNK = 1 << 16  # characters tokenized, or tokens gathered into bags, at once
+_FEW_TOKENS = 8  # tokens left below which _fnv1a steps each one in Python
+
+
+def _run_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[0], ..., starts[0] + counts[0] - 1, then those of the next run, ..."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _chunks(sizes: np.ndarray, limit: int):
+    """Consecutive (lo, hi) ranges covering ``sizes``, each summing to at most
+    ``limit`` or holding a single item."""
+    ends, cuts = np.cumsum(sizes), [0]
+    while cuts[-1] < len(sizes):
+        reached = ends[cuts[-1] - 1] if cuts[-1] else 0
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(ends, reached + limit, "right"))))
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _fnv1a(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, state) -> np.ndarray:
+    """The FNV-1a states after feeding token i's bytes ``buf[starts[i]:starts[i] + lengths[i]]``
+    to ``state``: one step per byte position over the tokens still that long,
+    which sorted longest first are a prefix, so the work is O(bytes).  Once
+    only _FEW_TOKENS remain, each is finished on its own, since a numpy call
+    per byte would cost far more than the byte."""
+    order = np.argsort(-lengths, kind="stable")
+    pos, ends, h = starts[order], (starts + lengths)[order], np.full(len(order), state, np.uint64)
+    longer = len(lengths) - np.cumsum(np.bincount(lengths))  # tokens longer than k bytes, by k
+    for k, m in enumerate(longer[:-1].tolist()):
+        if m <= _FEW_TOKENS:
+            for i in range(m):
+                x = int(h[i])
+                for byte in buf[pos[i] + k : ends[i]].tolist():
+                    x = (x ^ byte) * _FNV_PRIME_INT & _MASK64
+                h[i] = x
+            break
+        h[:m] ^= buf[pos[:m] + k]
+        h[:m] *= _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _fmix64(h: np.ndarray) -> np.ndarray:
+    """MurmurHash3's 64-bit finalizer, which spreads every input bit over the low bits."""
+    h = h ^ (h >> 33)
+    h *= _FMIX[0]
+    h ^= h >> 33
+    h *= _FMIX[1]
+    return h ^ (h >> 33)
+
+
 @dataclass(frozen=True, eq=False)
 class TokenBags:
     """Hashed token slots of n rows in CSR form: row i holds
@@ -55,20 +126,19 @@ class TokenBags:
     slots: np.ndarray  # (nnz,) int64 in [0, hash_dim)
     hash_dim: int
 
-    def rows(self, idx) -> np.ndarray:
-        """(len(idx), hash_dim) feature rows for the row indices ``idx``:
-        each row's slots mean-pooled, a row without tokens all zeros."""
+    def rows(self, idx, dtype=np.float64) -> np.ndarray:
+        """(len(idx), hash_dim) feature rows of ``dtype`` for the row indices
+        ``idx``: each row's slots mean-pooled, a row without tokens all zeros."""
         idx = np.asarray(idx, dtype=np.int64)
         starts = self.offsets[idx]
         counts = self.offsets[idx + 1] - starts
-        # position of every selected token in `slots`, row after row
-        pos = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        cells = np.repeat(np.arange(len(idx)) * self.hash_dim, counts) + self.slots[pos]
-        # every token of a row adds the same 1/len(row), so the order of the
-        # additions to a cell cannot change its sum
-        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
-        x = np.bincount(cells, weights, minlength=len(idx) * self.hash_dim)
-        return x.reshape(len(idx), self.hash_dim)
+        slots = self.slots[_run_positions(starts, counts)]
+        cells = np.repeat(np.arange(len(idx)) * self.hash_dim, counts) + slots
+        # every token of a row adds the same 1/len(row), in token order, straight into `dtype`
+        weights = np.repeat((1.0 / np.maximum(counts, 1)).astype(dtype), counts)
+        x = np.zeros((len(idx), self.hash_dim), dtype)
+        np.add.at(x.reshape(-1), cells, weights)
+        return x
 
 
 @dataclass(frozen=True)
@@ -81,39 +151,69 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
-        if not 0 <= self.seed < 2**64:  # the hash salt is the seed's 8 bytes
+        if not 0 <= self.seed < 2**64:  # the seed is XOR-ed into the 64-bit offset basis
             raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
 
     def slot(self, token: str) -> int:
-        digest = hashlib.blake2b(
-            token.encode("utf-8"), digest_size=8, salt=self.seed.to_bytes(8, "little")
-        ).digest()
-        return int.from_bytes(digest, "little") % self.hash_dim
+        """The slot of one token: the encoder's hash on a one-token input."""
+        return int(self._slots(self._seeded_fnv1a(token))[0])
+
+    def _seeded_fnv1a(self, text: str) -> np.ndarray:
+        """The (1,) FNV-1a state of ``text``'s UTF-8 bytes, from the seeded offset basis."""
+        buf = np.frombuffer(text.encode("utf-8"), np.uint8)
+        return _fnv1a(buf, np.zeros(1, np.int64), np.array([len(buf)]), _FNV_OFFSET ^ self.seed)
+
+    def _slots(self, states: np.ndarray) -> np.ndarray:
+        return (_fmix64(states) % np.uint64(self.hash_dim)).astype(np.int64)
 
     def encode_dataset(self, dataset: Dataset) -> TokenBags:
         """The hashed slots of each row's tokens, as CSR token bags (each distinct
-        cell split once); dense feature rows come from ``TokenBags.rows``."""
-        counts, per_column = np.zeros(len(dataset), np.int64), []
-        for column, cells in dataset.features.items():
-            cells, cache = cells.tolist(), _Slots(self, column)
-            memo = {cell: list(map(cache.__getitem__, split_cell(cell))) for cell in dict.fromkeys(cells)}
-            per_column.append(list(map(memo.__getitem__, cells)))
-            counts += np.fromiter(map(len, per_column[-1]), np.int64, len(cells))
-        # each row's tokens, column after column, row after row
-        tokens = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*per_column)))
-        slots = np.fromiter(tokens, np.int64, counts.sum())
-        return TokenBags(np.concatenate([[0], np.cumsum(counts)]), slots, self.hash_dim)
+        cell tokenized once); dense feature rows come from ``TokenBags.rows``."""
+        source, starts, counts = self._runs(dataset)
+        offsets = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+        starts, counts = starts.ravel(), counts.ravel()  # the runs in row order
+        slots, done = np.empty(offsets[-1], np.int64), 0
+        for lo, hi in _chunks(counts, ENCODE_CHUNK):
+            chunk = source[_run_positions(starts[lo:hi], counts[lo:hi])]
+            slots[done : done + len(chunk)] = chunk
+            done += len(chunk)
+        return TokenBags(offsets, slots, self.hash_dim)
 
+    def _runs(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, starts, counts): the slots of every column's distinct cells
+        in one array, and the (n, columns) runs of it that row i's tokens are,
+        column after column: ``source[starts[i, j]:starts[i, j] + counts[i, j]]``."""
+        shape = (len(dataset), len(dataset.features))
+        starts, counts = np.empty(shape, np.int64), np.empty(shape, np.int64)
+        chunks, done = [np.empty(0, np.int64)], 0
+        for j, (column, cells) in enumerate(dataset.features.items()):
+            cells = cells.tolist()
+            index = dict(zip(dict.fromkeys(cells), itertools.count()))
+            cell_of_row = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+            cell_counts = []
+            for slots, tokens in self._tokenize(column, list(index)):
+                chunks.append(slots)
+                cell_counts.append(tokens)
+            cell_counts = np.concatenate(cell_counts)
+            starts[:, j] = (done + np.cumsum(cell_counts) - cell_counts)[cell_of_row]
+            counts[:, j] = cell_counts[cell_of_row]
+            done += cell_counts.sum()
+        return np.concatenate(chunks), starts, counts
 
-class _Slots(dict):
-    """Raw token -> slot of ``column=token``, hashed on first lookup."""
-
-    def __init__(self, spec: FeatureSpec, column: str):
-        self.spec, self.column = spec, column
-
-    def __missing__(self, token: str) -> int:
-        self[token] = slot = self.spec.slot(f"{self.column}={token}")
-        return slot
+    def _tokenize(self, column: str, cells: list):
+        """For consecutive chunks of about ENCODE_CHUNK characters of ``cells``:
+        (the slots of the chunk's tokens, cell after cell; each cell's token count)."""
+        prefix = self._seeded_fnv1a(f"{column}=")[0]
+        texts = [cell or "" for cell in cells]
+        for lo, hi in _chunks(np.fromiter(map(len, texts), np.int64, len(texts)) + 1, ENCODE_CHUNK):
+            raw = [t.encode("utf-8") if t.isascii() else t.translate(_WIDE_SPACES).encode("utf-8")
+                   for t in texts[lo:hi]]
+            buf = np.frombuffer(b" ".join(raw), np.uint8)
+            bounds = np.flatnonzero(np.diff(~_SEPARATOR[buf], prepend=False, append=False))
+            starts, ends = bounds[::2], bounds[1::2]
+            cell_ends = np.cumsum(np.fromiter(map(len, raw), np.int64, len(raw)) + 1)
+            yield (self._slots(_fnv1a(buf, starts, ends - starts, prefix)),
+                   np.diff(np.searchsorted(starts, cell_ends), prepend=0))
 
 
 @dataclass
@@ -325,7 +425,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         total = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            xb = bags.rows(idx).astype(np.float32)
+            xb = bags.rows(idx, np.float32)
             enc = heads.encode_targets(config.head, config.scheme, targets[idx])
             losses, dlogits = heads.loss_batch(config.head, model.forward_batch(xb), enc)
             total += float(losses.sum())  # one non-finite loss makes the total non-finite

@@ -55,6 +55,8 @@ class BehaviorProfile:
         if self.kind is Behavior.STATIONARY:
             if len(self.probs) != 1:
                 raise ValueError("stationary profile takes a single probability")
+            if self.scheme is not None:
+                raise ValueError("stationary profile takes no bucket scheme")
             return
         if self.scheme is None:
             raise ValueError(f"{self.kind.value} profile needs a bucket scheme")

@@ -130,13 +130,14 @@ class TestTrainEval:
 
     def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
         # format 1 charged the geo stop factor to the bucket holding t;
-        # format 2 carried a numeric feature width; format 3 did not record c
+        # format 2 carried a numeric feature width; format 3 did not record c;
+        # format 4 hashed its tokens into other slots
         tdir = tmp_path / "t"
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
         artifact = json.loads((tdir / "model.json").read_text())
-        assert artifact["format_version"] == 4
-        for old in (1, 2, 3):
+        assert artifact["format_version"] == 5
+        for old in (1, 2, 3, 4):
             path = tmp_path / f"model_v{old}.json"
             path.write_text(json.dumps(dict(artifact, format_version=old)), encoding="utf-8")
             capsys.readouterr()
@@ -295,6 +296,13 @@ class TestSimulate:
     def test_prob_arity_checked(self, tmp_path):
         assert run("simulate", "--kind", "focused", "--probs", "0.5,0.5",
                    "--endpoints", "5,12", "--out", tmp_path / "s") == 2
+
+    def test_stationary_with_a_scheme_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run("simulate", "--kind", "stationary", "--probs", "0.7", "--endpoints", "5,10",
+                   "--n", "100", "--out", out) == 2
+        assert "stationary profile takes no bucket scheme" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_sample_count_below_one_exits_2(self, tmp_path, n, capsys):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import tempfile
@@ -171,24 +172,39 @@ class TestLoaderMatchesDictReader:
             try:
                 expected = dictreader_load(path, EQUIV_SCHEMA, c)
             except ValueError as exc:
-                for targets_only in (False, True):
+                for targets_only, rows in itertools.product((False, True), (None, self.some_rows)):
                     with pytest.raises(ValueError) as got:
-                        dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=targets_only)
+                        dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=targets_only, rows=rows)
                     assert str(got.value) == str(exc)
                 return
             ds = dataio.load_csv(path, EQUIV_SCHEMA, c=c)
             targets = dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=True)
-        tokens = [
-            tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
-            for i in range(len(ds))
-        ]
-        got = ds.ids.tolist(), tokens, ds.raw_targets.tolist(), ds.skipped
+            part = dataio.load_csv(path, EQUIV_SCHEMA, c=c, rows=self.some_rows)
+            part_targets = dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=True, rows=self.some_rows)
+        got = ds.ids.tolist(), self.tokens(ds), ds.raw_targets.tolist(), ds.skipped
         assert got == expected
         # the targets-only read keeps the same rows and skips, and no other column
         assert targets.raw_targets.tolist() == expected[2]
         assert targets.skipped == expected[3]
         assert targets.ids.tolist() == [None] * len(ds)
         assert targets.features == {}
+        # the row-selecting reads keep the selected rows of the full ones, in order
+        rows = self.some_rows(len(ds)).tolist()
+        assert part.ids.tolist() == [expected[0][i] for i in rows]
+        assert self.tokens(part) == [expected[1][i] for i in rows]
+        assert part.raw_targets.tolist() == part_targets.raw_targets.tolist() == [expected[2][i] for i in rows]
+        assert part.skipped == part_targets.skipped == expected[3]
+        assert part_targets.ids.tolist() == [None] * len(rows) and part_targets.features == {}
+
+    @staticmethod
+    def some_rows(n):
+        """A shuffled selection of about half of n rows."""
+        return np.random.default_rng(n).permutation(n)[: (n + 1) // 2]
+
+    @staticmethod
+    def tokens(ds):
+        return [tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
+                for i in range(len(ds))]
 
 
 class TestDataset:
@@ -210,35 +226,28 @@ class TestDataset:
 
 
 class TestSplit:
-    def _dataset(self, n):
-        return Dataset([str(i) for i in range(n)], np.arange(n, dtype=float), {"feat": [f"u{i}" for i in range(n)]})
-
     def test_80_20_sizes(self):
-        train, test = dataio.split(self._dataset(10), 0.8, seed=0)
+        train, test = dataio.split(10, 0.8, seed=0)
         assert (len(train), len(test)) == (8, 2)
 
     def test_floor_rule(self):
-        train, test = dataio.split(self._dataset(2), 0.5, seed=0)
+        train, test = dataio.split(2, 0.5, seed=0)
         assert (len(train), len(test)) == (1, 1)
 
     def test_same_seed_same_split(self):
-        ds = self._dataset(50)
-        a = dataio.split(ds, 0.8, seed=3)
-        b = dataio.split(ds, 0.8, seed=3)
-        assert a[0].ids.tolist() == b[0].ids.tolist()
+        a = dataio.split(50, 0.8, seed=3)
+        b = dataio.split(50, 0.8, seed=3)
+        assert a[0].tolist() == b[0].tolist()
 
     def test_partition(self):
-        ds = self._dataset(31)
-        train, test = dataio.split(ds, 0.7, seed=1)
-        ids = sorted(train.ids) + sorted(test.ids)
-        assert sorted(ids) == sorted(ds.ids)
-        assert not set(train.ids) & set(test.ids)
+        train, test = dataio.split(31, 0.7, seed=1)
+        assert sorted(train.tolist() + test.tolist()) == list(range(31))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            dataio.split(self._dataset(10), 1.2, seed=0)
+            dataio.split(10, 1.2, seed=0)
         with pytest.raises(ValueError):
-            dataio.split(self._dataset(1), 0.5, seed=0)
+            dataio.split(1, 0.5, seed=0)
 
 
 def raw_dataset(raws, c):

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swat import heads, labels, predictor, simulate
@@ -19,6 +20,24 @@ from conftest import constant_feature_dataset, encode_tokens, fit_binom_to_label
 
 CLOSED = from_endpoints([5, 12, 22])
 OPEN = from_endpoints([5, 12, 22], tail_open=True)
+
+
+# every character str.split splits on
+SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+def reference_slot(token, seed, hash_dim):
+    """The documented hash in plain Python: 64-bit FNV-1a over the token's
+    UTF-8 bytes from the offset basis XOR the seed, MurmurHash3's fmix64,
+    then the remainder by ``hash_dim``."""
+    h = 0xCBF29CE484222325 ^ seed
+    for byte in token.encode("utf-8"):
+        h = (h ^ byte) * 0x100000001B3 % 2**64
+    h ^= h >> 33
+    h = h * 0xFF51AFD7ED558CCD % 2**64
+    h ^= h >> 33
+    h = h * 0xC4CEB9FE1A85EC53 % 2**64
+    return (h ^ h >> 33) % hash_dim
 
 
 def constant_probs(model):
@@ -66,16 +85,70 @@ class TestFeatureSpec:
         assert bags.rows(np.arange(len(rows))).tobytes() == expected.tobytes()
         idx = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
         assert bags.rows(idx).tobytes() == expected[idx].tobytes()
+        # float32 rows add the float32 weights in the same order
+        expected32 = np.zeros((len(rows), spec.hash_dim), np.float32)
+        for i, (feats, kind) in enumerate(zip(rows, kinds)):
+            tokens = [f"feat={t}" for t in feats] + [f"kind={t}" for t in kind]
+            for token in tokens:
+                expected32[i, spec.slot(token)] += np.float32(1.0 / len(tokens))
+        assert bags.rows(idx, np.float32).tobytes() == expected32[idx].tobytes()
 
-    def test_each_distinct_token_hashed_once(self, monkeypatch):
-        hashed, split = [], []
-        slot, split_cell = FeatureSpec.slot, predictor.split_cell
-        monkeypatch.setattr(FeatureSpec, "slot", lambda self, t: hashed.append(t) or slot(self, t))
-        monkeypatch.setattr(predictor, "split_cell", lambda cell: split.append(cell) or split_cell(cell))
+    def test_each_distinct_cell_tokenized_once(self, monkeypatch):
+        # the hash sees the column's prefix once and the tokens of each of the
+        # five distinct cells once, not the 13 tokens of the seven rows
+        hashed, fnv1a = [], predictor._fnv1a
+
+        def spy(buf, starts, lengths, state):
+            hashed.extend(buf[a : a + n].tobytes() for a, n in zip(starts.tolist(), lengths.tolist()))
+            return fnv1a(buf, starts, lengths, state)
+
+        monkeypatch.setattr(predictor, "_fnv1a", spy)
         cells = ["a b a", "", "b c", "c c a", "b c", None, "a b a"]
         FeatureSpec(hash_dim=8).encode_dataset(Dataset(list("0123456"), np.zeros(7), {"feat": cells}))
-        assert sorted(hashed) == ["feat=a", "feat=b", "feat=c"]
-        assert len(split) == 5
+        assert sorted(hashed) == sorted([b"feat=", *b"a b a b c c c a".split()])
+
+    @pytest.mark.parametrize("seed, golden", [(0, [780, 539, 691, 245]),
+                                              (2**64 - 1, [702, 736, 219, 832])])
+    def test_slots_follow_the_documented_hash(self, seed, golden):
+        spec = FeatureSpec(hash_dim=1024, seed=seed)
+        dataset = Dataset(["0", "1"], np.zeros(2), {"items": ["42|é", None], "ключ": ["", "слово 42"]})
+        tokens = ["items=42", "items=é", "ключ=слово", "ключ=42"]
+        assert [reference_slot(token, seed, 1024) for token in tokens] == golden
+        assert spec.encode_dataset(dataset).slots.tolist() == golden
+        assert [spec.slot(token) for token in tokens] == golden
+        # enough tokens, of mixed lengths, that most bytes take the numpy steps
+        many = [f"t{i}" + "é" * (i % 7) for i in range(100)]
+        slots = spec.encode_dataset(Dataset(["0"], np.zeros(1), {"ключ": [" ".join(many)]})).slots
+        assert slots.tolist() == [reference_slot(f"ключ={token}", seed, 1024) for token in many]
+
+    @pytest.mark.parametrize("hash_dim", [64, 1024])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_slots_are_uniform(self, hash_dim, seed):
+        # chi-square over 50k distinct tokens against its 0.1% critical value
+        # (the Wilson-Hilferty approximation, z = 3.09)
+        cells = [" ".join(f"i{k}" for k in range(i, i + 50)) for i in range(0, 50_000, 50)]
+        slots = FeatureSpec(hash_dim, seed).encode_dataset(
+            Dataset([str(i) for i in range(len(cells))], np.zeros(len(cells)), {"items": cells})).slots
+        expected = 50_000 / hash_dim
+        chi2 = float(((np.bincount(slots, minlength=hash_dim) - expected) ** 2).sum() / expected)
+        dof = hash_dim - 1
+        assert chi2 < dof * (1 - 2 / (9 * dof) + 3.09 * math.sqrt(2 / (9 * dof))) ** 3
+
+    def test_encoding_does_not_hold_per_token_temporaries(self):
+        # 40k distinct cells of 30 tokens: the int64 slots of the rows and of
+        # the distinct cells take 9.2 MiB each; the chunked tokenizing and
+        # bag assembly add under 6 MiB, where whole-array temporaries of all
+        # 1.2M tokens would take several times the slots
+        cells = [" ".join(f"item{(i * 31 + k) % 50_000}" for k in range(30)) for i in range(40_000)]
+        dataset = Dataset([str(i) for i in range(40_000)], np.zeros(40_000), {"items": cells})
+        tracemalloc.start()
+        try:
+            bags = FeatureSpec(hash_dim=1024).encode_dataset(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bags.slots) == 1_200_000
+        assert peak < 24 * 2**20
 
     @staticmethod
     def _reference_bags(spec, dataset):
@@ -94,14 +167,18 @@ class TestFeatureSpec:
         return offsets, slots[np.argsort(rows, kind="stable")]
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), n_columns=st.integers(1, 3))
-    def test_bags_match_the_token_rule(self, data, n, n_columns):
-        # separators of every kind str.split knows, '=' and non-ASCII letters
-        # inside tokens, absent cells, and short alphabets, so the same raw
-        # token turns up in several columns and must hash with each one's name
-        cell = st.none() | st.text(st.sampled_from("ab=é|| \t\n\xa0\u3000\x1c"), max_size=12)
-        columns = ["feat", "kind", "ключ"][:n_columns]
-        features = {col: data.draw(st.lists(cell, min_size=n, max_size=n)) for col in columns}
+    @given(columns=st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.none() | st.text(st.sampled_from("ab=é|") | st.sampled_from(SPACES), max_size=12),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=3)))
+    @example(columns=[["é" + "a" * 99_999 + " b", None], [SPACES.join("xy"), "\u3000|\x85"]])
+    def test_bags_match_the_token_rule(self, columns):
+        # every character str.split splits on, '=' and non-ASCII letters inside
+        # tokens, absent cells, a 100k-character token, and short alphabets, so
+        # the same raw token turns up in several columns and must hash with
+        # each one's name
+        n = len(columns[0])
+        features = dict(zip(["feat", "kind", "ключ"], columns))
         dataset = Dataset([str(i) for i in range(n)], np.zeros(n), features)
         spec = FeatureSpec(hash_dim=1024, seed=3)
         bags = spec.encode_dataset(dataset)
@@ -242,7 +319,9 @@ class TestTraining:
         assert peak < 32 * 2**20
 
     def test_loss_trace_decreases_early(self):
-        prof = BehaviorProfile(Behavior.STATIONARY, (0.6,), None, seed=0)
+        # at p = 0.9 the optimal logit, 2.2, lies outside every slot's initial
+        # weight range of +-0.5, wherever the token hashes
+        prof = BehaviorProfile(Behavior.STATIONARY, (0.9,), None, seed=0)
         ds = constant_feature_dataset(simulate.draw_stationary(prof, 4000))
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=5, rel_tol=0.0,
                           batch_size=256, seed=1)
@@ -378,7 +457,7 @@ class TestArtifact:
                       {"w": np.array([[0.5, -1.25]]), "b": np.array([0.1])})
         model.save(tmp_path / "model.json")
         assert (tmp_path / "model.json").read_bytes() == (
-            b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 4, '
+            b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 5, '
             b'"head": "binom", "hidden": 0, "params": {"b": [0.1], "w": [0.5, -1.25]}, '
             b'"scheme": {"endpoints": [3], "tail_open": false}}\n')
 

@@ -30,6 +30,12 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="scheme"):
             profile(Behavior.FOCUSED, (0.5,) * 4)
 
+    @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
+    def test_stationary_takes_no_scheme(self, scheme):
+        # the stationary law reads no bucket, so a scheme would be recorded and never used
+        with pytest.raises(ValueError, match="stationary profile takes no bucket scheme"):
+            profile(Behavior.STATIONARY, (0.5,), scheme)
+
 
 class TestWandering:
     def test_extreme_probabilities(self):

@@ -24,7 +24,8 @@ def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
                   "--epochs", "2", "--out", tmp_path / "t"],
         "eval": ["eval", *common, "--model", tmp_path / "t" / "model.json", "--out", tmp_path / "e"],
     }
-    train_part, test_part = dataio.split(dataio.load_csv(data, dataio.DEFAULT_SCHEMAS["sim"]), 0.8, seed=0)
+    full = dataio.load_csv(data, dataio.DEFAULT_SCHEMAS["sim"])
+    train_part, test_part = map(full.take, dataio.split(len(full), 0.8, seed=0))
     encoded = {"buckets": None, "train": train_part, "eval": test_part}
 
     for command, argv in argvs.items():
