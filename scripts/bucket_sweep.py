@@ -44,7 +44,7 @@ def main():
     else:
         full = mixed_dataset(Behavior.FOCUSED, args.n, args.seed)
     train_set, test_set = map(full.take, dataio.split(len(full), 0.8, seed=args.seed))
-    train_targets = train_set.targets().tolist()
+    train_targets = train_set.targets()
 
     rows = []
     for n_buckets, step in sorted(STEPS.items()):

@@ -63,7 +63,7 @@ def fit_and_score(train_set, test_set, head, seed):
     scheme = None
     tail_open = heads.HEADS[head].tail_open
     if tail_open is not None:
-        scheme = from_percentiles(train_set.targets().tolist(), 5, tail_open=tail_open)
+        scheme = from_percentiles(train_set.targets(), 5, tail_open=tail_open)
     config = TrainConfig(head=head, scheme=scheme, hash_dim=16, max_epochs=30, seed=seed)
     model = predictor.train(train_set, config).model
     preds = model.predict_dataset(test_set)

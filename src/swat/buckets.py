@@ -4,6 +4,9 @@ A scheme is a strictly increasing list of integer endpoints x_1 < ... < x_N
 partitioning [0, inf) into buckets B_i = (x_{i-1}, x_i] with x_0 = 0.  When
 ``tail_open`` is set, the unbounded bucket (x_N, inf) participates as bucket
 N+1 (geometric-style heads); otherwise watch times beyond x_N clip to bucket N.
+
+The percentile constructors take the targets as a sequence or an array and
+sort them with ``np.sort``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import dataio
 
@@ -103,7 +108,7 @@ def check_percent_step(percent_step) -> Fraction:
     return step
 
 
-def _percentile_values(sorted_targets: Sequence[int], qs: Iterable[Fraction]) -> list[int]:
+def _percentile_values(sorted_targets: np.ndarray, qs: Iterable[Fraction]) -> list[int]:
     """Empirical q-percentiles: element at 1-based index ceil(q*n/100)."""
     n = len(sorted_targets)
     out = []
@@ -120,21 +125,31 @@ def _grid(step: Fraction, upto: int = 100) -> list[Fraction]:
     return qs
 
 
-def from_percentiles(targets: Sequence[int], percent_step, tail_open: bool = False) -> BucketScheme:
+def _sorted(targets: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The targets sorted by ``np.sort``; ValueError when there are none."""
+    srt = np.sort(np.asarray(targets))
+    if not len(srt):
+        raise ValueError("no targets given")
+    return srt
+
+
+def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step,
+                     tail_open: bool = False) -> BucketScheme:
     """Endpoints at the percent_step, 2*percent_step, ..., 100 percentiles.
 
-    The maximum (100-percentile) is always an endpoint; duplicates and
+    The targets are a sequence or an array; they are sorted in numpy.  The
+    maximum (100-percentile) is always an endpoint; duplicates and
     non-positive values are dropped.
     """
-    if not targets:
-        raise ValueError("no targets given")
+    srt = _sorted(targets)
     # a step below 100/n skips no sorted target, so 100/n gives the same scheme
     # with n grid points instead of 100/step
-    step = max(check_percent_step(percent_step), Fraction(100, len(targets)))
-    return from_endpoints(_percentile_values(sorted(targets), _grid(step)), tail_open)
+    step = max(check_percent_step(percent_step), Fraction(100, len(srt)))
+    return from_endpoints(_percentile_values(srt, _grid(step)), tail_open)
 
 
-def ablation_choice(targets: Sequence[int], choice: int, tail_open: bool = False) -> BucketScheme:
+def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
+                    tail_open: bool = False) -> BucketScheme:
     """One of six endpoint constructions over the target distribution.
 
     1: 5-percentile grid
@@ -143,13 +158,11 @@ def ablation_choice(targets: Sequence[int], choice: int, tail_open: bool = False
     4: 2-percentile grid to the 96th percentile + 5-percentile grid of the top 4%
     5: 2-percentile grid to the 96th percentile + 2-percentile grid of the top 4%
     6: 1-percentile grid to the 90th percentile + 1-percentile grid of the top 10%
-    Duplicates are removed after concatenation.
+    Duplicates are removed after concatenation.  The targets are sorted in numpy.
     """
-    if not targets:
-        raise ValueError("no targets given")
+    srt = _sorted(targets)
     if choice not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"choice must be 1..6, got {choice}")
-    srt = sorted(targets)
 
     if choice in (1, 2, 3):
         step = {1: 5, 2: 2, 3: 1}[choice]
@@ -163,7 +176,7 @@ def ablation_choice(targets: Sequence[int], choice: int, tail_open: bool = False
     head = _percentile_values(srt, _grid(Fraction(head_step), head_upto))
     cut = ceil(Fraction(head_upto) * len(srt) / 100)
     top = srt[cut:]
-    if top:
+    if len(top):
         tail = _percentile_values(top, _grid(Fraction(tail_step)))
     else:
         tail = [int(round(srt[-1]))]

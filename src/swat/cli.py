@@ -123,7 +123,7 @@ def cmd_buckets(args) -> int:
             check_percent_step(args.percent_step)  # before the data is read
         dataset = _load_dataset(args, part="train", targets_only=True)
         cfg["skipped"] = dataset.skipped
-        targets = dataset.targets().tolist()
+        targets = dataset.targets()
         if args.choice is not None:
             scheme = ablation_choice(targets, args.choice, tail_open=args.tail_open)
         else:
@@ -149,6 +149,9 @@ def cmd_train(args) -> int:
     result = predictor.train(dataset, config)
     if result.clipped:
         log.warning("%d samples clipped beyond the last bucket edge", result.clipped)
+    if result.stopped == "max_epochs":
+        log.warning("training stopped at --epochs %d before the mean loss settled (relative change >= %g)",
+                    config.max_epochs, config.rel_tol)
 
     outdir = _ensure_outdir(args.out)
     model_path = outdir / "model.json"
@@ -156,7 +159,7 @@ def cmd_train(args) -> int:
     result.model.save(model_path)
     dataio.write_csv(trace_path, ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
     inputs = [args.data] + ([args.scheme] if args.scheme else [])
-    cfg = dict(vars(args), clipped=result.clipped, skipped=dataset.skipped)
+    cfg = dict(vars(args), clipped=result.clipped, stopped=result.stopped, skipped=dataset.skipped)
     _write_manifest(outdir, "train", cfg, inputs, [model_path, trace_path], started)
     print(f"trained {head.value} head: {len(result.epoch_losses)} epochs, "
           f"final loss {result.epoch_losses[-1]:.6f}")

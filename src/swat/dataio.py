@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,8 @@ import numpy as np
 
 _TARGET_LIMIT = 2.0**63  # scaled targets must round into int64
 _LINE_END = re.compile(rb"\r\n|\r|\n")  # the line ends csv.reader counts with newline=""
+_LF = ord("\n")
+_SCAN_CHUNK = 1 << 16  # bytes per read of the pass that vouches for a file
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,18 @@ def _float_or_nan(cell) -> float:
         return math.nan
 
 
-def _floats(cells: list) -> np.ndarray:
+def _floats(cells) -> np.ndarray:
     """float(cell) of each cell; NaN, which every skip rule rejects, where a
-    cell is absent or no number."""
-    return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
+    cell is absent or no number.
+
+    numpy's object-to-float cast calls float on each cell (None gives NaN),
+    so it takes every number float takes; a cell it rejects sends the column
+    through ``_float_or_nan`` cell by cell.
+    """
+    try:
+        return np.asarray(cells, dtype=object).astype(np.float64)
+    except (TypeError, ValueError):
+        return np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
 
 
 def _usable(scaled: np.ndarray) -> np.ndarray:
@@ -153,7 +164,7 @@ def _usable(scaled: np.ndarray) -> np.ndarray:
     return (0.0 <= scaled) & (scaled < _TARGET_LIMIT)
 
 
-def _interned(cells: list) -> np.ndarray:
+def _interned(cells) -> np.ndarray:
     """Object array of the cells in which equal strings share one object."""
     seen: dict = {}
     return np.fromiter(map(seen.setdefault, cells, cells), object, len(cells))
@@ -176,29 +187,66 @@ def _not_utf8(path) -> str:
     return "not UTF-8"
 
 
-def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False,
-             rows: Callable[[int], np.ndarray] | None = None) -> Dataset:
-    """Parse a UTF-8 CSV with header row into a Dataset.
+def _plain_header(path) -> list[str] | None:
+    """The header of a file that ``np.loadtxt`` splits as csv.reader does, or
+    None when the file needs csv.reader.
 
-    Reads as csv.DictReader would: blank lines are dropped and not counted,
-    cells missing from a short row read as None, and of repeated header
-    names the last one wins.  An empty id becomes the row's index.  Raises
-    on a missing file, a missing configured column, malformed CSV or bytes
-    that are not UTF-8 (ValueError naming the file and line), or zero usable
-    rows; bad rows are skipped and counted instead.
-
-    With ``targets_only`` the header is checked against every configured
-    column as before, but only the target cells are kept: the rows, skips
-    and errors are those of the full read, while the ids are None and there
-    are no feature columns.
-
-    ``rows``, when given, maps the usable-row count to the indices of the
-    usable rows to keep, in order (``split`` gives one part); only the ids,
-    feature cells and targets of those rows make up the dataset.
+    One streamed pass vouches for the file: it holds no quote or CR byte, its
+    first line is not blank and is UTF-8, and no line is longer than
+    ``csv.field_size_limit()`` (in bytes, so never fewer than its characters).
+    Without quotes and CRs, csv.reader splits every line at its commas, which
+    is what loadtxt does with ``quotechar=None, comments=None``.
     """
-    check_c(c)
-    needed = [schema.id_column, schema.target_column, *schema.feature_columns]
-    kept = [schema.target_column] if targets_only else needed
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        line = first[:-1] if first.endswith(b"\n") else first
+        if not line or b'"' in line or b"\r" in line or len(line) > limit:
+            return None
+        try:
+            header = line.decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
+        pos, last_end = 0, -1  # bytes read after the header, offset of the last line end
+        while chunk := fh.read(_SCAN_CHUNK):
+            if b'"' in chunk or b"\r" in chunk:
+                return None
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == _LF) + pos
+            lengths = np.diff(ends, prepend=last_end) - 1
+            if len(ends):
+                last_end = int(ends[-1])
+            pos += len(chunk)
+            if lengths.max(initial=0) > limit or pos - last_end - 1 > limit:
+                return None
+    return header
+
+
+def _split_plain(path, needed: list[str], kept: list[str]) -> dict[str, np.ndarray] | None:
+    """The kept columns of a quote-free file, split by numpy's C reader; None
+    when the file needs csv.reader.
+
+    loadtxt raises ValueError (UnicodeDecodeError is one) on a row too short
+    for a kept column and on bytes that are not UTF-8, and warns when no row
+    holds data: csv.reader then reads the file, as the reference for short
+    rows, errors and the zero-row message.
+    """
+    header = _plain_header(path)
+    if header is None or any(col not in header for col in needed):
+        return None
+    index = {name: j for j, name in enumerate(header)}  # the last of repeated names
+    usecols = sorted({index[col] for col in kept})  # kuairec's user_id is id and feature: parse it once
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(path, dtype=object, delimiter=",", quotechar=None, comments=None,
+                               skiprows=1, usecols=usecols, encoding="utf-8", ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    return {col: table[:, usecols.index(index[col])] for col in kept}
+
+
+def _split_csv(path, needed: list[str], kept: list[str]) -> dict[str, list]:
+    """The kept columns as csv.reader reads them, with DictReader's rules."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -223,11 +271,43 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}, {_not_utf8(path)}") from None
+    return {col: cells[index[col]] for col in kept}
 
-    def column(name: str) -> list:
-        return cells[index[name]]
 
-    raw = _floats(column(schema.target_column))
+def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False,
+             rows: Callable[[int], np.ndarray] | None = None) -> Dataset:
+    """Parse a UTF-8 CSV with header row into a Dataset.
+
+    Reads as csv.DictReader would: blank lines are dropped and not counted,
+    cells missing from a short row read as None, and of repeated header
+    names the last one wins.  An empty id becomes the row's index.  Raises
+    on a missing file, a missing configured column, malformed CSV or bytes
+    that are not UTF-8 (ValueError naming the file and line), or zero usable
+    rows; bad rows are skipped and counted instead.
+
+    Two readers give that result.  A file with no quote or CR byte, a
+    non-blank first line, no line beyond ``csv.field_size_limit()`` and
+    every non-blank row long enough for the kept columns is split in C by
+    ``np.loadtxt``; csv.reader reads every other file, and so gives every
+    skip of a short row and every error.
+
+    With ``targets_only`` the header is checked against every configured
+    column as before, but only the target cells are kept: the rows, skips
+    and errors are those of the full read, while the ids are None and there
+    are no feature columns.
+
+    ``rows``, when given, maps the usable-row count to the indices of the
+    usable rows to keep, in order (``split`` gives one part); only the ids,
+    feature cells and targets of those rows make up the dataset.
+    """
+    check_c(c)
+    needed = [schema.id_column, schema.target_column, *schema.feature_columns]
+    kept = [schema.target_column] if targets_only else needed
+    columns = _split_plain(path, needed, kept)
+    if columns is None:
+        columns = _split_csv(path, needed, kept)
+
+    raw = _floats(columns[schema.target_column])
     with np.errstate(over="ignore"):
         keep = np.flatnonzero(_usable(c * raw))
     skipped = len(raw) - len(keep)
@@ -241,7 +321,7 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
     # interning only the kept cells, in their shuffled order, is slower.  The
     # id column may also be a feature column (kuairec's user_id): intern it once.
     text_columns = dict.fromkeys((schema.id_column, *schema.feature_columns))
-    text = {col: _interned(column(col))[keep] for col in text_columns}
+    text = {col: _interned(columns[col])[keep] for col in text_columns}
     ids = [cell or str(i) for cell, i in zip(text[schema.id_column].tolist(), keep.tolist())]
     features = {col: text[col] for col in schema.feature_columns}
     return Dataset(ids, raw[keep], features, c=c, skipped=skipped)

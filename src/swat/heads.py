@@ -103,16 +103,18 @@ def binom_loss_batch(logits: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, 
     return losses, p - soft
 
 
-def geo_coefficients(scheme: BucketScheme, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def geo_coefficients(scheme: BucketScheme, targets: np.ndarray,
+                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample likelihood coefficients for the bucketized geometric head.
 
     Watching exactly t seconds means continuing at seconds 1..t and stopping
     before second t + 1, so log pmf(t) = sum_i A[b, i] log p_i + log(1 - p_k)
     with A = `labels.seconds` and k the bucket of second t + 1.  Returns
     (A, stop_idx) with stop_idx[b] = k, 0-based.  At an endpoint t = x_i the
-    stop lands in bucket i + 1, so the pmf sums to 1.
+    stop lands in bucket i + 1, so the pmf sums to 1.  A is in the loss's
+    float ``dtype``, each entry its float64 value cast to it.
     """
-    return labels.seconds(scheme, targets), np.searchsorted(scheme.endpoints, targets, side="right")
+    return labels.seconds(scheme, targets, dtype), np.searchsorted(scheme.endpoints, targets, side="right")
 
 
 def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +211,13 @@ class Head:
 
     ``tail_open`` is the scheme tail the head needs: None for no scheme, False
     for a closed tail (N probabilities), True for an open one (N + 1).
-    ``encode(scheme, t)`` turns an int64 batch of watch times into the
-    targets ``loss(logits, encoded)`` takes; the loss returns per-row losses
-    and logit gradients.  ``expectation(probs, scheme)`` returns the per-row
-    mean watch time of clamped probabilities.  Functions that a profiler may
-    wrap are looked up by name when called, so the entries hold lambdas
-    around them.
+    ``encode(scheme, t, dtype)`` turns an int64 batch of watch times into the
+    targets ``loss(logits, encoded)`` takes for logits of float ``dtype`` (the
+    geo coefficients are built in it; the other losses cast their targets);
+    the loss returns per-row losses and logit gradients.
+    ``expectation(probs, scheme)`` returns the per-row mean watch time of
+    clamped probabilities.  Functions that a profiler may wrap are looked up
+    by name when called, so the entries hold lambdas around them.
     """
 
     tail_open: bool | None
@@ -226,18 +229,18 @@ class Head:
 HEADS: dict[HeadKind, Head] = {
     HeadKind.BINOM: Head(
         tail_open=False,
-        encode=lambda scheme, t: labels.matrix(scheme, t),
+        encode=lambda scheme, t, dtype: labels.matrix(scheme, t),
         loss=binom_loss_batch,
         expectation=binom_expectation_batch,
     ),
     HeadKind.GEO: Head(
         tail_open=True,
-        encode=lambda scheme, t: geo_coefficients(scheme, t),
+        encode=lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype),
         loss=lambda logits, enc: geo_loss_batch(logits, *enc),
         expectation=geo_expectation_batch,
     ),
-    HeadKind.VGEO: Head(None, lambda scheme, t: t, vgeo_loss_batch, vgeo_expectation_batch),
-    HeadKind.WLR: Head(None, lambda scheme, t: t, wlr_loss_batch, vgeo_expectation_batch),
+    HeadKind.VGEO: Head(None, lambda scheme, t, dtype: t, vgeo_loss_batch, vgeo_expectation_batch),
+    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, vgeo_expectation_batch),
 }
 
 
@@ -256,13 +259,14 @@ def arity(kind: HeadKind, scheme: BucketScheme | None) -> int:
     return scheme.n_buckets + tail_open
 
 
-def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets) -> Any:
-    """Loss targets for a batch of integer watch times; negative times raise."""
+def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets, dtype=np.float64) -> Any:
+    """Loss targets for a batch of integer watch times and logits of float
+    ``dtype``; negative times raise."""
     arity(kind, scheme)
     t = np.asarray(targets, dtype=np.int64)
     if np.any(t < 0):
         raise ValueError(f"watch time must be non-negative, got {int(t.min())}")
-    return HEADS[kind].encode(scheme, t)
+    return HEADS[kind].encode(scheme, t, dtype)
 
 
 def loss_batch(kind: HeadKind, logits: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,14 @@ import numpy as np
 from .buckets import BucketScheme
 
 
-def seconds(scheme: BucketScheme, targets: np.ndarray) -> np.ndarray:
+def seconds(scheme: BucketScheme, targets: np.ndarray, dtype=np.float64) -> np.ndarray:
     """(n,) non-negative integer targets -> (n, N + 1) seconds watched in each
-    bucket; column N holds the seconds past x_N."""
+    bucket; column N holds the seconds past x_N.
+
+    The entries are in float ``dtype``, each its float64 value cast to it: the
+    width table is cast once and the n partial seconds go int64 -> float64 ->
+    ``dtype`` (a direct int64 -> float32 cast rounds otherwise past 2**53).
+    """
     t = np.asarray(targets, dtype=np.int64)
     ends = np.asarray(scheme.endpoints, dtype=np.int64)
     lows = np.concatenate(([0], ends))
@@ -26,9 +31,9 @@ def seconds(scheme: BucketScheme, targets: np.ndarray) -> np.ndarray:
     n = scheme.n_buckets + 1
     widths_ext = np.concatenate((np.asarray(scheme.widths, dtype=np.float64), [0.0]))
     # row k: the widths of the buckets before bucket k, 0 from column k on
-    watched_through = np.tril(np.broadcast_to(widths_ext, (n, n)), k=-1)
+    watched_through = np.tril(np.broadcast_to(widths_ext, (n, n)), k=-1).astype(dtype, copy=False)
     out = watched_through[in_idx]
-    out[np.arange(len(t)), in_idx] = t - lows[in_idx]
+    out[np.arange(len(t)), in_idx] = (t - lows[in_idx]).astype(np.float64)
     return out
 
 

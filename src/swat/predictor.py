@@ -16,8 +16,8 @@ writes and reads as JSON.  A model records the target scale ``c`` it was
 fitted at and predicts in raw units.
 
 Training computes in float32: the parameters, the Adam moments, each batch's
-feature rows (scattered straight into float32) and the head's loss and
-gradient.  The trained parameters are cast back to float64, and everything
+feature rows (scattered straight into float32) and encoded targets, and the
+head's loss and gradient.  The trained parameters are cast back to float64, and everything
 after training (scoring, the estimators and the artifact) works in float64.
 """
 
@@ -392,9 +392,15 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """The fitted model, the mean loss of each epoch, the count of targets
+    clipped to the last closed bucket, and how training stopped: "rel_tol"
+    when the mean loss changed by less than ``rel_tol`` relative between two
+    epochs, else "max_epochs"."""
+
     model: Model
     epoch_losses: list[float]
     clipped: int = 0
+    stopped: str = "max_epochs"
 
 
 def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
@@ -419,6 +425,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     optimizer = AdamState.for_params(model.params, config.lr)
     n = len(dataset)
     epoch_losses: list[float] = []
+    stopped = "max_epochs"
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(n)
@@ -426,7 +433,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = bags.rows(idx, np.float32)
-            enc = heads.encode_targets(config.head, config.scheme, targets[idx])
+            enc = heads.encode_targets(config.head, config.scheme, targets[idx], np.float32)
             losses, dlogits = heads.loss_batch(config.head, model.forward_batch(xb), enc)
             total += float(losses.sum())  # one non-finite loss makes the total non-finite
             if not np.isfinite(total):
@@ -437,7 +444,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         if epoch > 0:
             prev, cur = epoch_losses[-2], epoch_losses[-1]
             if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
+                stopped = "rel_tol"
                 break
     model.params = {key: value.astype(np.float64) for key, value in model.params.items()}
-    return TrainResult(model, epoch_losses, clipped)
+    return TrainResult(model, epoch_losses, clipped, stopped)
 

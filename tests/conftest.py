@@ -29,7 +29,7 @@ def fit_binom_to_labels(monkeypatch, labels):
     target is its row number, so row i fits ``labels[i]``."""
     entry = heads.HEADS[HeadKind.BINOM]
     monkeypatch.setitem(heads.HEADS, HeadKind.BINOM,
-                        dataclasses.replace(entry, encode=lambda scheme, t: labels[t]))
+                        dataclasses.replace(entry, encode=lambda scheme, t, dtype: labels[t]))
 
 
 def encode_tokens(spec, tokens):

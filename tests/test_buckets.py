@@ -103,6 +103,60 @@ class TestFromPercentiles:
         assert coarse <= fine
 
 
+def sorted_grid(targets, step, upto=100):
+    """Percentiles at step, 2 step, ... up to ``upto`` (and 100 when
+    ``upto`` is 100), read from Python's sorted()."""
+    qs = [step * k for k in range(1, math.floor(upto / step) + 1)]
+    if upto == 100 and qs[-1:] != [100]:
+        qs.append(100)
+    return [sorted_percentile(targets, q) for q in qs]
+
+
+def sorted_ablation_choice(targets, choice, tail_open=False):
+    """ablation_choice as written with sorted() over a list."""
+    if choice <= 3:  # through from_percentiles, whose step is at least 100 / n
+        step = max(Fraction({1: 5, 2: 2, 3: 1}[choice]), Fraction(100, len(targets)))
+        return from_endpoints(sorted_grid(targets, step), tail_open)
+    head_step, head_upto, tail_step = {4: (2, 96, 5), 5: (2, 96, 2), 6: (1, 90, 1)}[choice]
+    srt = sorted(targets)
+    top = srt[math.ceil(Fraction(head_upto) * len(srt) / 100):]
+    tail = sorted_grid(top, tail_step) if top else [srt[-1]]
+    return from_endpoints(sorted_grid(srt, head_step, head_upto) + tail, tail_open)
+
+
+def outcome(build, *args):
+    """The scheme ``build(*args)`` makes, or the message of its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestNumpySortMatchesSorted:
+    """The constructors sort with np.sort; lists and int64 arrays give the
+    endpoints (or the error) that Python's sorted() gives."""
+
+    targets = st.lists(st.integers(0, 300) | st.integers(0, 2**62), min_size=1, max_size=150)
+
+    @given(targets, st.sampled_from([Fraction(1), Fraction(1, 2), 2, 5, 7, 10, 50]), st.booleans())
+    def test_from_percentiles(self, targets, step, tail_open):
+        grid = sorted_grid(targets, max(Fraction(step), Fraction(100, len(targets))))
+        want = outcome(from_endpoints, grid, tail_open)
+        assert outcome(from_percentiles, targets, step, tail_open) == want
+        assert outcome(from_percentiles, np.asarray(targets, dtype=np.int64), step, tail_open) == want
+
+    @given(targets, st.integers(1, 6), st.booleans())
+    def test_ablation_choice(self, targets, choice, tail_open):
+        want = outcome(sorted_ablation_choice, targets, choice, tail_open)
+        assert outcome(ablation_choice, targets, choice, tail_open) == want
+        assert outcome(ablation_choice, np.asarray(targets, dtype=np.int64), choice, tail_open) == want
+
+    def test_empty_array_raises(self):
+        for make in (from_percentiles, lambda t, _: ablation_choice(t, 1)):
+            with pytest.raises(ValueError, match="no targets"):
+                make(np.array([], dtype=np.int64), 5)
+
+
 class TestAblationChoices:
     def test_grid_choices_match_percentile_steps(self):
         targets = list(range(1, 1001))

@@ -195,6 +195,31 @@ class TestTrainEval:
         assert json.loads((tdir / "manifest.json").read_text())["config"]["skipped"] == 0
         assert not any("unusable" in r.getMessage() for r in caplog.records)
 
+    def test_how_training_stopped_is_recorded(self, tmp_path, caplog):
+        # no wandering draw is 0 s long, so the wlr loss -t log p keeps falling
+        # as p -> 1 and never meets rel_tol; vgeo, on the same rows, does
+        assert run("simulate", "--kind", "wandering", "--probs", "0.8,0.5,0.2", "--endpoints", "8,20,45",
+                   "--n", "20000", "--seed", "1", "--out", tmp_path / "s") == 0
+        data = tmp_path / "s" / "samples.csv"
+        fit = ("train", "--data", data, "--epochs", "200", "--lr", "2e-2", "--ratio", "0.8")
+
+        def warned():
+            return [r for r in caplog.records if "before the mean loss settled" in r.getMessage()]
+
+        assert run(*fit, "--head", "wlr", "--out", tmp_path / "wlr") == 0
+        config = json.loads((tmp_path / "wlr" / "manifest.json").read_text())["config"]
+        assert config["stopped"] == "max_epochs" and config["clipped"] == 0
+        assert len(read_rows(tmp_path / "wlr" / "loss_trace.csv")) == 200
+        [record] = warned()
+        assert record.levelname == "WARNING" and "--epochs 200" in record.getMessage()
+
+        caplog.clear()
+        assert run(*fit, "--head", "vgeo", "--out", tmp_path / "vgeo") == 0
+        config = json.loads((tmp_path / "vgeo" / "manifest.json").read_text())["config"]
+        assert config["stopped"] == "rel_tol"
+        assert len(read_rows(tmp_path / "vgeo" / "loss_trace.csv")) < 200
+        assert warned() == []
+
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", 0), ("--epochs", -1), ("--batch", 0), ("--batch", -5), ("--hidden", -1),
         ("--lr", 0), ("--lr", -1), ("--lr", "nan"), ("--lr", "inf"),

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestLoadCsv:
         assert bad.read_bytes().index(b"\xff") > 8192
         with pytest.raises(ValueError, match=r"bad\.csv, line 1501: byte 0xff is not UTF-8"):
             dataio.load_csv(bad, SIM, c=1)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"], ids=["no line end", "line end", "blank line"])
+    def test_header_only_file_has_no_usable_rows(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,feat,watch_time" + body, encoding="utf-8")
+        for targets_only in (False, True):
+            with pytest.raises(ValueError, match=r"d\.csv: no usable rows \(skipped 0\)"):
+                dataio.load_csv(path, SIM, c=1, targets_only=targets_only)
 
     def test_bad_c_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])
@@ -162,9 +171,66 @@ def csv_files(draw):
     return b"".join(lines)
 
 
+PLAIN_TEXT = ["t", "u", "é", "|", " ", "\t", "\x00", "\x1c", "\u2003", "\x85", "\u2028", "#", "\ufeff"]
+plain_cells = st.one_of(
+    st.sampled_from(GOOD_NUMBERS),
+    st.sampled_from(GOOD_NUMBERS),
+    st.sampled_from(BAD_NUMBERS),
+    st.text(st.sampled_from(PLAIN_TEXT), max_size=6),
+)
+
+
+@st.composite
+def plain_files(draw):
+    """Bytes of a CSV with no quote and LF line ends, joined by hand: the files
+    the C splitter reads.  Any file may hold blank lines, long rows and bad
+    numbers; about a third may also hold whitespace-only and short rows; now
+    and then a line is oversized or holds a byte that is not UTF-8."""
+    header = draw(st.lists(st.sampled_from(["id", "a", "b", "y", "n", "z"]), max_size=3))
+    if draw(st.integers(0, 4)):
+        header += draw(st.permutations(["id", "a", "b", "y", "n"]))
+    width = len(header)
+    row = st.lists(plain_cells, min_size=width, max_size=width + 2) | st.just([])
+    if not draw(st.integers(0, 2)):
+        row |= st.lists(plain_cells, max_size=width + 2) | st.sampled_from([[" "], ["\t "], ["  "]])
+    lines = [",".join(cells) for cells in [header, *draw(st.lists(row, max_size=12))]]
+    fault = draw(st.sampled_from([None, None, None, None, "oversized", "not-utf8"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "oversized":
+        lines.insert(at, "1," + "x" * (csv.field_size_limit() + 1) + ",2")
+    data = ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode("utf-8")
+    if fault == "not-utf8":
+        data = data.replace(b"t", b"t\xff", 1)
+    return data
+
+
+def splits_in_c(data: bytes, kept) -> bool:
+    """Whether load_csv's C splitter may read EQUIV_SCHEMA's ``kept`` columns
+    of this file, by the rules its docstring states: no quote or CR byte,
+    UTF-8, a non-blank first line holding every configured column, no line
+    over the field size limit, and at least one non-blank row, each with a
+    cell for every kept column."""
+    lines = data.split(b"\n")
+    if data.endswith(b"\n"):
+        lines.pop()
+    if b'"' in data or b"\r" in data or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return False
+    try:
+        header = lines[0].decode("utf-8").split(",")
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    if any(col not in header for col in ["id", "y", *EQUIV_SCHEMA.feature_columns]):
+        return False
+    index = {name: j for j, name in enumerate(header)}
+    width = max(index[col] for col in kept) + 1
+    rows = [line for line in lines[1:] if line]
+    return bool(rows) and all(line.count(b",") + 1 >= width for line in rows)
+
+
 class TestLoaderMatchesDictReader:
-    @settings(max_examples=300, deadline=None)
-    @given(data=csv_files(), c=st.sampled_from([1.0, 50.0, 100.0]))
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_files() | plain_files(), c=st.sampled_from([1.0, 50.0, 100.0]))
     def test_same_rows_tokens_and_errors(self, data, c):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
@@ -174,13 +240,13 @@ class TestLoaderMatchesDictReader:
             except ValueError as exc:
                 for targets_only, rows in itertools.product((False, True), (None, self.some_rows)):
                     with pytest.raises(ValueError) as got:
-                        dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=targets_only, rows=rows)
+                        self.load(path, data, c, targets_only=targets_only, rows=rows)
                     assert str(got.value) == str(exc)
                 return
-            ds = dataio.load_csv(path, EQUIV_SCHEMA, c=c)
-            targets = dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=True)
-            part = dataio.load_csv(path, EQUIV_SCHEMA, c=c, rows=self.some_rows)
-            part_targets = dataio.load_csv(path, EQUIV_SCHEMA, c=c, targets_only=True, rows=self.some_rows)
+            ds = self.load(path, data, c)
+            targets = self.load(path, data, c, targets_only=True)
+            part = self.load(path, data, c, rows=self.some_rows)
+            part_targets = self.load(path, data, c, targets_only=True, rows=self.some_rows)
         got = ds.ids.tolist(), self.tokens(ds), ds.raw_targets.tolist(), ds.skipped
         assert got == expected
         # the targets-only read keeps the same rows and skips, and no other column
@@ -195,6 +261,31 @@ class TestLoaderMatchesDictReader:
         assert part.raw_targets.tolist() == part_targets.raw_targets.tolist() == [expected[2][i] for i in rows]
         assert part.skipped == part_targets.skipped == expected[3]
         assert part_targets.ids.tolist() == [None] * len(rows) and part_targets.features == {}
+
+    def test_quote_free_file_is_split_in_c(self, tmp_path):
+        rows = ["id,a,b,y,n", " 1 ,\tt u,é|#x, 7 ,", "", "2,\x00,\x85\u2028\x1c,1_0,9,extra,cells",
+                "\ufeff3,,\u2003,2.5,", "4,t,u,oops,", "5,t,u,-1,"]
+        data = ("\n".join(rows) + "\n").encode("utf-8")
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        assert splits_in_c(data, ["id", "y", "a", "b"])
+        expected = dictreader_load(path, EQUIV_SCHEMA, 50.0)
+        assert expected[2] == [7.0, 10.0, 2.5] and expected[3] == 2
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader ran")):
+            ds = dataio.load_csv(path, EQUIV_SCHEMA, c=50.0)
+        assert (ds.ids.tolist(), self.tokens(ds), ds.raw_targets.tolist(), ds.skipped) == expected
+
+    @staticmethod
+    def load(path, data, c, **kwargs):
+        """load_csv of EQUIV_SCHEMA, checking that csv.reader ran exactly when
+        the C splitter may not read the file."""
+        kept = ["y"] if kwargs.get("targets_only") else ["id", "y", *EQUIV_SCHEMA.feature_columns]
+        in_c = splits_in_c(data, kept)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            try:
+                return dataio.load_csv(path, EQUIV_SCHEMA, c=c, **kwargs)
+            finally:
+                assert reader.called is not in_c, f"csv.reader {'ran' if reader.called else 'did not run'}"
 
     @staticmethod
     def some_rows(n):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swat import heads, labels, simulate
@@ -335,6 +335,19 @@ class TestFloat32Kernels:
         for g, w in zip(got, want):
             assert_bit_equal(g, w)
         assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
+
+    @given(schemes(max_buckets=110, max_width=60, tail_open=True),
+           st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26), st.integers(2**53, 2**62)),
+                    min_size=1, max_size=12))
+    # the partial 2**60 + 2**36 + 1 rounds up in a direct int64 -> float32
+    # cast, and to even through float64
+    @example(OPEN, [22 + 2**60 + 2**36 + 1])
+    def test_geo_coefficients_in_float32_are_the_float64_ones_cast(self, scheme, t):
+        a32, stop32 = heads.encode_targets(HeadKind.GEO, scheme, t, np.float32)
+        a64, stop64 = heads.encode_targets(HeadKind.GEO, scheme, t)
+        assert a64.dtype == np.float64
+        assert_bit_equal(a32, a64.astype(np.float32))
+        assert np.array_equal(stop32, stop64)
 
     def test_log_sigmoid_keeps_float_dtypes_and_widens_the_rest(self):
         y = np.array([-40, -1, 0, 3, 40])

@@ -348,6 +348,22 @@ class TestTraining:
         assert {key: value.dtype for key, value in a.params.items()} == dict.fromkeys(a.shapes(), np.float64)
         assert a.to_dict() == predictor.train(ds, cfg).model.to_dict()
 
+    def test_result_says_how_training_stopped(self):
+        prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
+        ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
+
+        def fit(max_epochs):
+            return predictor.train(ds, TrainConfig(head=HeadKind.VGEO, hash_dim=4, lr=2e-2,
+                                                   max_epochs=max_epochs, seed=0))
+
+        settled = fit(200)
+        epochs = len(settled.epoch_losses)
+        assert settled.stopped == "rel_tol" and 1 < epochs < 200
+        # the same fit settling on its last allowed epoch still stops on rel_tol
+        assert fit(epochs).stopped == "rel_tol"
+        cut = fit(epochs - 1)
+        assert cut.stopped == "max_epochs" and len(cut.epoch_losses) == epochs - 1
+
     def test_seed_changes_model(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
         ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
