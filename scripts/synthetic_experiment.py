@@ -18,8 +18,7 @@ from swat.heads import HeadKind
 from swat.predictor import TrainConfig
 from swat.simulate import Behavior, BehaviorProfile
 
-WANDER_SCHEME = BucketScheme((8, 20, 45), tail_open=False)
-FOCUS_SCHEME = BucketScheme((8, 20, 45), tail_open=True)
+ENDPOINTS = (8, 20, 45)
 
 GROUPS = {
     "casual": 0.55,
@@ -34,11 +33,9 @@ def group_profiles(kind, seed):
         Behavior.FOCUSED: np.array([0.97, 0.93, 0.85, 0.5]),
         Behavior.STATIONARY: np.array([0.9]),
     }[kind]
-    scheme = {
-        Behavior.WANDERING: WANDER_SCHEME,
-        Behavior.FOCUSED: FOCUS_SCHEME,
-        Behavior.STATIONARY: None,
-    }[kind]
+    # each population's scheme has the tail of the head that models it, or is none
+    tail_open = heads.HEADS[simulate.HEAD_OF[kind]].tail_open
+    scheme = None if tail_open is None else BucketScheme(ENDPOINTS, tail_open)
     for g, (token, factor) in enumerate(GROUPS.items()):
         probs = tuple(np.clip(base * factor, 0.02, 0.995))
         yield token, BehaviorProfile(kind, probs, scheme, seed + g)

@@ -76,13 +76,23 @@ class BucketScheme:
             raise ValueError(f"field '{prefix}endpoints' must be a list of integers")
         return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool, prefix))
 
-    def save(self, path) -> None:
-        dataio.write_json(path, asdict(self))
+    def save(self, path, c: float) -> None:
+        """Write the scheme and ``c``, the target scale its endpoints were built at."""
+        dataio.write_json(path, asdict(self) | {"c": float(c)})
 
     @classmethod
-    def load(cls, path) -> "BucketScheme":
-        """Read a ``save``d scheme; ValueError naming the file when it is not one."""
-        return dataio.read_json(path, cls.from_dict)
+    def load(cls, path) -> tuple["BucketScheme", float]:
+        """Read a ``save``d scheme and its ``c``; ValueError naming the file when
+        it is not one.  ``c`` is checked after the scheme's own fields."""
+        def parse(d):
+            scheme = cls.from_dict(d)
+            if "c" not in d:  # written before schemes recorded it
+                raise ValueError("no field 'c', the scale the scheme was built at; "
+                                 "rebuild it with swat buckets")
+            c = dataio.json_field(d, "c", float)
+            dataio.check_c(c)
+            return scheme, c
+        return dataio.read_json(path, parse)
 
 
 def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 numeric failure during training.  The SWAT_LOG environment variable
 (debug/info/warning/error) controls verbosity.  Every command that writes
 files also writes a manifest.json recording the resolved configuration,
-input hashes, and output paths.
+input hashes, and output paths (``Run``).
 """
 
 from __future__ import annotations
@@ -41,18 +41,34 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, inputs: list, outputs: list,
-                    started: str) -> None:
-    config = {k: v for k, v in config.items() if k != "fn"}
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": config.get("seed"),
-        "timestamps": {"started": started, "finished": _utcnow()},
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-    }
-    dataio.write_json(outdir / "manifest.json", manifest, indent=2)
+class Run:
+    """One command's manifest.json, which ``main`` writes after the command
+    returns when it took an output path from ``output``: the config is
+    ``vars(args)`` at that point plus what the command ``resolved``."""
+
+    def __init__(self, args) -> None:
+        self.args, self.started = args, _utcnow()
+        self.inputs, self.outputs, self.resolved = [], [], {}
+
+    def output(self, name: str) -> Path:
+        """The path of ``name`` under --out, which is created on first use."""
+        outdir = Path(self.args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(outdir / name)
+        return self.outputs[-1]
+
+    def write(self) -> None:
+        if not self.outputs:
+            return
+        config = {k: v for k, v in vars(self.args).items() if k != "fn"} | self.resolved
+        dataio.write_json(Path(self.args.out) / "manifest.json", {
+            "command": self.args.command,
+            "config": config,
+            "seed": config.get("seed"),
+            "timestamps": {"started": self.started, "finished": _utcnow()},
+            "inputs": {str(p): _sha256(Path(p)) for p in self.inputs},
+            "outputs": [str(p) for p in self.outputs],
+        }, indent=2)
 
 
 def _list_of(kind):
@@ -72,6 +88,21 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _c(args) -> float:
+    """The target scale: --c, else the schema's default; ValueError unless positive and finite."""
+    c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
+    dataio.check_c(c)
+    return c
+
+
+def _take_c(args, c: float, source: str) -> None:
+    """--c becomes ``c``, the scale an artifact was made at (``source`` says
+    which); ValueError naming both when an explicit --c differs."""
+    if args.c not in (None, c):
+        raise ValueError(f"--c {args.c} differs from {source}")
+    args.c = c  # the data is read, and the manifest records c, at that scale
+
+
 def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Dataset:
     """Load args.data; when --ratio is set, only the train or test part.
 
@@ -86,25 +117,21 @@ def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Data
 
         def rows(n: int):
             return dataio.split(n, args.ratio, args.seed)[part == "test"]
-    c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
     schema = dataio.DEFAULT_SCHEMAS[args.schema]
-    dataset = dataio.load_csv(args.data, schema, c=c, targets_only=targets_only, rows=rows)
+    dataset = dataio.load_csv(args.data, schema, c=_c(args), targets_only=targets_only, rows=rows)
     if dataset.skipped:
         log.warning("%d unusable rows of %s skipped", dataset.skipped, args.data)
     return dataset
 
 
-def _scheme(args, tail_open: bool) -> BucketScheme | None:
-    """The scheme of --scheme, else of --endpoints with the given tail, else None."""
+def _scheme(args, head: HeadKind) -> tuple[BucketScheme | None, float | None]:
+    """The scheme of --scheme and the c it was built at, else the scheme of
+    --endpoints with the tail ``head`` reads and no c, else neither."""
     if args.scheme is not None:
         return BucketScheme.load(args.scheme)
-    return from_endpoints(args.endpoints, tail_open=tail_open) if args.endpoints is not None else None
-
-
-def _ensure_outdir(path_str: str) -> Path:
-    outdir = Path(path_str)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    if args.endpoints is None:
+        return None, None
+    return from_endpoints(args.endpoints, tail_open=bool(heads.HEADS[head].tail_open)), None
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +139,33 @@ def _ensure_outdir(path_str: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_buckets(args) -> int:
-    started = _utcnow()
-    cfg = dict(vars(args))
+def cmd_buckets(args, run: Run) -> int:
+    c = _c(args)  # scheme.json records it, with --endpoints too
     if args.endpoints is not None:
         scheme = from_endpoints(args.endpoints, tail_open=args.tail_open)
-        inputs = []
     else:
         if args.choice is None:
             check_percent_step(args.percent_step)  # before the data is read
         dataset = _load_dataset(args, part="train", targets_only=True)
-        cfg["skipped"] = dataset.skipped
+        run.resolved["skipped"] = dataset.skipped
         targets = dataset.targets()
         if args.choice is not None:
             scheme = ablation_choice(targets, args.choice, tail_open=args.tail_open)
         else:
             scheme = from_percentiles(targets, args.percent_step, tail_open=args.tail_open)
-        inputs = [args.data]
-    outdir = _ensure_outdir(args.out)
-    scheme_path = outdir / "scheme.json"
-    scheme.save(scheme_path)
-    _write_manifest(outdir, "buckets", cfg, inputs, [scheme_path], started)
+        run.inputs.append(args.data)
+    scheme_path = run.output("scheme.json")
+    scheme.save(scheme_path, c)
     print(f"buckets: N={scheme.n_buckets} endpoints={','.join(map(str, scheme.endpoints))}")
     print(f"wrote {scheme_path}")
     return 0
 
 
-def cmd_train(args) -> int:
-    started = _utcnow()
+def cmd_train(args, run: Run) -> int:
     head = HeadKind(args.head)
-    scheme = _scheme(args, tail_open=bool(heads.HEADS[head].tail_open))
+    scheme, scheme_c = _scheme(args, head)
+    if scheme_c is not None:
+        _take_c(args, scheme_c, f"the scheme's c {scheme_c}, the scale it was built at")
     # TrainConfig checks every setting, so before the data is read
     config = TrainConfig(head, scheme, lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                          seed=args.seed, hash_dim=args.hash_dim, hidden=args.hidden)
@@ -153,71 +177,57 @@ def cmd_train(args) -> int:
         log.warning("training stopped at --epochs %d before the mean loss settled (relative change >= %g)",
                     config.max_epochs, config.rel_tol)
 
-    outdir = _ensure_outdir(args.out)
-    model_path = outdir / "model.json"
-    trace_path = outdir / "loss_trace.csv"
+    model_path = run.output("model.json")
+    trace_path = run.output("loss_trace.csv")
     result.model.save(model_path)
     dataio.write_csv(trace_path, ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
-    inputs = [args.data] + ([args.scheme] if args.scheme else [])
-    cfg = dict(vars(args), clipped=result.clipped, stopped=result.stopped, skipped=dataset.skipped)
-    _write_manifest(outdir, "train", cfg, inputs, [model_path, trace_path], started)
+    run.inputs += [args.data] + ([args.scheme] if args.scheme else [])
+    run.resolved.update(clipped=result.clipped, stopped=result.stopped, skipped=dataset.skipped)
     print(f"trained {head.value} head: {len(result.epoch_losses)} epochs, "
           f"final loss {result.epoch_losses[-1]:.6f}")
     print(f"wrote {model_path}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    started = _utcnow()
+def cmd_eval(args, run: Run) -> int:
     model = Model.load(args.model)
-    if args.c not in (None, model.c):
-        raise ValueError(f"--c {args.c} differs from the model's c {model.c}, the scale it was trained at")
-    args.c = model.c  # the test part is read, and the manifest records c, at the model's scale
+    _take_c(args, model.c, f"the model's c {model.c}, the scale it was trained at")
     dataset = _load_dataset(args, part="test")
     preds = model.predict_dataset(dataset)
     report = metrics.evaluate(preds, dataset.raw_targets)
     fields = dataclasses.asdict(report)
     if math.isnan(report.pearson):
         fields["pearson"] = None  # undefined for constant predictions; JSON has no NaN
-    outdir = _ensure_outdir(args.out)
-    report_path = outdir / "report.json"
-    preds_path = outdir / "predictions.csv"
+    report_path = run.output("report.json")
+    preds_path = run.output("predictions.csv")
     dataio.write_json(report_path, fields)
     dataio.write_predictions(preds_path, dataset, preds)
-    cfg = dict(vars(args), skipped=dataset.skipped)
-    _write_manifest(outdir, "eval", cfg, [args.model, args.data],
-                    [report_path, preds_path], started)
+    run.inputs += [args.model, args.data]
+    run.resolved["skipped"] = dataset.skipped
     print(report.table())
     return 0
 
 
-def cmd_simulate(args) -> int:
-    started = _utcnow()
+def cmd_simulate(args, run: Run) -> int:
     kind = simulate.Behavior(args.kind)
-    scheme = _scheme(args, tail_open=kind is simulate.Behavior.FOCUSED)
+    scheme, _ = _scheme(args, simulate.HEAD_OF[kind])  # the draws are in seconds: no c
     profile = simulate.BehaviorProfile(kind, tuple(args.probs), scheme, args.seed)
     totals = simulate.draw(profile, args.n)
-    outdir = _ensure_outdir(args.out)
-    csv_path = outdir / "samples.csv"
+    csv_path = run.output("samples.csv")
     dataio.write_csv(csv_path, ["sample_id", "feat", "watch_time"],
                      ([i, "all", int(t)] for i, t in enumerate(totals)))
-    _write_manifest(outdir, "simulate", vars(args), [], [csv_path], started)
     print(f"simulated {args.n} {kind.value} samples, mean watch time {totals.mean():.4f}")
     print(f"wrote {csv_path}")
     return 0
 
 
-def cmd_verify(args) -> int:
-    started = _utcnow()
+def cmd_verify(args, run: Run) -> int:
     results = verify.run_all(trials=args.trials, seed=args.seed)
     failed = [name for name, r in results.items() if not r["passed"]]
     for name, r in results.items():
         print(f"[{'PASS' if r['passed'] else 'FAIL'}] {name}: {r['detail']}")
     if args.out:
-        outdir = _ensure_outdir(args.out)
-        results_path = outdir / "verify.json"
-        dataio.write_json(results_path, results, indent=2)
-        _write_manifest(outdir, "verify", vars(args), [], [results_path], started)
+        dataio.write_json(run.output("verify.json"), results, indent=2)
     else:
         print(json.dumps(results, sort_keys=True))
     if failed:
@@ -242,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", default="sim", choices=sorted(dataio.DEFAULT_SCHEMAS),
                        help="CSV layout")
         p.add_argument("--c", type=float, default=None,
-                       help="target scaling constant (default per schema; eval: the model's)")
+                       help="target scaling constant (default per schema; "
+                            "train --scheme: the scheme's; eval: the model's)")
         p.add_argument("--ratio", type=float, default=None,
                        help="train fraction; buckets/train use it, eval takes the rest")
 
@@ -310,8 +321,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = Run(args)
     try:
-        return args.fn(args)
+        code = args.fn(args, run)
+        run.write()
+        return code
     except (OSError, ValueError, MemoryError) as exc:
         # OSError: a path that is no readable file or usable directory;
         # MemoryError: a size setting whose arrays cannot be allocated

@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import re
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,10 +191,12 @@ def _plain_header(path) -> list[str] | None:
     None when the file needs csv.reader.
 
     One streamed pass vouches for the file: it holds no quote or CR byte, its
-    first line is not blank and is UTF-8, and no line is longer than
-    ``csv.field_size_limit()`` (in bytes, so never fewer than its characters).
-    Without quotes and CRs, csv.reader splits every line at its commas, which
-    is what loadtxt does with ``quotechar=None, comments=None``.
+    first line is not blank and is UTF-8, some later line is not blank, and
+    no line is longer than ``csv.field_size_limit()`` (in bytes, so never
+    fewer than its characters).  Without quotes and CRs, csv.reader splits
+    every line at its commas, which is what loadtxt does with
+    ``quotechar=None, comments=None``.  A byte-order mark that starts the
+    file is no part of the header; loadtxt skips the header line.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
@@ -204,10 +205,10 @@ def _plain_header(path) -> list[str] | None:
         if not line or b'"' in line or b"\r" in line or len(line) > limit:
             return None
         try:
-            header = line.decode("utf-8").split(",")
+            header = line.decode("utf-8-sig").split(",")
         except UnicodeDecodeError:
             return None
-        pos, last_end = 0, -1  # bytes read after the header, offset of the last line end
+        pos, last_end, longest = 0, -1, 0  # bytes read after the header, offset of the last line end
         while chunk := fh.read(_SCAN_CHUNK):
             if b'"' in chunk or b"\r" in chunk:
                 return None
@@ -216,9 +217,10 @@ def _plain_header(path) -> list[str] | None:
             if len(ends):
                 last_end = int(ends[-1])
             pos += len(chunk)
-            if lengths.max(initial=0) > limit or pos - last_end - 1 > limit:
+            longest = max(longest, lengths.max(initial=0), pos - last_end - 1)
+            if longest > limit:
                 return None
-    return header
+    return header if longest else None  # no data row: csv.reader gives the zero-row message
 
 
 def _split_plain(path, needed: list[str], kept: list[str]) -> dict[str, np.ndarray] | None:
@@ -226,28 +228,25 @@ def _split_plain(path, needed: list[str], kept: list[str]) -> dict[str, np.ndarr
     when the file needs csv.reader.
 
     loadtxt raises ValueError (UnicodeDecodeError is one) on a row too short
-    for a kept column and on bytes that are not UTF-8, and warns when no row
-    holds data: csv.reader then reads the file, as the reference for short
-    rows, errors and the zero-row message.
+    for a kept column and on bytes that are not UTF-8: csv.reader then reads
+    the file, as the reference for short rows and errors.
     """
     header = _plain_header(path)
     if header is None or any(col not in header for col in needed):
         return None
     index = {name: j for j, name in enumerate(header)}  # the last of repeated names
     usecols = sorted({index[col] for col in kept})  # kuairec's user_id is id and feature: parse it once
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-        try:
-            table = np.loadtxt(path, dtype=object, delimiter=",", quotechar=None, comments=None,
-                               skiprows=1, usecols=usecols, encoding="utf-8", ndmin=2)
-        except (ValueError, UserWarning):
-            return None
+    try:
+        table = np.loadtxt(path, dtype=object, delimiter=",", quotechar=None, comments=None,
+                           skiprows=1, usecols=usecols, encoding="utf-8", ndmin=2)
+    except ValueError:
+        return None
     return {col: table[:, usecols.index(index[col])] for col in kept}
 
 
 def _split_csv(path, needed: list[str], kept: list[str]) -> dict[str, list]:
     """The kept columns as csv.reader reads them, with DictReader's rules."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -276,7 +275,8 @@ def _split_csv(path, needed: list[str], kept: list[str]) -> dict[str, list]:
 
 def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool = False,
              rows: Callable[[int], np.ndarray] | None = None) -> Dataset:
-    """Parse a UTF-8 CSV with header row into a Dataset.
+    """Parse a UTF-8 CSV with header row into a Dataset; a byte-order mark
+    that starts the file (as Excel writes) is dropped.
 
     Reads as csv.DictReader would: blank lines are dropped and not counted,
     cells missing from a short row read as None, and of repeated header
@@ -286,10 +286,10 @@ def load_csv(path, schema: SchemaConfig, c: float = 1.0, *, targets_only: bool =
     rows; bad rows are skipped and counted instead.
 
     Two readers give that result.  A file with no quote or CR byte, a
-    non-blank first line, no line beyond ``csv.field_size_limit()`` and
-    every non-blank row long enough for the kept columns is split in C by
-    ``np.loadtxt``; csv.reader reads every other file, and so gives every
-    skip of a short row and every error.
+    non-blank first line, no line beyond ``csv.field_size_limit()``, at
+    least one non-blank row and every non-blank row long enough for the kept
+    columns is split in C by ``np.loadtxt``; csv.reader reads every other
+    file, and so gives every skip of a short row and every error.
 
     With ``targets_only`` the header is checked against every configured
     column as before, but only the target cells are kept: the rows, skips

@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import heads
 from .buckets import BucketScheme
 
 
@@ -35,6 +36,12 @@ class Behavior(str, Enum):
     WANDERING = "wandering"
     FOCUSED = "focused"
     STATIONARY = "stationary"
+
+
+# The head whose law each behavior draws from: a profile takes the scheme
+# that head takes and one probability per logit of it (``heads.arity``).
+HEAD_OF = {Behavior.WANDERING: heads.HeadKind.BINOM, Behavior.FOCUSED: heads.HeadKind.GEO,
+           Behavior.STATIONARY: heads.HeadKind.VGEO}
 
 
 @dataclass(frozen=True)
@@ -47,24 +54,16 @@ class BehaviorProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.probs:
-            raise ValueError("profile needs at least one probability")
         for p in self.probs:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"probabilities must be in (0, 1), got {p}")
-        if self.kind is Behavior.STATIONARY:
-            if len(self.probs) != 1:
-                raise ValueError("stationary profile takes a single probability")
-            if self.scheme is not None:
-                raise ValueError("stationary profile takes no bucket scheme")
-            return
-        if self.scheme is None:
-            raise ValueError(f"{self.kind.value} profile needs a bucket scheme")
-        want = self.scheme.n_buckets + (1 if self.kind is Behavior.FOCUSED else 0)
+        try:
+            want = heads.arity(HEAD_OF[self.kind], self.scheme)
+        except ValueError as exc:
+            raise ValueError(f"{self.kind.value} profile: {exc}") from None
         if len(self.probs) != want:
-            raise ValueError(
-                f"{self.kind.value} profile needs {want} probabilities, got {len(self.probs)}"
-            )
+            raise ValueError(f"{self.kind.value} profile needs {want} "
+                             f"probabilit{'y' if want == 1 else 'ies'}, got {len(self.probs)}")
 
 
 def draw_wandering(profile: BehaviorProfile, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -241,13 +241,13 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         scheme = from_endpoints([5, 12, 22], tail_open=True)
         path = tmp_path / "scheme.json"
-        scheme.save(path)
-        assert BucketScheme.load(path) == scheme
+        scheme.save(path, 50.0)
+        assert BucketScheme.load(path) == (scheme, 50.0)
 
     def test_saved_bytes(self, tmp_path):
         path = tmp_path / "scheme.json"
-        BucketScheme((5, 12, 22), True).save(path)
-        assert path.read_bytes() == b'{"endpoints": [5, 12, 22], "tail_open": true}\n'
+        BucketScheme((5, 12, 22), True).save(path, 1)
+        assert path.read_bytes() == b'{"c": 1.0, "endpoints": [5, 12, 22], "tail_open": true}\n'
 
 
 class TestEdgeCases:

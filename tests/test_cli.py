@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from swat import heads
+from swat import heads, simulate
 from swat.cli import main
 from swat.heads import HeadKind
 
@@ -37,7 +37,7 @@ class TestBuckets:
         out = tmp_path / "b"
         assert run("buckets", "--endpoints", "5,12,22", "--out", out) == 0
         scheme = json.loads((out / "scheme.json").read_text())
-        assert scheme == {"endpoints": [5, 12, 22], "tail_open": False}
+        assert scheme == {"c": 1.0, "endpoints": [5, 12, 22], "tail_open": False}
         assert "N=3" in capsys.readouterr().out
         assert (out / "manifest.json").exists()
 
@@ -326,7 +326,7 @@ class TestSimulate:
         out = tmp_path / "s"
         assert run("simulate", "--kind", "stationary", "--probs", "0.7", "--endpoints", "5,10",
                    "--n", "100", "--out", out) == 2
-        assert "stationary profile takes no bucket scheme" in capsys.readouterr().err
+        assert "stationary profile: vgeo head takes no bucket scheme" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
 
     @pytest.mark.parametrize("n", [0, -5])
@@ -485,6 +485,123 @@ class TestJsonLayout:
         self.assert_layout(tmp_path / "v" / "verify.json", 2)
 
 
+class TestManifest:
+    """``main`` writes each command's manifest.json from one run record, with
+    the keys, config keys, inputs and outputs the commands wrote before it."""
+
+    def test_every_command_records_its_config_inputs_and_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        common = ("--data", "s/samples.csv", "--ratio", "0.8")
+        argvs = [
+            ("simulate", "--kind", "stationary", "--probs", "0.7", "--n", "200", "--seed", "3", "--out", "s"),
+            ("buckets", *common, "--percent-step", "20", "--tail-open", "--out", "b"),
+            ("train", *common, "--head", "geo", "--scheme", "b/scheme.json", "--epochs", "2", "--out", "t"),
+            ("eval", *common, "--model", "t/model.json", "--out", "e"),
+            ("verify", "--trials", "5", "--out", "v"),
+        ]
+        data_flags = ["c", "command", "data", "out", "ratio", "schema", "seed"]
+        expected = {  # out: (command, seed, config keys, inputs, outputs)
+            "s": ("simulate", 3, ["command", "endpoints", "kind", "n", "out", "probs", "scheme", "seed"],
+                  [], ["s/samples.csv"]),
+            "b": ("buckets", 0, sorted(data_flags + ["choice", "endpoints", "percent_step", "skipped",
+                                                     "tail_open"]),
+                  ["s/samples.csv"], ["b/scheme.json"]),
+            "t": ("train", 0, sorted(data_flags + ["batch", "clipped", "endpoints", "epochs", "hash_dim",
+                                                   "head", "hidden", "lr", "scheme", "skipped", "stopped"]),
+                  ["b/scheme.json", "s/samples.csv"], ["t/model.json", "t/loss_trace.csv"]),
+            "e": ("eval", 0, sorted(data_flags + ["model", "skipped"]),
+                  ["s/samples.csv", "t/model.json"], ["e/report.json", "e/predictions.csv"]),
+            "v": ("verify", 0, ["command", "out", "seed", "trials"], [], ["v/verify.json"]),
+        }
+        for argv in argvs:
+            assert run(*argv) == 0, argv
+        for out, want in expected.items():
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text(encoding="utf-8"))
+            assert list(manifest) == ["command", "config", "inputs", "outputs", "seed", "timestamps"]
+            assert (manifest["command"], manifest["seed"], list(manifest["config"]), list(manifest["inputs"]),
+                    manifest["outputs"]) == want
+            assert manifest["config"]["command"] == manifest["command"]
+            assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+            assert list(manifest["timestamps"]) == ["finished", "started"]
+
+    def test_verify_writes_a_manifest_only_with_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("verify", "--trials", "5") == 0
+        assert list(tmp_path.iterdir()) == []
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        assert run("verify", "--trials", "5", "--out", a_file) == 2
+        assert a_file.read_text(encoding="utf-8") == ""
+
+
+class TestBehaviorHeads:
+    """Each simulated behavior is checked by, and fitted with, the head that models it."""
+
+    PROBS = {"wandering": "0.8,0.5,0.3", "focused": "0.9,0.8,0.6,0.4", "stationary": "0.7"}
+
+    @pytest.mark.parametrize("kind", sorted(PROBS))
+    def test_simulate_train_eval_with_the_head_of_each_kind(self, tmp_path, kind):
+        head = simulate.HEAD_OF[simulate.Behavior(kind)].value
+        scheme = ("--endpoints", "5,12,22") if heads.HEADS[HeadKind(head)].tail_open is not None else ()
+        assert run("simulate", "--kind", kind, "--probs", self.PROBS[kind], *scheme,
+                   "--n", "300", "--seed", "1", "--out", tmp_path / "s") == 0
+        data = tmp_path / "s" / "samples.csv"
+        assert run("train", "--data", data, "--head", head, *scheme, "--epochs", "2",
+                   "--out", tmp_path / "t") == 0
+        assert run("eval", "--data", data, "--model", tmp_path / "t" / "model.json",
+                   "--out", tmp_path / "e") == 0
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert np.isfinite(report["mae"]) and report["n"] == 300
+
+    @pytest.mark.parametrize("kind, tail, message", [
+        ("focused", (), "geo head needs an open-tail scheme"),
+        ("wandering", ("--tail-open",), "binom head needs a closed-tail scheme"),
+    ], ids=["focused-closed", "wandering-open"])
+    def test_a_scheme_with_the_wrong_tail_exits_2(self, tmp_path, sim_csv, kind, tail, message, capsys):
+        assert run("buckets", "--endpoints", "5,12,22", *tail, "--out", tmp_path / "b") == 0
+        scheme = tmp_path / "b" / "scheme.json"
+        capsys.readouterr()
+        assert run("simulate", "--kind", kind, "--probs", "0.5,0.5,0.5,0.5", "--scheme", scheme,
+                   "--out", tmp_path / "s") == 2
+        assert f"{kind} profile: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        # the head that models the behavior rejects the scheme alike
+        head = simulate.HEAD_OF[simulate.Behavior(kind)].value
+        assert run("train", "--data", sim_csv, "--head", head, "--scheme", scheme,
+                   "--out", tmp_path / "t") == 2
+        assert message in capsys.readouterr().err
+
+
+class TestSchemeScale:
+    """scheme.json records the c its endpoints were built at, and train reads the data at it."""
+
+    def test_train_takes_c_from_the_scheme(self, tmp_path, sim_csv):
+        assert run("buckets", "--data", sim_csv, "--c", "10", "--percent-step", "20", "--tail-open",
+                   "--out", tmp_path / "b") == 0
+        assert json.loads((tmp_path / "b" / "scheme.json").read_text())["c"] == 10.0
+        assert run("train", "--data", sim_csv, "--head", "geo", "--scheme", tmp_path / "b" / "scheme.json",
+                   "--epochs", "1", "--out", tmp_path / "t") == 0
+        assert json.loads((tmp_path / "t" / "model.json").read_text())["c"] == 10.0
+        assert json.loads((tmp_path / "t" / "manifest.json").read_text())["config"]["c"] == 10.0
+
+    def test_a_differing_c_exits_2_naming_both(self, tmp_path, sim_csv, capsys):
+        assert run("buckets", "--data", sim_csv, "--percent-step", "20", "--tail-open",
+                   "--out", tmp_path / "b") == 0
+        capsys.readouterr()
+        assert run("train", "--data", sim_csv, "--c", "10", "--head", "geo",
+                   "--scheme", tmp_path / "b" / "scheme.json", "--out", tmp_path / "t") == 2
+        err = capsys.readouterr().err
+        assert "--c 10.0 differs from the scheme's c 1.0" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_a_scheme_without_c_exits_2_asking_for_a_rebuild(self, tmp_path, sim_csv, capsys):
+        old = tmp_path / "scheme.json"
+        old.write_text('{"endpoints": [2, 5], "tail_open": true}\n', encoding="utf-8")
+        assert run("train", "--data", sim_csv, "--head", "geo", "--scheme", old, "--out", tmp_path / "t") == 2
+        assert f"error: {old}: no field 'c'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+
 class TestSchemeFileForSimulate:
     def test_simulate_accepts_scheme_json(self, tmp_path):
         bdir = tmp_path / "b"
@@ -615,6 +732,11 @@ class TestMalformedArtifacts:
         "text tail": ('{"endpoints": [2, 5], "tail_open": "yes"}',
                       "field 'tail_open' has the wrong type (str)"),
         "not JSON": ("{endpoints", "Expecting property name"),
+        "no c": ('{"endpoints": [2, 5], "tail_open": true}', "no field 'c'"),
+        "text c": ('{"c": "1", "endpoints": [2, 5], "tail_open": true}',
+                   "field 'c' has the wrong type (str)"),
+        "zero c": ('{"c": 0.0, "endpoints": [2, 5], "tail_open": true}',
+                   "scaling constant must be positive and finite, got 0.0"),
     }
 
     @pytest.mark.parametrize("case", sorted(SCHEMES))

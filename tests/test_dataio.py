@@ -85,9 +85,31 @@ class TestLoadCsv:
     def test_header_only_file_has_no_usable_rows(self, tmp_path, body):
         path = tmp_path / "d.csv"
         path.write_text("sample_id,feat,watch_time" + body, encoding="utf-8")
+        # the byte pass sees no data row, so csv.reader reads the file and loadtxt never runs
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt ran")), \
+                mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            for targets_only in (False, True):
+                with pytest.raises(ValueError, match=r"d\.csv: no usable rows \(skipped 0\)"):
+                    dataio.load_csv(path, SIM, c=1, targets_only=targets_only)
+        assert reader.call_count == 2
+
+    @pytest.mark.parametrize("cell", ["u v", '"u,v"'], ids=["quote-free", "quoted cell"])
+    def test_byte_order_mark_reads_as_without_it(self, tmp_path, cell):
+        # Excel and to_csv(encoding="utf-8-sig") start a CSV with a UTF-8 byte-order mark
+        text = f"sample_id,feat,watch_time\na,{cell},3\nb,w,5.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        def read(path, targets_only):
+            ds = dataio.load_csv(path, SIM, targets_only=targets_only)
+            features = {col: cells.tolist() for col, cells in ds.features.items()}
+            return ds.ids.tolist(), ds.raw_targets.tolist(), ds.skipped, features
+
         for targets_only in (False, True):
-            with pytest.raises(ValueError, match=r"d\.csv: no usable rows \(skipped 0\)"):
-                dataio.load_csv(path, SIM, c=1, targets_only=targets_only)
+            with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+                assert read(marked, targets_only) == read(plain, targets_only)
+            assert reader.call_count == (2 if '"' in cell else 0)  # the same reader read both files
 
     def test_bad_c_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,u1,1"])

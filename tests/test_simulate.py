@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swat import simulate
+from swat import heads, simulate
 from swat.buckets import from_endpoints
+from swat.heads import HeadKind
 from swat.simulate import Behavior, BehaviorProfile
 
 CLOSED = from_endpoints([5, 12, 22])
@@ -23,7 +24,7 @@ class TestProfileValidation:
             profile(Behavior.WANDERING, (0.5, 0.5), CLOSED)
         with pytest.raises(ValueError, match="4 probabilities"):
             profile(Behavior.FOCUSED, (0.5, 0.5, 0.5), OPEN)
-        with pytest.raises(ValueError, match="single probability"):
+        with pytest.raises(ValueError, match="stationary profile needs 1 probability, got 2"):
             profile(Behavior.STATIONARY, (0.5, 0.5))
 
     def test_scheme_required(self):
@@ -33,8 +34,27 @@ class TestProfileValidation:
     @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
     def test_stationary_takes_no_scheme(self, scheme):
         # the stationary law reads no bucket, so a scheme would be recorded and never used
-        with pytest.raises(ValueError, match="stationary profile takes no bucket scheme"):
+        with pytest.raises(ValueError, match="stationary profile: vgeo head takes no bucket scheme"):
             profile(Behavior.STATIONARY, (0.5,), scheme)
+
+    def test_each_behavior_is_the_law_of_one_head(self):
+        assert simulate.HEAD_OF == {Behavior.WANDERING: HeadKind.BINOM, Behavior.FOCUSED: HeadKind.GEO,
+                                    Behavior.STATIONARY: HeadKind.VGEO}
+
+    @pytest.mark.parametrize("kind", list(Behavior), ids=lambda k: k.value)
+    @pytest.mark.parametrize("scheme", [None, CLOSED, OPEN], ids=["no scheme", "closed tail", "open tail"])
+    def test_accepts_exactly_what_its_head_accepts(self, kind, scheme):
+        try:
+            arity = heads.arity(simulate.HEAD_OF[kind], scheme)
+        except ValueError:
+            arity = None
+        for n in range(7):
+            try:
+                profile(kind, (0.5,) * n, scheme)
+            except ValueError:
+                assert n != arity
+            else:
+                assert n == arity
 
 
 class TestWandering:
