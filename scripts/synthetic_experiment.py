@@ -57,14 +57,16 @@ def mixed_dataset(kind, n, seed):
 
 
 def fit_and_score(train_set, test_set, head, seed):
+    """The head's report on the test rows, how its fit stopped and how many
+    test rows it predicted from a probability at the clamp."""
     scheme = None
     tail_open = heads.HEADS[head].tail_open
     if tail_open is not None:
         scheme = from_percentiles(train_set.targets(), 5, tail_open=tail_open)
-    config = TrainConfig(head=head, scheme=scheme, hash_dim=16, max_epochs=30, seed=seed)
-    model = predictor.train(train_set, config).model
-    preds = model.predict_dataset(test_set)
-    return metrics.evaluate(preds, test_set.raw_targets)
+    config = TrainConfig(head=head, scheme=scheme, lr=2e-2, hash_dim=16, max_epochs=100, seed=seed)
+    result = predictor.train(train_set, config)
+    preds, clamped = result.model.predict_dataset(test_set)
+    return metrics.evaluate(preds, test_set.raw_targets), result.stopped, clamped
 
 
 def main():
@@ -79,11 +81,11 @@ def main():
         mean_t = full.raw_targets.mean()
         print(f"\n== {kind.value} population: n={len(full)}, "
               f"{len(GROUPS)} groups, mean watch time {mean_t:.3f} ==")
-        print(f"{'head':8s}  {'mae':>8s}  {'xauc':>6s}  {'pearson':>8s}")
+        print(f"{'head':8s}  {'mae':>9s}  {'xauc':>6s}  {'pearson':>8s}  {'stopped':>10s}  {'clamped':>7s}")
         for head in HeadKind:
-            rep = fit_and_score(train_set, test_set, head, args.seed)
+            rep, stopped, clamped = fit_and_score(train_set, test_set, head, args.seed)
             pearson = "---" if np.isnan(rep.pearson) else f"{rep.pearson:8.4f}"
-            print(f"{head.value:8s}  {rep.mae:8.4f}  {rep.xauc:6.4f}  {pearson:>8s}")
+            print(f"{head.value:8s}  {rep.mae:9.4f}  {rep.xauc:6.4f}  {pearson:>8s}  {stopped:>10s}  {clamped:7d}")
 
 
 if __name__ == "__main__":

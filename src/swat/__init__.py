@@ -1,23 +1,3 @@
 """Statistical watch-time modeling: bucketized binomial and geometric heads
 with closed-form expectation estimators, a small trainable predictor,
 behavior simulators, and ranking metrics."""
-
-from . import buckets, dataio, heads, labels, metrics, predictor, simulate
-from .buckets import BucketScheme
-from .heads import HeadKind
-from .predictor import Model, TrainConfig, train
-
-__all__ = [
-    "buckets",
-    "dataio",
-    "heads",
-    "labels",
-    "metrics",
-    "predictor",
-    "simulate",
-    "BucketScheme",
-    "HeadKind",
-    "Model",
-    "TrainConfig",
-    "train",
-]

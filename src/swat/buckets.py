@@ -11,7 +11,6 @@ sort them with ``np.sort``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil
@@ -50,19 +49,6 @@ class BucketScheme:
     def widths(self) -> tuple[int, ...]:
         xs = (0,) + self.endpoints
         return tuple(xs[i + 1] - xs[i] for i in range(len(self.endpoints)))
-
-    def bucket_of(self, t: int) -> int:
-        """1-based bucket index of watch time t >= 0.
-
-        t = 0 belongs to bucket 1; t beyond x_N maps to the open tail N+1
-        when present, else clips to N.
-        """
-        if t < 0:
-            raise ValueError(f"watch time must be non-negative, got {t}")
-        i = bisect_left(self.endpoints, t) + 1
-        if i > self.n_buckets and not self.tail_open:
-            return self.n_buckets
-        return i
 
     @classmethod
     def from_dict(cls, d, prefix: str = "") -> "BucketScheme":

@@ -89,10 +89,12 @@ def _seed(text: str) -> int:
 
 
 def _c(args) -> float:
-    """The target scale: --c, else the schema's default; ValueError unless positive and finite."""
-    c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
-    dataio.check_c(c)
-    return c
+    """The target scale: --c, else the schema's default, which becomes --c so the
+    manifest records it; ValueError unless positive and finite."""
+    if args.c is None:
+        args.c = dataio.DEFAULT_C[args.schema]
+    dataio.check_c(args.c)
+    return args.c
 
 
 def _take_c(args, c: float, source: str) -> None:
@@ -193,7 +195,10 @@ def cmd_eval(args, run: Run) -> int:
     model = Model.load(args.model)
     _take_c(args, model.c, f"the model's c {model.c}, the scale it was trained at")
     dataset = _load_dataset(args, part="test")
-    preds = model.predict_dataset(dataset)
+    preds, clamped = model.predict_dataset(dataset)
+    if clamped:
+        log.warning("%d of %d rows predicted from a probability at the clamp (%g from 0 or 1)",
+                    clamped, len(preds), heads.PROB_EPS)
     report = metrics.evaluate(preds, dataset.raw_targets)
     fields = dataclasses.asdict(report)
     if math.isnan(report.pearson):
@@ -203,7 +208,7 @@ def cmd_eval(args, run: Run) -> int:
     dataio.write_json(report_path, fields)
     dataio.write_predictions(preds_path, dataset, preds)
     run.inputs += [args.model, args.data]
-    run.resolved["skipped"] = dataset.skipped
+    run.resolved.update(skipped=dataset.skipped, clamped=clamped)
     print(report.table())
     return 0
 

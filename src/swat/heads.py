@@ -76,6 +76,13 @@ def clamp_probs(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
 
 
+def clamped_rows(logits: np.ndarray) -> np.ndarray:
+    """Which rows of (B, k) logits have a probability ``clamp_probs`` puts at a
+    bound; sigmoid is monotone, so each row's extreme logits decide."""
+    p = sigmoid(np.stack([logits.min(axis=1), logits.max(axis=1)], axis=1))
+    return (p[:, 0] <= PROB_EPS) | (p[:, 1] >= 1.0 - PROB_EPS)
+
+
 class HeadKind(str, Enum):
     BINOM = "binom"
     GEO = "geo"

@@ -154,10 +154,6 @@ class FeatureSpec:
         if not 0 <= self.seed < 2**64:  # the seed is XOR-ed into the 64-bit offset basis
             raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
 
-    def slot(self, token: str) -> int:
-        """The slot of one token: the encoder's hash on a one-token input."""
-        return int(self._slots(self._seeded_fnv1a(token))[0])
-
     def _seeded_fnv1a(self, text: str) -> np.ndarray:
         """The (1,) FNV-1a state of ``text``'s UTF-8 bytes, from the seeded offset basis."""
         buf = np.frombuffer(text.encode("utf-8"), np.uint8)
@@ -276,15 +272,19 @@ class Model:
     def param_norm(self) -> float:
         return float(np.sqrt(sum(float((v * v).sum()) for v in self.params.values())))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Expected watch times (scaled-target units) for feature rows."""
-        return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
+    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expected watch times (scaled-target units) for feature rows, and which
+        rows read a probability at the clamp (``heads.clamped_rows``)."""
+        logits = self.forward_batch(x)
+        return heads.expectation_batch(self.head, logits, self.scheme), heads.clamped_rows(logits)
 
-    def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Expected watch times of the dataset's rows in raw units: ``predict`` / c."""
+    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, int]:
+        """Expected watch times of the dataset's rows in raw units (``predict`` / c),
+        and how many rows read a probability at the clamp."""
         bags, n = self.feature_spec.encode_dataset(dataset), len(dataset)
         blocks = np.split(np.arange(n), range(PREDICT_BLOCK, n, PREDICT_BLOCK))
-        return np.concatenate([self.predict(bags.rows(block)) for block in blocks]) / self.c
+        preds, clamped = zip(*(self.predict(bags.rows(block)) for block in blocks))
+        return np.concatenate(preds) / self.c, int(np.concatenate(clamped).sum())
 
     def to_dict(self) -> dict:
         return {

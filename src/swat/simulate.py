@@ -23,6 +23,7 @@ say which convention the paper uses at an endpoint.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,10 +134,10 @@ def _check_open_arity(probs, scheme: BucketScheme, what: str) -> None:
 
 def _survival(probs, scheme: BucketScheme, t: int) -> float:
     """Probability of watching at least t seconds: full buckets below t, then
-    the partial power inside t's bucket."""
+    the partial power inside t's bucket n, the open tail N + 1 beyond x_N."""
     xs = (0,) + scheme.endpoints
     val = 1.0
-    n = scheme.bucket_of(t)
+    n = bisect_left(scheme.endpoints, t) + 1
     for i in range(1, n):
         val *= probs[i - 1] ** (xs[i] - xs[i - 1])
     return val * probs[n - 1] ** (t - xs[n - 1])
@@ -144,13 +145,15 @@ def _survival(probs, scheme: BucketScheme, t: int) -> float:
 
 def model_pmf(probs, scheme: BucketScheme, t: int) -> float:
     """Contrast law: stop factor uses the bucket containing t (mass != 1)."""
-    return _survival(probs, scheme, t) * (1.0 - probs[scheme.bucket_of(t) - 1])
+    _check_open_arity(probs, scheme, "model_pmf")
+    return _survival(probs, scheme, t) * (1.0 - probs[bisect_left(scheme.endpoints, t)])
 
 
 def process_pmf(probs, scheme: BucketScheme, t: int) -> float:
     """Sequential process law, fitted by the geo head: stop factor uses the
     bucket of second t + 1."""
-    return _survival(probs, scheme, t) * (1.0 - probs[scheme.bucket_of(t + 1) - 1])
+    _check_open_arity(probs, scheme, "process_pmf")
+    return _survival(probs, scheme, t) * (1.0 - probs[bisect_left(scheme.endpoints, t + 1)])
 
 
 def total_mass(probs, scheme: BucketScheme) -> float:

@@ -22,6 +22,10 @@ class TestFromEndpoints:
         scheme = from_endpoints([5, 12, 22])
         assert scheme.widths == (5, 7, 10)
 
+    @given(schemes())
+    def test_widths_sum_to_last_endpoint(self, scheme):
+        assert sum(scheme.widths) == scheme.endpoints[-1]
+
     def test_sort_and_dedup(self):
         scheme = from_endpoints([10, 10, 5])
         assert scheme.endpoints == (5, 10)
@@ -198,43 +202,6 @@ class TestAblationChoices:
     def test_bad_choice_raises(self):
         with pytest.raises(ValueError, match="choice"):
             ablation_choice([1, 2, 3], 9)
-
-
-class TestBucketOf:
-    def test_interior(self):
-        assert from_endpoints([5, 12, 22]).bucket_of(10) == 2
-
-    def test_zero_in_first_bucket(self):
-        assert from_endpoints([5, 12, 22]).bucket_of(0) == 1
-
-    def test_open_tail(self):
-        assert from_endpoints([5, 12, 22], tail_open=True).bucket_of(23) == 4
-
-    def test_closed_tail_clips(self):
-        scheme = from_endpoints([5, 12, 22])
-        assert scheme.bucket_of(23) == 3
-        assert scheme.bucket_of(22) == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            from_endpoints([5]).bucket_of(-1)
-
-    @given(schemes(), st.integers(0, 400))
-    def test_total_and_bracketing(self, scheme, t):
-        i = scheme.bucket_of(t)
-        xs = (0,) + scheme.endpoints
-        assert 1 <= i <= scheme.n_buckets + (1 if scheme.tail_open else 0)
-        if i <= scheme.n_buckets:
-            clipped = t > scheme.endpoints[-1]
-            if not clipped:
-                assert t <= xs[i]
-            assert t == 0 or t > xs[i - 1] or clipped
-        else:
-            assert t > scheme.endpoints[-1]
-
-    @given(schemes())
-    def test_widths_sum_to_last_endpoint(self, scheme):
-        assert sum(scheme.widths) == scheme.endpoints[-1]
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from swat import heads, simulate
 from swat.cli import main
 from swat.heads import HeadKind
+from swat.predictor import FeatureSpec, Model
 
 
 def run(*argv):
@@ -161,6 +162,18 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "--c 1.0" in err and "10.0" in err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("bias, clamped", [(20.0, 400), (-20.0, 400), (16.0, 0)])
+    def test_rows_predicted_at_the_clamp_are_counted(self, tmp_path, sim_csv, caplog, bias, clamped):
+        # a logit beyond +-16.12 puts the vgeo probability at the clamp
+        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.VGEO, None, 1.0,
+                      {"w": np.zeros((1, 4)), "b": np.array([bias])})
+        model.save(tmp_path / "model.json")
+        assert run("eval", "--data", sim_csv, "--model", tmp_path / "model.json", "--out", tmp_path / "e") == 0
+        assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["clamped"] == clamped
+        warned = [r.getMessage() for r in caplog.records if "at the clamp" in r.getMessage()]
+        assert warned == ([f"{clamped} of 400 rows predicted from a probability at the clamp "
+                           "(1e-07 from 0 or 1)"] if clamped else [])
 
     def test_constant_prediction_report_is_strict_json(self, tmp_path, sim_csv):
         # every sim row carries the one token `feat=all`, so the predictions are constant
@@ -509,7 +522,7 @@ class TestManifest:
             "t": ("train", 0, sorted(data_flags + ["batch", "clipped", "endpoints", "epochs", "hash_dim",
                                                    "head", "hidden", "lr", "scheme", "skipped", "stopped"]),
                   ["b/scheme.json", "s/samples.csv"], ["t/model.json", "t/loss_trace.csv"]),
-            "e": ("eval", 0, sorted(data_flags + ["model", "skipped"]),
+            "e": ("eval", 0, sorted(data_flags + ["clamped", "model", "skipped"]),
                   ["s/samples.csv", "t/model.json"], ["e/report.json", "e/predictions.csv"]),
             "v": ("verify", 0, ["command", "out", "seed", "trials"], [], ["v/verify.json"]),
         }
@@ -523,6 +536,20 @@ class TestManifest:
             assert manifest["config"]["command"] == manifest["command"]
             assert all(len(digest) == 64 for digest in manifest["inputs"].values())
             assert list(manifest["timestamps"]) == ["finished", "started"]
+
+    @pytest.mark.parametrize("schema, header, c", [("sim", "sample_id,feat,watch_time", 1.0),
+                                                   ("kuairec", "user_id,video_id,play_duration", 50.0),
+                                                   ("cikm", "session_id,items,dwell_time", 100.0)])
+    def test_buckets_and_train_record_the_schema_default_c(self, tmp_path, schema, header, c):
+        data = tmp_path / "d.csv"
+        data.write_text(header + "\n" + "".join(f"{i},a|b,{i % 10 + 1}\n" for i in range(50)),
+                        encoding="utf-8")
+        common = ("--data", data, "--schema", schema)
+        assert run("buckets", *common, "--percent-step", "20", "--out", tmp_path / "b") == 0
+        assert run("train", *common, "--head", "vgeo", "--epochs", "1", "--out", tmp_path / "t") == 0
+        assert json.loads((tmp_path / "b" / "scheme.json").read_text())["c"] == c
+        for out in "bt":
+            assert json.loads((tmp_path / out / "manifest.json").read_text())["config"]["c"] == c
 
     def test_verify_writes_a_manifest_only_with_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -81,6 +81,14 @@ class TestSigmoid:
         assert probs[0] == 1.0 - 1e-7
         assert probs[1] == 1e-7
 
+    # |logit| near log((1 - 1e-7) / 1e-7) = 16.118 lands on either side of the clamp
+    @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 5)),
+                  elements=st.floats(-40, 40) | st.floats(16.11, 16.13) | st.floats(-16.13, -16.11)))
+    def test_clamped_rows_are_those_with_a_probability_at_a_bound(self, logits):
+        probs = heads.clamp_probs(heads.sigmoid(logits))
+        at_bound = ((probs == heads.PROB_EPS) | (probs == 1.0 - heads.PROB_EPS)).any(axis=1)
+        assert np.array_equal(heads.clamped_rows(logits), at_bound)
+
     def test_zero_logits_give_half(self):
         assert np.allclose(probs_of([0.0, 0.0]), 0.5)
 

@@ -115,9 +115,9 @@ class TestPearson:
             0.9933992677987828, abs=1e-12
         )
 
+    # a constant vector has no correlation: pearson gives NaN, as evaluate does
     def test_constant_vector_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            metrics.pearson([1, 1, 1], [1, 2, 3])
+        assert np.isnan(metrics.pearson([1, 1, 1], [1, 2, 3]))
 
     def test_constant_vector_whose_mean_rounds_away_rejected(self):
         # the float64 mean of these 4000 equal values is not the value, so
@@ -126,16 +126,14 @@ class TestPearson:
         assert constant.mean() != constant[0]
         varying = np.arange(4000.0)
         for preds, targets in ((constant, varying), (varying, constant)):
-            with pytest.raises(ValueError, match="constant"):
-                metrics.pearson(preds, targets)
+            assert np.isnan(metrics.pearson(preds, targets))
             assert np.isnan(metrics.evaluate(preds, targets).pearson)
 
     @given(finite_floats, st.integers(2, 5000), st.booleans())
     def test_constant_vector_of_any_length_rejected(self, value, n, constant_preds):
         constant, varying = np.full(n, value), np.arange(float(n))
         preds, targets = (constant, varying) if constant_preds else (varying, constant)
-        with pytest.raises(ValueError, match="constant"):
-            metrics.pearson(preds, targets)
+        assert np.isnan(metrics.pearson(preds, targets))
         assert np.isnan(metrics.evaluate(preds, targets).pearson)
 
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=40),

@@ -40,6 +40,12 @@ def reference_slot(token, seed, hash_dim):
     return (h ^ h >> 33) % hash_dim
 
 
+def slot(spec, token):
+    """The encoder's slot of one ``column=value`` token: the hash of a one-token cell."""
+    column, value = token.split("=", 1)
+    return int(spec.encode_dataset(Dataset(["0"], np.zeros(1), {column: [value]})).slots[0])
+
+
 def constant_probs(model):
     x = encode_tokens(model.feature_spec, ("all",))
     return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
@@ -54,15 +60,15 @@ class TestFeatureSpec:
         spec = FeatureSpec(hash_dim=32, seed=5)
         again = FeatureSpec(hash_dim=32, seed=5)
         other = FeatureSpec(hash_dim=32, seed=6)
-        tokens = [f"tok{i}" for i in range(100)]
-        assert [spec.slot(t) for t in tokens] == [again.slot(t) for t in tokens]
-        assert [spec.slot(t) for t in tokens] != [other.slot(t) for t in tokens]
+        tokens = [f"feat=tok{i}" for i in range(100)]
+        assert [slot(spec, t) for t in tokens] == [slot(again, t) for t in tokens]
+        assert [slot(spec, t) for t in tokens] != [slot(other, t) for t in tokens]
 
     def test_mean_pooling(self):
         spec = FeatureSpec(hash_dim=64, seed=0)
         x = encode_tokens(spec, ("a", "b", "a"))[0]
         assert x.sum() == pytest.approx(1.0)
-        assert x[spec.slot("feat=a")] == pytest.approx(2 / 3)
+        assert x[slot(spec, "feat=a")] == pytest.approx(2 / 3)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(),
@@ -78,7 +84,7 @@ class TestFeatureSpec:
         for i, (feats, kind) in enumerate(zip(rows, kinds)):
             tokens = [f"feat={t}" for t in feats] + [f"kind={t}" for t in kind]
             for token in tokens:
-                expected[i, spec.slot(token)] += 1.0 / len(tokens)
+                expected[i, slot(spec, token)] += 1.0 / len(tokens)
         ds = Dataset([str(i) for i in range(len(rows))], np.zeros(len(rows)),
                      {"feat": ["|".join(t) for t in rows], "kind": [" ".join(t) for t in kinds]})
         bags = spec.encode_dataset(ds)
@@ -90,7 +96,7 @@ class TestFeatureSpec:
         for i, (feats, kind) in enumerate(zip(rows, kinds)):
             tokens = [f"feat={t}" for t in feats] + [f"kind={t}" for t in kind]
             for token in tokens:
-                expected32[i, spec.slot(token)] += np.float32(1.0 / len(tokens))
+                expected32[i, slot(spec, token)] += np.float32(1.0 / len(tokens))
         assert bags.rows(idx, np.float32).tobytes() == expected32[idx].tobytes()
 
     def test_each_distinct_cell_tokenized_once(self, monkeypatch):
@@ -115,7 +121,6 @@ class TestFeatureSpec:
         tokens = ["items=42", "items=é", "ключ=слово", "ключ=42"]
         assert [reference_slot(token, seed, 1024) for token in tokens] == golden
         assert spec.encode_dataset(dataset).slots.tolist() == golden
-        assert [spec.slot(token) for token in tokens] == golden
         # enough tokens, of mixed lengths, that most bytes take the numpy steps
         many = [f"t{i}" + "é" * (i % 7) for i in range(100)]
         slots = spec.encode_dataset(Dataset(["0"], np.zeros(1), {"ключ": [" ".join(many)]})).slots
@@ -157,7 +162,7 @@ class TestFeatureSpec:
         n = len(dataset)
         rows, slots = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for column, cells in dataset.features.items():
-            per_row = [[spec.slot(f"{column}={tok}") for tok in (cell or "").replace("|", " ").split()]
+            per_row = [[slot(spec, f"{column}={tok}") for tok in (cell or "").replace("|", " ").split()]
                        for cell in cells.tolist()]
             counts = np.fromiter(map(len, per_row), np.int64, n)
             rows.append(np.repeat(np.arange(n), counts))
@@ -202,7 +207,7 @@ class TestForward:
         model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
-        assert np.allclose(model.forward_batch(x)[0], w[:, spec.slot(f"feat={token}")])
+        assert np.allclose(model.forward_batch(x)[0], w[:, slot(spec, f"feat={token}")])
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
@@ -459,7 +464,7 @@ class TestArtifact:
         for key, value in model.params.items():
             assert np.array_equal(loaded.params[key], value)
         x = rng.normal(size=(3, spec.hash_dim))
-        assert np.array_equal(model.predict(x), loaded.predict(x))
+        assert np.array_equal(model.predict(x)[0], loaded.predict(x)[0])
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -492,7 +497,7 @@ class TestHiddenLayerTraining:
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=16, hidden=8, lr=5e-3,
                           batch_size=256, max_epochs=150, rel_tol=1e-8, seed=3)
         model = predictor.train(ds, cfg).model
-        pred_a = model.predict(encode_tokens(model.feature_spec, ("a",)))[0]
-        pred_b = model.predict(encode_tokens(model.feature_spec, ("b",)))[0]
+        pred_a = model.predict(encode_tokens(model.feature_spec, ("a",)))[0][0]
+        pred_b = model.predict(encode_tokens(model.feature_spec, ("b",)))[0][0]
         assert pred_a == pytest.approx(1.0, abs=0.15)   # odds of 0.5
         assert pred_b == pytest.approx(9.0, rel=0.15)   # odds of 0.9

@@ -20,9 +20,21 @@ def run_script(name, *args, cwd):
 
 
 def test_synthetic_experiment_runs(tmp_path):
-    done = run_script("synthetic_experiment.py", "--n", 3000, cwd=tmp_path)
+    # at 12000 rows binom, geo and vgeo settle on every population; at 3000
+    # the wandering binom and geo fits still run all 100 epochs
+    done = run_script("synthetic_experiment.py", "--n", 12000, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert "wlr" in done.stdout
+    tables = [list(filter(None, block.splitlines()[1:])) for block in done.stdout.split("== ")[1:]]
+    assert len(tables) == 3
+    for table in tables:
+        assert table[0].split() == ["head", "mae", "xauc", "pearson", "stopped", "clamped"]
+        rows = {row.split()[0]: row.split()[1:] for row in table[1:]}
+        assert list(rows) == ["binom", "geo", "vgeo", "wlr"]
+        for head in ("binom", "geo", "vgeo"):
+            assert rows[head][3] == "rel_tol", (head, table)
+        assert all(int(row[4]) >= 0 for row in rows.values())
+    # wlr has no minimum where no wandering draw is 0 s long: it does not settle
+    assert tables[0][-1].split()[4] == "max_epochs", tables[0]
 
 
 def test_bucket_sweep_writes_one_row_per_head_and_bucket_count(tmp_path):

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from swat import heads, simulate
 from swat.buckets import from_endpoints
 from swat.heads import HeadKind
 from swat.simulate import Behavior, BehaviorProfile
+
+from conftest import schemes
 
 CLOSED = from_endpoints([5, 12, 22])
 OPEN = from_endpoints([5, 12, 22], tail_open=True)
@@ -159,13 +164,41 @@ class TestOracles:
             mass += simulate._survival(probs, scheme, x_n)
             assert mass == pytest.approx(1.0, abs=1e-12)
 
+    # the pmfs take t's bucket by the open-tail rule: bucket 1 holds t = 0,
+    # bucket i holds (x_{i-1}, x_i] and bucket N + 1 every t past x_N
+    def test_pmf_interior_bucket(self):
+        probs = (0.9, 0.6, 0.4, 0.3)
+        assert simulate.model_pmf(probs, OPEN, 10) == pytest.approx(0.9**5 * 0.6**5 * 0.4, rel=1e-12)
+
+    def test_pmf_zero_in_first_bucket(self):
+        assert simulate.model_pmf((0.9, 0.6, 0.4, 0.3), OPEN, 0) == pytest.approx(0.1, rel=1e-12)
+
+    def test_pmf_open_tail(self):
+        probs = (0.9, 0.6, 0.4, 0.3)
+        assert simulate.model_pmf(probs, OPEN, 23) == pytest.approx(
+            0.9**5 * 0.6**7 * 0.4**10 * 0.3 * 0.7, rel=1e-12)
+
+    @given(schemes(tail_open=True), st.integers(0, 400), st.data())
+    def test_pmfs_match_the_per_second_walk(self, scheme, t, data):
+        # second s continues with the probability of the first bucket whose
+        # endpoint is >= s, found by a scan, else of the open tail
+        k = scheme.n_buckets + 1
+        probs = data.draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k))
+
+        def p(s):
+            return probs[next((i for i, x in enumerate(scheme.endpoints) if s <= x), k - 1)]
+
+        survival = math.prod(p(s) for s in range(1, t + 1))
+        assert simulate.model_pmf(probs, scheme, t) == pytest.approx(survival * (1 - p(t)), rel=1e-9)
+        assert simulate.process_pmf(probs, scheme, t) == pytest.approx(survival * (1 - p(t + 1)), rel=1e-9)
+
     def test_laws_agree_except_at_endpoints(self):
         probs = (0.9, 0.6, 0.4, 0.3)
         for t in range(0, 40):
             model = simulate.model_pmf(probs, OPEN, t)
             process = simulate.process_pmf(probs, OPEN, t)
             if t in OPEN.endpoints:
-                n = OPEN.bucket_of(t)
+                n = OPEN.endpoints.index(t) + 1  # t = x_n
                 assert process / model == pytest.approx(
                     (1 - probs[n]) / (1 - probs[n - 1]), rel=1e-12
                 )
@@ -189,6 +222,8 @@ class TestDrawGuards:
             simulate.total_mass((0.5, 0.5), OPEN)
         with pytest.raises(ValueError, match="open-tail"):
             simulate.model_mean((0.5,) * 4, CLOSED)
+        with pytest.raises(ValueError, match="open-tail"):
+            simulate.process_pmf((0.5,) * 4, CLOSED, 23)
 
     def test_draw_dispatch_covers_all_kinds(self):
         for prof in (
