@@ -39,8 +39,8 @@ def main():
     args = parser.parse_args()
 
     if args.data:
-        c = args.c if args.c is not None else dataio.DEFAULT_C[args.schema]
-        full = dataio.load_csv(args.data, dataio.DEFAULT_SCHEMAS[args.schema], c=c)
+        schema = dataio.DEFAULT_SCHEMAS[args.schema]
+        full = dataio.load_csv(args.data, schema, c=schema.c if args.c is None else args.c)
     else:
         full = mixed_dataset(Behavior.FOCUSED, args.n, args.seed)
     train_set, test_set = map(full.take, dataio.split(len(full), 0.8, seed=args.seed))

@@ -144,6 +144,11 @@ def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step,
     return from_endpoints(_percentile_values(srt, _grid(step)), tail_open)
 
 
+# choice -> (grid step, the percentile the grid goes up to, the grid step above it)
+_ABLATIONS = {1: (5, 100, None), 2: (2, 100, None), 3: (1, 100, None),
+              4: (2, 96, 5), 5: (2, 96, 2), 6: (1, 90, 1)}
+
+
 def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
                     tail_open: bool = False) -> BucketScheme:
     """One of six endpoint constructions over the target distribution.
@@ -157,23 +162,12 @@ def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
     Duplicates are removed after concatenation.  The targets are sorted in numpy.
     """
     srt = _sorted(targets)
-    if choice not in (1, 2, 3, 4, 5, 6):
+    if choice not in _ABLATIONS:
         raise ValueError(f"choice must be 1..6, got {choice}")
-
-    if choice in (1, 2, 3):
-        step = {1: 5, 2: 2, 3: 1}[choice]
+    step, upto, top_step = _ABLATIONS[choice]
+    if upto == 100:
         return from_percentiles(srt, step, tail_open)
-
-    head_step, head_upto, tail_step = {
-        4: (2, 96, 5),
-        5: (2, 96, 2),
-        6: (1, 90, 1),
-    }[choice]
-    head = _percentile_values(srt, _grid(Fraction(head_step), head_upto))
-    cut = ceil(Fraction(head_upto) * len(srt) / 100)
-    top = srt[cut:]
-    if len(top):
-        tail = _percentile_values(top, _grid(Fraction(tail_step)))
-    else:
-        tail = [int(round(srt[-1]))]
+    head = _percentile_values(srt, _grid(Fraction(step), upto))
+    top = srt[ceil(Fraction(upto) * len(srt) / 100):]
+    tail = _percentile_values(top, _grid(Fraction(top_step))) if len(top) else [int(round(srt[-1]))]
     return from_endpoints(head + tail, tail_open)

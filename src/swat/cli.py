@@ -92,7 +92,7 @@ def _c(args) -> float:
     """The target scale: --c, else the schema's default, which becomes --c so the
     manifest records it; ValueError unless positive and finite."""
     if args.c is None:
-        args.c = dataio.DEFAULT_C[args.schema]
+        args.c = dataio.DEFAULT_SCHEMAS[args.schema].c
     dataio.check_c(args.c)
     return args.c
 
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="percentile grid step when --choice is absent")
     p.add_argument("--tail-open", action="store_true",
                    help="include the unbounded tail bucket (geometric heads)")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="buckets_out")
     p.set_defaults(fn=cmd_buckets)
 
@@ -286,19 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.add_argument("--head", required=True, choices=[k.value for k in HeadKind])
     add_scheme_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=1024)
-    p.add_argument("--hidden", type=int, default=0)
-    p.add_argument("--hash-dim", type=int, default=64)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)  # a field's class attribute is its default
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--hash-dim", type=int, default=TrainConfig.hash_dim)
     p.add_argument("--out", default="train_out")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model artifact on a CSV")
     add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="eval_out")
     p.set_defaults(fn=cmd_eval)
 
@@ -309,15 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-bucket probabilities, e.g. 0.9,0.5,0.2")
     add_scheme_flags(p)
     p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="simulate_out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the built-in property suite")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -40,18 +40,17 @@ class SchemaConfig:
     id_column: str
     feature_columns: tuple[str, ...]
     target_column: str
+    c: float = 1.0  # the target scale a command uses when --c is not given
 
 
 DEFAULT_SCHEMAS = {
     # shape emitted by the `swat simulate` subcommand
-    "sim": SchemaConfig("sample_id", ("feat",), "watch_time"),
-    # dense user/video interaction logs (play_duration target, c = 50)
-    "kuairec": SchemaConfig("user_id", ("user_id", "video_id"), "play_duration"),
-    # session logs with item-list features (dwell-time target, c = 100)
-    "cikm": SchemaConfig("session_id", ("items",), "dwell_time"),
+    "sim": SchemaConfig("sample_id", ("feat",), "watch_time", c=1.0),
+    # dense user/video interaction logs (play_duration target)
+    "kuairec": SchemaConfig("user_id", ("user_id", "video_id"), "play_duration", c=50.0),
+    # session logs with item-list features (dwell-time target)
+    "cikm": SchemaConfig("session_id", ("items",), "dwell_time", c=100.0),
 }
-
-DEFAULT_C = {"sim": 1.0, "kuairec": 50.0, "cikm": 100.0}
 
 
 def split_cell(cell: str | None) -> list[str]:

@@ -23,12 +23,12 @@ finite: an odds factor p / (1 - p) is at most about 1e7.
 
 The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the
 losses compute in the float dtype of the logits (float64 for any other
-input), and a loss reads its encoded targets in that dtype.  Training passes
+input), and `loss_batch` encodes the targets in that dtype.  Training passes
 float32 logits; float64 logits give float64 results.  The estimators always
 read float64 probabilities.
 
 All functions are pure and work on (B, arity) batches; watch times reach a
-loss only through `encode_targets`, which turns a batch of integer watch
+loss only through `loss_batch`, which encodes a batch of integer watch
 times into the targets that head's loss takes.  Adding a head means adding
 one `HEADS` entry.
 """
@@ -102,8 +102,6 @@ def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def binom_loss_batch(logits: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if logits.shape != soft.shape:
-        raise ValueError(f"logits shape {logits.shape} != labels shape {soft.shape}")
     soft = np.asarray(soft, dtype=logits.dtype)
     log_p, log_q, p = _log_probs(logits)
     losses = -(soft * log_p + (1.0 - soft) * log_q).sum(axis=1)
@@ -130,8 +128,6 @@ def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> t
     log(1 - p) = log p - y is formed only at the stop bucket, and the
     (B, N+1) buffers are reused, so the loss takes three of them.
     """
-    if logits.shape != a.shape:
-        raise ValueError(f"logits shape {logits.shape} != coefficient shape {a.shape}")
     a = np.asarray(a, dtype=logits.dtype)
     log_p = log_sigmoid(logits)
     rows = np.arange(len(a))
@@ -221,14 +217,15 @@ class Head:
     ``encode(scheme, t, dtype)`` turns an int64 batch of watch times into the
     targets ``loss(logits, encoded)`` takes for logits of float ``dtype`` (the
     geo coefficients are built in it; the other losses cast their targets);
-    the loss returns per-row losses and logit gradients.
+    the loss returns per-row losses and logit gradients.  Watch times reach a
+    loss only through ``loss_batch``, which calls both.
     ``expectation(probs, scheme)`` returns the per-row mean watch time of
     clamped probabilities.  Functions that a profiler may wrap are looked up
     by name when called, so the entries hold lambdas around them.
     """
 
     tail_open: bool | None
-    encode: Callable[[BucketScheme | None, np.ndarray], Any]
+    encode: Callable[[BucketScheme | None, np.ndarray, Any], Any]
     loss: Callable[[np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
     expectation: Callable[[np.ndarray, BucketScheme | None], np.ndarray]
 
@@ -266,28 +263,32 @@ def arity(kind: HeadKind, scheme: BucketScheme | None) -> int:
     return scheme.n_buckets + tail_open
 
 
-def encode_targets(kind: HeadKind, scheme: BucketScheme | None, targets, dtype=np.float64) -> Any:
-    """Loss targets for a batch of integer watch times and logits of float
-    ``dtype``; negative times raise."""
-    arity(kind, scheme)
+def _checked(kind: HeadKind, logits, scheme: BucketScheme | None) -> np.ndarray:
+    """The logits in their float dtype (``_floating``); ValueError when the scheme
+    does not suit the head or the logits are not (B, arity)."""
+    n, logits = arity(kind, scheme), _floating(logits)
+    if logits.ndim != 2 or logits.shape[1] != n:
+        raise ValueError(f"{kind.value} head expects {n} logits per row, got shape {logits.shape}")
+    return logits
+
+
+def loss_batch(kind: HeadKind, logits: np.ndarray, targets,
+               scheme: BucketScheme | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and logit gradients of (B, arity) logits against B integer
+    watch times, in the logits' float dtype (float64 for any other input); the
+    targets are encoded in that dtype.  Negative times raise ValueError."""
+    logits = _checked(kind, logits, scheme)
     t = np.asarray(targets, dtype=np.int64)
+    if t.shape != logits.shape[:1]:
+        raise ValueError(f"{len(logits)} logit rows but watch times of shape {t.shape}")
     if np.any(t < 0):
         raise ValueError(f"watch time must be non-negative, got {int(t.min())}")
-    return HEADS[kind].encode(scheme, t, dtype)
-
-
-def loss_batch(kind: HeadKind, logits: np.ndarray, encoded_targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and logit gradients in the logits' float dtype (float64
-    for any other input); encoded_targets comes from encode_targets."""
-    return HEADS[kind].loss(_floating(logits), encoded_targets)
+    return HEADS[kind].loss(logits, HEADS[kind].encode(scheme, t, logits.dtype))
 
 
 def expectation_batch(
     kind: HeadKind, logits: np.ndarray, scheme: BucketScheme | None = None
 ) -> np.ndarray:
     """Closed-form expected watch time of each logit row, read at clamped probabilities."""
-    n = arity(kind, scheme)
-    if logits.ndim != 2 or logits.shape[1] != n:
-        raise ValueError(f"{kind.value} head expects {n} logits per row, got shape {logits.shape}")
-    probs = clamp_probs(sigmoid(logits))
+    probs = clamp_probs(sigmoid(_checked(kind, logits, scheme)))
     return HEADS[kind].expectation(probs, scheme)

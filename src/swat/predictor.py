@@ -433,8 +433,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = bags.rows(idx, np.float32)
-            enc = heads.encode_targets(config.head, config.scheme, targets[idx], np.float32)
-            losses, dlogits = heads.loss_batch(config.head, model.forward_batch(xb), enc)
+            logits = model.forward_batch(xb)
+            losses, dlogits = heads.loss_batch(config.head, logits, targets[idx], config.scheme)
             total += float(losses.sum())  # one non-finite loss makes the total non-finite
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, bi, model.param_norm())

@@ -67,25 +67,21 @@ class BehaviorProfile:
                              f"probabilit{'y' if want == 1 else 'ies'}, got {len(self.probs)}")
 
 
-def draw_wandering(profile: BehaviorProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n draws; returns (total watch times (n,), per-bucket times (n, N))."""
+def wandering_buckets(profile: BehaviorProfile, n: int) -> np.ndarray:
+    """n wandering draws as (n, N) seconds watched in each bucket."""
     if profile.kind is not Behavior.WANDERING:
         raise ValueError(f"expected a wandering profile, got {profile.kind.value}")
     rng = np.random.default_rng(profile.seed)
-    widths = np.asarray(profile.scheme.widths)
-    per_bucket = rng.binomial(widths, np.asarray(profile.probs), size=(n, len(widths)))
-    return per_bucket.sum(axis=1), per_bucket
+    return rng.binomial(profile.scheme.widths, profile.probs, size=(n, profile.scheme.n_buckets))
 
 
-def draw_focused(profile: BehaviorProfile, n: int) -> np.ndarray:
+def _focused(profile: BehaviorProfile, n: int) -> np.ndarray:
     """n draws of the sequential per-second process, aggregated bucket by bucket.
 
     Within bucket i the count of further-watched seconds before the first
     stop is geometric; a draw of at least width_i means the bucket was
     watched through and the walk continues into the next bucket.
     """
-    if profile.kind is not Behavior.FOCUSED:
-        raise ValueError(f"expected a focused profile, got {profile.kind.value}")
     rng = np.random.default_rng(profile.seed)
     totals = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
@@ -102,22 +98,19 @@ def draw_focused(profile: BehaviorProfile, n: int) -> np.ndarray:
     return totals
 
 
-def draw_stationary(profile: BehaviorProfile, n: int) -> np.ndarray:
-    if profile.kind is not Behavior.STATIONARY:
-        raise ValueError(f"expected a stationary profile, got {profile.kind.value}")
-    rng = np.random.default_rng(profile.seed)
-    return rng.geometric(1.0 - profile.probs[0], size=n) - 1
+_DRAW = {
+    Behavior.WANDERING: lambda profile, n: wandering_buckets(profile, n).sum(axis=1),
+    Behavior.FOCUSED: _focused,
+    Behavior.STATIONARY: lambda profile, n:
+        np.random.default_rng(profile.seed).geometric(1.0 - profile.probs[0], size=n) - 1,
+}
 
 
 def draw(profile: BehaviorProfile, n: int) -> np.ndarray:
-    """Total watch times for any profile kind."""
+    """n total watch times of the profile's behavior, from its seeded stream."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if profile.kind is Behavior.WANDERING:
-        return draw_wandering(profile, n)[0]
-    if profile.kind is Behavior.FOCUSED:
-        return draw_focused(profile, n)
-    return draw_stationary(profile, n)
+    return _DRAW[profile.kind](profile, n)
 
 
 # ---------------------------------------------------------------------------

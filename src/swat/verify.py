@@ -23,8 +23,7 @@ FD_RTOL = 1e-5
 
 def _losses(kind: HeadKind, scheme, logits: np.ndarray, t: int):
     """Losses and logit gradients of (B, arity) logit rows, each against watch time t."""
-    encoded = heads.encode_targets(kind, scheme, np.full(len(logits), t))
-    return heads.loss_batch(kind, logits, encoded)
+    return heads.loss_batch(kind, logits, np.full(len(logits), t), scheme)
 
 
 def _central_diff(kind: HeadKind, scheme, y: np.ndarray, t: int, step: float = FD_STEP):
@@ -81,10 +80,8 @@ def check_expectation_vs_enumeration(trials: int, seed: int) -> tuple[bool, str]
 
 def _head_pmf(probs: np.ndarray, scheme: BucketScheme, t: np.ndarray) -> np.ndarray:
     """Geo head pmf of each watch time in t under one probability profile."""
-    a, stop_idx = heads.geo_coefficients(scheme, t)
-    logits = np.log(probs) - np.log1p(-probs)
-    losses, _ = heads.geo_loss_batch(np.broadcast_to(logits, a.shape), a, stop_idx)
-    return np.exp(-losses)
+    logits = np.broadcast_to(np.log(probs) - np.log1p(-probs), (len(t), len(probs)))
+    return np.exp(-heads.loss_batch(HeadKind.GEO, logits, t, scheme)[0])
 
 
 def check_uniform_reduction(seed: int) -> tuple[bool, str]:
@@ -122,13 +119,13 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
         scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=False)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
-        grad = heads.binom_loss_batch(y[None, :], labels.matrix(scheme, [t]))[1][0]
+        grad = _losses(HeadKind.BINOM, scheme, y[None, :], t)[1][0]
         if np.any(np.abs(grad) > 1.0):
             return False, f"binom gradient {grad} escapes [-1, 1]"
         open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 10))
-        grad = heads.geo_loss_batch(y[None, :], *heads.geo_coefficients(open_scheme, [t]))[1][0]
+        grad = _losses(HeadKind.GEO, open_scheme, y[None, :], t)[1][0]
         if np.any(np.abs(grad[: scheme.n_buckets]) > scheme.widths):
             return False, f"geo gradient {grad} escapes width bounds {scheme.widths}"
     return True, f"no violations over {trials} draws"

@@ -66,7 +66,7 @@ def head_pmf(probs, scheme, t):
 
 def loss_at(kind, scheme, logits, t):
     """One sample's loss and logit gradient through the batch head API."""
-    losses, grads = heads.loss_batch(kind, logits[None, :], heads.encode_targets(kind, scheme, [t]))
+    losses, grads = heads.loss_batch(kind, logits[None, :], [t], scheme)
     return float(losses[0]), grads[0]
 
 
@@ -132,18 +132,17 @@ def test_criterion_03_gradient_fidelity():
         assert n_params <= 50
         x = rng.normal(size=(6, spec.hash_dim))
         t = rng.integers(0, 30, size=6)
-        enc = heads.encode_targets(kind, scheme, t)
 
-        def total_loss_from_params(flat, model=model, kind=kind, enc=enc, x=x):
+        def total_loss_from_params(flat, model=model, kind=kind, scheme=scheme, t=t, x=x):
             offset = 0
             for key in sorted(model.params):
                 size = model.params[key].size
                 model.params[key] = flat[offset : offset + size].reshape(model.params[key].shape)
                 offset += size
-            return float(heads.loss_batch(kind, model.forward_batch(x), enc)[0].sum())
+            return float(heads.loss_batch(kind, model.forward_batch(x), t, scheme)[0].sum())
 
         flat = np.concatenate([model.params[k].ravel() for k in sorted(model.params)])
-        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), enc)
+        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), t, scheme)
         grads = model.backward_batch(x, dlogits)
         analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
         numeric = fd_gradient(total_loss_from_params, flat)
@@ -198,7 +197,7 @@ def test_criterion_06_mle_recovery_stationary():
     """vgeo on 1e5 stationary draws at p = 0.8, constant feature."""
     start = time.perf_counter()
     profile = BehaviorProfile(Behavior.STATIONARY, (0.8,), None, seed=106)
-    draws = simulate.draw_stationary(profile, 100_000)
+    draws = simulate.draw(profile, 100_000)
     dataset = constant_feature_dataset(draws)
     config = TrainConfig(head=HeadKind.VGEO, hash_dim=8, max_epochs=40, rel_tol=1e-7, seed=7)
     model = predictor.train(dataset, config).model
@@ -215,7 +214,8 @@ def test_criterion_07_mle_recovery_wandering(monkeypatch):
     scheme = from_endpoints([5, 12, 22])
     true_p = (0.9, 0.5, 0.2)
     profile = BehaviorProfile(Behavior.WANDERING, true_p, scheme, seed=107)
-    totals, per_bucket = simulate.draw_wandering(profile, 100_000)
+    per_bucket = simulate.wandering_buckets(profile, 100_000)
+    totals = per_bucket.sum(axis=1)
     dataset = constant_feature_dataset(np.arange(len(totals)))
     fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(scheme.widths, dtype=np.float64))
     config = TrainConfig(head=HeadKind.BINOM, scheme=scheme, hash_dim=8,
@@ -246,7 +246,7 @@ def test_criterion_08_mle_recovery_focused():
     scheme = from_endpoints([20, 40, 60, 80, 100], tail_open=True)
     true_p = np.asarray((0.9, 0.8, 0.7, 0.6, 0.5, 0.3))
     profile = BehaviorProfile(Behavior.FOCUSED, tuple(true_p), scheme, seed=108)
-    draws = simulate.draw_focused(profile, 200_000)
+    draws = simulate.draw(profile, 200_000)
     dataset = constant_feature_dataset(draws)
     config = TrainConfig(head=HeadKind.GEO, scheme=scheme, hash_dim=8,
                          max_epochs=40, rel_tol=1e-7, seed=7)

@@ -46,6 +46,10 @@ class TestFromEndpoints:
         with pytest.raises(ValueError):
             BucketScheme((5, 3))
 
+    def test_constructor_rejects_no_endpoints(self):
+        with pytest.raises(ValueError, match="needs at least one endpoint"):
+            BucketScheme(())
+
 
 class TestFromPercentiles:
     def test_uniform_grid(self):

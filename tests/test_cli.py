@@ -656,6 +656,10 @@ class TestSettingsCheckedWhileParsing:
         "buckets --seed 1.5": (("buckets", "--seed", "1.5", *DATA), "argument --seed:"),
         "eval --seed -1": (("eval", "--model", "missing.json", "--ratio", "0.8", "--seed", "-1", *DATA),
                            "argument --seed:"),
+        "train --seed -1": (("train", "--head", "vgeo", "--seed", "-1", *DATA), "argument --seed:"),
+        "simulate --seed -1": (("simulate", "--kind", "stationary", "--probs", "0.5", "--seed", "-1"),
+                               "argument --seed:"),
+        "verify --seed -1": (("verify", "--seed", "-1"), "argument --seed:"),
         "buckets --choice 9": (("buckets", "--choice", "9", *DATA), "argument --choice:"),
         "buckets --endpoints 5,x": (("buckets", "--endpoints", "5,x"),
                                     "argument --endpoints: invalid literal for int()"),
@@ -793,6 +797,11 @@ class TestMalformedArtifacts:
         "no params.b": (lambda d: d["params"].pop("b"), "missing field 'params.b'"),
         "no params": (lambda d: d.pop("params"), "missing field 'params.w'"),
         "short params.w": (lambda d: d["params"]["w"].pop(), "field 'params.w' must be 12 numbers"),
+        # json reads NaN and Infinity as floats
+        "NaN in params.w": (lambda d: d["params"]["w"].__setitem__(0, float("nan")),
+                            "non-finite parameters in artifact (w)"),
+        "Infinity in params.w": (lambda d: d["params"]["w"].__setitem__(0, float("inf")),
+                                 "non-finite parameters in artifact (w)"),
         "text in params.b": (lambda d: d["params"]["b"].__setitem__(0, "x"),
                              "field 'params.b' must be 3 numbers"),
         "no feature_spec": (lambda d: d.pop("feature_spec"), "missing field 'feature_spec.hash_dim'"),

@@ -48,9 +48,7 @@ def logit(probs):
 
 def loss_at(kind, logits, t, scheme=None):
     """One sample's loss and logit gradient at the given logits."""
-    scheme = scheme or scheme_for(kind)
-    encoded = heads.encode_targets(kind, scheme, [t])
-    losses, grads = heads.loss_batch(kind, np.atleast_2d(logits), encoded)
+    losses, grads = heads.loss_batch(kind, np.atleast_2d(logits), [t], scheme or scheme_for(kind))
     return float(losses[0]), grads[0]
 
 
@@ -61,10 +59,9 @@ def loss(kind, probs, t, scheme=None):
 
 def head_pmf(probs, t, scheme=OPEN):
     """Head pmf exp(-loss) of each watch time in t."""
-    a, stop_idx = heads.encode_targets(HeadKind.GEO, scheme, np.atleast_1d(t))
-    logits = np.broadcast_to(logit(probs), a.shape)
-    losses, _ = heads.loss_batch(HeadKind.GEO, logits, (a, stop_idx))
-    return np.exp(-losses)
+    t = np.atleast_1d(t)
+    logits = np.broadcast_to(logit(probs), (len(t), scheme.n_buckets + 1))
+    return np.exp(-heads.loss_batch(HeadKind.GEO, logits, t, scheme)[0])
 
 
 def expectation(kind, probs, scheme=None):
@@ -109,12 +106,26 @@ class TestSigmoid:
         np.testing.assert_allclose(heads.sigmoid(y), np.exp(log_p), rtol=0)
 
 
-class TestEncodeTargets:
+class TestLossBatchInputs:
     def test_negative_time_rejected(self):
         # every head, geo included, rejects t < 0 on the one encoding path
         for kind in HeadKind:
+            scheme = scheme_for(kind)
             with pytest.raises(ValueError, match="non-negative"):
-                heads.encode_targets(kind, scheme_for(kind), [3, -3])
+                heads.loss_batch(kind, np.zeros((2, heads.arity(kind, scheme))), [3, -3], scheme)
+
+    @pytest.mark.parametrize("kind", [HeadKind.VGEO, HeadKind.WLR])
+    def test_wide_logits_rejected(self, kind):
+        # the stationary kernels read column 0 only, so (2, 3) logits would
+        # give losses and a (2, 1) gradient that fits no logit row
+        with pytest.raises(ValueError, match=r"expects 1 logits per row, got shape \(2, 3\)"):
+            heads.loss_batch(kind, np.zeros((2, 3)), [1, 2])
+
+    def test_one_watch_time_per_logit_row(self):
+        for kind in HeadKind:
+            scheme = scheme_for(kind)
+            with pytest.raises(ValueError, match="3 logit rows"):
+                heads.loss_batch(kind, np.zeros((3, heads.arity(kind, scheme))), [4], scheme)
 
 
 class TestBinomLoss:
@@ -270,19 +281,19 @@ def float64_log_sigmoid(y):
 
 @st.composite
 def float32_batches(draw, kind):
-    """A scheme that suits the head, encoded targets of a batch of watch times
-    (some at or above 2**24, where float32 no longer holds every integer) and
-    float32 logits for them."""
+    """A scheme that suits the head, a batch of watch times (some at or above
+    2**24, where float32 no longer holds every integer) and float32 logits for
+    them."""
     tail_open = heads.HEADS[kind].tail_open
     scheme = None
     if tail_open is not None:  # up to the 101 logits of a 100-bucket geo head
         scheme = draw(schemes(max_buckets=110, max_width=60, tail_open=tail_open))
     t = draw(st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26)), min_size=1, max_size=12))
     y = draw(arrays(np.float32, (len(t), heads.arity(kind, scheme)), elements=st.floats(-40, 40, width=32)))
-    return heads.encode_targets(kind, scheme, t), y
+    return scheme, t, y
 
 
-def term_scales(kind, y, encoded):
+def term_scales(kind, y, scheme, t):
     """Each row's absolute loss terms summed, and its largest absolute gradient term.
 
     The terms are what a kernel adds up: target coefficients times log p, and
@@ -293,6 +304,7 @@ def term_scales(kind, y, encoded):
     with their count and with their absolute sum; each gradient entry adds
     at most three.
     """
+    encoded = heads.HEADS[kind].encode(scheme, np.asarray(t), np.float64)
     log_p = float64_log_sigmoid(y)
     p = np.exp(log_p)
     if kind is HeadKind.BINOM:  # -(s log p + (1 - s)(log p - y)); p - s
@@ -321,25 +333,25 @@ class TestFloat32Kernels:
     @pytest.mark.parametrize("kind", list(HeadKind))
     @given(data=st.data())
     def test_float32_within_1e_5_of_float64(self, kind, data):
-        encoded, y32 = data.draw(float32_batches(kind))
+        scheme, t, y32 = data.draw(float32_batches(kind))
         y64 = y32.astype(np.float64)
-        losses32, grads32 = heads.loss_batch(kind, y32, encoded)
-        losses64, grads64 = heads.loss_batch(kind, y64, encoded)
+        losses32, grads32 = heads.loss_batch(kind, y32, t, scheme)
+        losses64, grads64 = heads.loss_batch(kind, y64, t, scheme)
         assert losses32.dtype == grads32.dtype == np.float32
         assert losses64.dtype == grads64.dtype == np.float64
-        loss_scale, grad_scale = term_scales(kind, y64, encoded)
+        loss_scale, grad_scale = term_scales(kind, y64, scheme, t)
         assert np.all(np.abs(losses32 - losses64) <= 1e-5 * loss_scale)
         assert np.all(np.abs(grads32 - grads64) <= 1e-5 * grad_scale[:, None])
 
     @pytest.mark.parametrize("kind", list(HeadKind))
     @given(data=st.data())
     def test_float64_bit_equal_to_float64_only_log_sigmoid(self, kind, data):
-        encoded, y32 = data.draw(float32_batches(kind))
+        scheme, t, y32 = data.draw(float32_batches(kind))
         y = y32.astype(np.float64) + data.draw(st.floats(-0.5, 0.5))  # logits float32 cannot hold
-        got = heads.loss_batch(kind, y, encoded)
+        got = heads.loss_batch(kind, y, t, scheme)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(heads, "log_sigmoid", float64_log_sigmoid)
-            want = heads.loss_batch(kind, y, encoded)
+            want = heads.loss_batch(kind, y, t, scheme)
         for g, w in zip(got, want):
             assert_bit_equal(g, w)
         assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
@@ -351,8 +363,8 @@ class TestFloat32Kernels:
     # cast, and to even through float64
     @example(OPEN, [22 + 2**60 + 2**36 + 1])
     def test_geo_coefficients_in_float32_are_the_float64_ones_cast(self, scheme, t):
-        a32, stop32 = heads.encode_targets(HeadKind.GEO, scheme, t, np.float32)
-        a64, stop64 = heads.encode_targets(HeadKind.GEO, scheme, t)
+        a32, stop32 = heads.geo_coefficients(scheme, t, np.float32)
+        a64, stop64 = heads.geo_coefficients(scheme, t)
         assert a64.dtype == np.float64
         assert_bit_equal(a32, a64.astype(np.float32))
         assert np.array_equal(stop32, stop64)

@@ -267,12 +267,11 @@ class TestBackward:
         assert sum(v.size for v in model.params.values()) <= 50
         x = rng.normal(size=(5, spec.hash_dim))
         t = rng.integers(0, 30, size=5)
-        enc = heads.encode_targets(kind, scheme, t)
 
         def total_loss(logits):
-            return float(heads.loss_batch(kind, logits, enc)[0].sum())
+            return float(heads.loss_batch(kind, logits, t, scheme)[0].sum())
 
-        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), enc)
+        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), t, scheme)
         analytic = model.backward_batch(x, dlogits)
         numeric = self.fd_param_grad(model, x, total_loss)
         for key in analytic:
@@ -327,7 +326,7 @@ class TestTraining:
         # at p = 0.9 the optimal logit, 2.2, lies outside every slot's initial
         # weight range of +-0.5, wherever the token hashes
         prof = BehaviorProfile(Behavior.STATIONARY, (0.9,), None, seed=0)
-        ds = constant_feature_dataset(simulate.draw_stationary(prof, 4000))
+        ds = constant_feature_dataset(simulate.draw(prof, 4000))
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=5, rel_tol=0.0,
                           batch_size=256, seed=1)
         trace = predictor.train(ds, cfg).epoch_losses
@@ -336,7 +335,7 @@ class TestTraining:
 
     def test_reproducibility_in_memory(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
-        ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
+        ds = constant_feature_dataset(simulate.draw(prof, 2000))
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=8, max_epochs=4, seed=9)
         a = predictor.train(ds, cfg).model
         b = predictor.train(ds, cfg).model
@@ -355,7 +354,7 @@ class TestTraining:
 
     def test_result_says_how_training_stopped(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
-        ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
+        ds = constant_feature_dataset(simulate.draw(prof, 2000))
 
         def fit(max_epochs):
             return predictor.train(ds, TrainConfig(head=HeadKind.VGEO, hash_dim=4, lr=2e-2,
@@ -371,14 +370,14 @@ class TestTraining:
 
     def test_seed_changes_model(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
-        ds = constant_feature_dataset(simulate.draw_stationary(prof, 2000))
+        ds = constant_feature_dataset(simulate.draw(prof, 2000))
         a = predictor.train(ds, TrainConfig(head=HeadKind.VGEO, max_epochs=2, seed=0)).model
         b = predictor.train(ds, TrainConfig(head=HeadKind.VGEO, max_epochs=2, seed=1)).model
         assert a.to_dict() != b.to_dict()
 
     def test_vgeo_converges_to_mle(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.7,), None, seed=3)
-        draws = simulate.draw_stationary(prof, 30_000)
+        draws = simulate.draw(prof, 30_000)
         ds = constant_feature_dataset(draws)
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=4, max_epochs=40, rel_tol=1e-7, seed=4)
         model = predictor.train(ds, cfg).model
@@ -425,8 +424,8 @@ class TestRecoveryFeasible:
 
     def test_binom_recovery_with_true_bucket_labels(self, monkeypatch):
         prof = BehaviorProfile(Behavior.WANDERING, (0.8, 0.4, 0.3), CLOSED, seed=6)
-        totals, per_bucket = simulate.draw_wandering(prof, 30_000)
-        ds = constant_feature_dataset(np.arange(len(totals)))
+        per_bucket = simulate.wandering_buckets(prof, 30_000)
+        ds = constant_feature_dataset(np.arange(len(per_bucket)))
         fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(CLOSED.widths, dtype=float))
         cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4,
                           max_epochs=40, rel_tol=1e-7, seed=7)
@@ -440,7 +439,7 @@ class TestRecoveryFeasible:
         scheme = from_endpoints([20, 40, 60, 80, 100], tail_open=True)
         probs = (0.98, 0.97, 0.96, 0.95, 0.9, 0.3)
         prof = BehaviorProfile(Behavior.FOCUSED, probs, scheme, seed=17)
-        ds = constant_feature_dataset(simulate.draw_focused(prof, 100_000))
+        ds = constant_feature_dataset(simulate.draw(prof, 100_000))
         cfg = TrainConfig(head=HeadKind.GEO, scheme=scheme, hash_dim=4,
                           max_epochs=40, rel_tol=1e-7, seed=5)
         model = predictor.train(ds, cfg).model

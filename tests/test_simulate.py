@@ -66,16 +66,15 @@ class TestWandering:
     def test_extreme_probabilities(self):
         # probabilities cannot be exactly 0/1; the clamp boundary is close enough
         hi = profile(Behavior.WANDERING, (1 - 1e-12,) * 3, CLOSED)
-        t, per = simulate.draw_wandering(hi, 100)
-        assert np.all(t == 22)
-        assert np.all(per == np.asarray(CLOSED.widths))
+        assert np.all(simulate.draw(hi, 100) == 22)
+        assert np.all(simulate.wandering_buckets(hi, 100) == np.asarray(CLOSED.widths))
         lo = profile(Behavior.WANDERING, (1e-12,) * 3, CLOSED)
-        assert np.all(simulate.draw_wandering(lo, 100)[0] == 0)
+        assert np.all(simulate.draw(lo, 100) == 0)
 
     def test_mean_matches_width_weighted_probabilities(self):
         p = (0.6, 2 / 7, 0.5)
         prof = profile(Behavior.WANDERING, p, CLOSED, seed=123)
-        t, per = simulate.draw_wandering(prof, 1_000_000)
+        t, per = simulate.draw(prof, 1_000_000), simulate.wandering_buckets(prof, 1_000_000)
         true_mean = sum(w * pi for w, pi in zip(CLOSED.widths, p))  # = 10
         band = 4 * t.std() / np.sqrt(len(t))
         assert abs(t.mean() - true_mean) < band
@@ -83,20 +82,18 @@ class TestWandering:
 
     def test_seed_determinism(self):
         prof = profile(Behavior.WANDERING, (0.3, 0.5, 0.7), CLOSED, seed=9)
-        a, _ = simulate.draw_wandering(prof, 1000)
-        b, _ = simulate.draw_wandering(prof, 1000)
-        assert np.array_equal(a, b)
+        assert np.array_equal(simulate.draw(prof, 1000), simulate.draw(prof, 1000))
 
 
 class TestFocused:
     def test_near_deterministic_boundary(self):
         prof = profile(Behavior.FOCUSED, (1 - 1e-7, 1e-7, 1e-7, 1e-7), OPEN, seed=1)
-        t = simulate.draw_focused(prof, 5000)
+        t = simulate.draw(prof, 5000)
         assert np.mean(t == OPEN.endpoints[0]) > 0.999
 
     def test_uniform_probability_matches_geometric_pmf(self):
         prof = profile(Behavior.FOCUSED, (0.5,) * 4, OPEN, seed=2)
-        draws = simulate.draw_focused(prof, 1_000_000)
+        draws = simulate.draw(prof, 1_000_000)
         for t in range(9):
             want = 0.5**t * 0.5
             got = np.mean(draws == t)
@@ -106,7 +103,7 @@ class TestFocused:
     def test_mean_matches_process_oracle(self):
         p = (0.9, 0.6, 0.4, 0.3)
         prof = profile(Behavior.FOCUSED, p, OPEN, seed=3)
-        draws = simulate.draw_focused(prof, 1_000_000)
+        draws = simulate.draw(prof, 1_000_000)
         want = simulate.process_mean(p, OPEN)
         band = 4 * draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - want) < band
@@ -117,23 +114,23 @@ class TestFocused:
 
     def test_seed_determinism(self):
         prof = profile(Behavior.FOCUSED, (0.8, 0.6, 0.4, 0.2), OPEN, seed=4)
-        assert np.array_equal(simulate.draw_focused(prof, 2000), simulate.draw_focused(prof, 2000))
+        assert np.array_equal(simulate.draw(prof, 2000), simulate.draw(prof, 2000))
 
 
 class TestStationary:
     def test_mean_is_odds(self):
         prof = profile(Behavior.STATIONARY, (0.5,), seed=5)
-        draws = simulate.draw_stationary(prof, 1_000_000)
+        draws = simulate.draw(prof, 1_000_000)
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_tiny_probability_draws_zero(self):
         prof = profile(Behavior.STATIONARY, (1e-7,), seed=6)
-        assert np.all(simulate.draw_stationary(prof, 10_000) == 0)
+        assert np.all(simulate.draw(prof, 10_000) == 0)
 
     def test_mass_at_zero(self):
         p = 0.35
         prof = profile(Behavior.STATIONARY, (p,), seed=7)
-        draws = simulate.draw_stationary(prof, 500_000)
+        draws = simulate.draw(prof, 500_000)
         assert np.mean(draws == 0) == pytest.approx(1 - p, abs=0.005)
 
 
@@ -210,12 +207,7 @@ class TestDrawGuards:
     def test_kind_mismatch_rejected(self):
         prof = profile(Behavior.STATIONARY, (0.5,))
         with pytest.raises(ValueError, match="wandering"):
-            simulate.draw_wandering(prof, 10)
-        with pytest.raises(ValueError, match="focused"):
-            simulate.draw_focused(prof, 10)
-        wander = profile(Behavior.WANDERING, (0.5,) * 3, CLOSED)
-        with pytest.raises(ValueError, match="stationary"):
-            simulate.draw_stationary(wander, 10)
+            simulate.wandering_buckets(prof, 10)
 
     def test_oracles_check_arity(self):
         with pytest.raises(ValueError, match="4 probabilities"):
