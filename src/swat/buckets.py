@@ -145,7 +145,7 @@ def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step,
 
 
 # choice -> (grid step, the percentile the grid goes up to, the grid step above it)
-_ABLATIONS = {1: (5, 100, None), 2: (2, 100, None), 3: (1, 100, None),
+ABLATIONS = {1: (5, 100, None), 2: (2, 100, None), 3: (1, 100, None),
               4: (2, 96, 5), 5: (2, 96, 2), 6: (1, 90, 1)}
 
 
@@ -162,9 +162,9 @@ def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
     Duplicates are removed after concatenation.  The targets are sorted in numpy.
     """
     srt = _sorted(targets)
-    if choice not in _ABLATIONS:
-        raise ValueError(f"choice must be 1..6, got {choice}")
-    step, upto, top_step = _ABLATIONS[choice]
+    if choice not in ABLATIONS:
+        raise ValueError(f"choice must be one of {sorted(ABLATIONS)}, got {choice}")
+    step, upto, top_step = ABLATIONS[choice]
     if upto == 100:
         return from_percentiles(srt, step, tail_open)
     head = _percentile_values(srt, _grid(Fraction(step), upto))

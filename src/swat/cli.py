@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import dataio, heads, metrics, predictor, simulate, verify
-from .buckets import BucketScheme, ablation_choice, check_percent_step, from_endpoints, from_percentiles
+from .buckets import (ABLATIONS, BucketScheme, ablation_choice, check_percent_step, from_endpoints,
+                      from_percentiles)
 from .heads import HeadKind
 from .predictor import Model, TrainConfig, TrainingDiverged
 
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     add_data_flags(p, source)
     source.add_argument("--endpoints", type=_list_of(int), help="explicit endpoints, e.g. 5,12,22")
-    p.add_argument("--choice", type=int, choices=range(1, 7), default=None,
+    p.add_argument("--choice", type=int, choices=sorted(ABLATIONS), default=None,
                    help="endpoint construction 1..6")
     p.add_argument("--percent-step", type=float, default=1.0,
                    help="percentile grid step when --choice is absent")

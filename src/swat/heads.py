@@ -19,7 +19,8 @@ Losses are negated log-likelihoods of logits: each forms log p =
 log_sigmoid(y), log(1 - p) = log p - y and p = exp(log p), so its gradient is
 the exact derivative of the loss it returns at every finite logit.  Only
 `expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
-finite: an odds factor p / (1 - p) is at most about 1e7.
+finite: an odds factor p / (1 - p) is at most about 1e7.  It returns, beside
+the predictions, the rows that have a probability at either bound.
 
 The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the
 losses compute in the float dtype of the logits (float64 for any other
@@ -74,13 +75,6 @@ def sigmoid(y) -> np.ndarray:
 
 def clamp_probs(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-
-
-def clamped_rows(logits: np.ndarray) -> np.ndarray:
-    """Which rows of (B, k) logits have a probability ``clamp_probs`` puts at a
-    bound; sigmoid is monotone, so each row's extreme logits decide."""
-    p = sigmoid(np.stack([logits.min(axis=1), logits.max(axis=1)], axis=1))
-    return (p[:, 0] <= PROB_EPS) | (p[:, 1] >= 1.0 - PROB_EPS)
 
 
 class HeadKind(str, Enum):
@@ -180,8 +174,6 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
     relative error near machine precision up to the clamp ceiling 1 - 1e-7.
     """
     n = scheme.n_buckets
-    if probs.ndim != 2 or probs.shape[1] != n + 1:
-        raise ValueError(f"geo head expects {n + 1} probs per row")
     widths = np.asarray(scheme.widths, dtype=np.float64)[None, :]
 
     inner = probs[:, :n]
@@ -286,9 +278,10 @@ def loss_batch(kind: HeadKind, logits: np.ndarray, targets,
     return HEADS[kind].loss(logits, HEADS[kind].encode(scheme, t, logits.dtype))
 
 
-def expectation_batch(
-    kind: HeadKind, logits: np.ndarray, scheme: BucketScheme | None = None
-) -> np.ndarray:
-    """Closed-form expected watch time of each logit row, read at clamped probabilities."""
+def expectation_batch(kind: HeadKind, logits: np.ndarray,
+                      scheme: BucketScheme | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form expected watch time of each logit row, read at clamped
+    probabilities, and which rows have a probability the clamp put at a bound."""
     probs = clamp_probs(sigmoid(_checked(kind, logits, scheme)))
-    return HEADS[kind].expectation(probs, scheme)
+    at_bound = ((probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)).any(axis=1)
+    return HEADS[kind].expectation(probs, scheme), at_bound

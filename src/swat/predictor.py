@@ -247,8 +247,6 @@ class Model:
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """(B, d) features -> (B, arity) logits."""
-        if x.shape[1] != self.feature_spec.hash_dim:
-            raise ValueError(f"input dim {x.shape[1]} != feature dim {self.feature_spec.hash_dim}")
         if self.hidden > 0:
             z = x @ self.params["w1"].T + self.params["b1"]
             return np.maximum(z, 0.0) @ self.params["w2"].T + self.params["b2"]
@@ -274,9 +272,8 @@ class Model:
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected watch times (scaled-target units) for feature rows, and which
-        rows read a probability at the clamp (``heads.clamped_rows``)."""
-        logits = self.forward_batch(x)
-        return heads.expectation_batch(self.head, logits, self.scheme), heads.clamped_rows(logits)
+        rows read a probability at the clamp (``heads.expectation_batch``)."""
+        return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, int]:
         """Expected watch times of the dataset's rows in raw units (``predict`` / c),

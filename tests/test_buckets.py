@@ -207,6 +207,11 @@ class TestAblationChoices:
         with pytest.raises(ValueError, match="choice"):
             ablation_choice([1, 2, 3], 9)
 
+    def test_bad_choice_names_the_valid_set(self):
+        with pytest.raises(ValueError) as err:
+            ablation_choice([1, 2, 3], 7)
+        assert str(err.value) == "choice must be one of [1, 2, 3, 4, 5, 6], got 7"
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from swat import heads, simulate
-from swat.cli import main
+from swat import heads, labels, simulate
+from swat.buckets import ABLATIONS
+from swat.cli import build_parser, main
 from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model
 
@@ -48,6 +49,11 @@ class TestBuckets:
         scheme = json.loads((out / "scheme.json").read_text())
         assert scheme["tail_open"] is True
         assert len(scheme["endpoints"]) >= 1
+
+    def test_choice_flag_offers_the_ablation_table(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        choice = next(a for a in commands.choices["buckets"]._actions if a.dest == "choice")
+        assert list(choice.choices) == sorted(ABLATIONS)
 
     @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
     def test_unusable_scaling_constant_exits_2(self, tmp_path, sim_csv, c, capsys):
@@ -415,6 +421,31 @@ class TestVerify:
         out = capsys.readouterr()
         assert "[FAIL] gradient_fd_geo" in out.out
         assert "gradient_fd_geo" in out.err
+
+    @pytest.mark.parametrize("fault, check, message", [
+        ("decode", "label_round_trip", "round trip broke at t="),
+        ("binom", "gradient_bounds", "escapes [-1, 1]"),
+        ("geo", "gradient_bounds", "escapes width bounds"),
+    ])
+    def test_injected_fault_fails_its_check(self, monkeypatch, capsys, fault, check, message):
+        if fault == "decode":
+            decode = labels.decode
+            monkeypatch.setattr(labels, "decode", lambda scheme, row: decode(scheme, row) + 1)
+        else:
+            entry = heads.HEADS[HeadKind(fault)]
+
+            def scaled(logits, encoded):
+                # past 1, and past the widths of at most 12 the check draws
+                losses, grad = entry.loss(logits, encoded)
+                return losses, 100.0 * grad
+
+            monkeypatch.setitem(heads.HEADS, HeadKind(fault), dataclasses.replace(entry, loss=scaled))
+        assert run("verify", "--trials", "20") == 1
+        out = capsys.readouterr()
+        # the detail runs to the next check's line; a printed array may wrap
+        detail = out.out.split(f"\n[FAIL] {check}: ")[1].split("\n[")[0]
+        assert message in detail
+        assert check in out.err
 
 
 class TestRatioSplit:

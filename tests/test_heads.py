@@ -65,7 +65,7 @@ def head_pmf(probs, t, scheme=OPEN):
 
 
 def expectation(kind, probs, scheme=None):
-    return float(heads.expectation_batch(kind, logit(probs), scheme)[0])
+    return float(heads.expectation_batch(kind, logit(probs), scheme)[0][0])
 
 
 def geo_mean(probs, scheme=OPEN):
@@ -81,10 +81,11 @@ class TestSigmoid:
     # |logit| near log((1 - 1e-7) / 1e-7) = 16.118 lands on either side of the clamp
     @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 5)),
                   elements=st.floats(-40, 40) | st.floats(16.11, 16.13) | st.floats(-16.13, -16.11)))
-    def test_clamped_rows_are_those_with_a_probability_at_a_bound(self, logits):
+    def test_expectation_marks_the_rows_with_a_probability_at_a_bound(self, logits):
         probs = heads.clamp_probs(heads.sigmoid(logits))
         at_bound = ((probs == heads.PROB_EPS) | (probs == 1.0 - heads.PROB_EPS)).any(axis=1)
-        assert np.array_equal(heads.clamped_rows(logits), at_bound)
+        scheme = BucketScheme(tuple(range(1, logits.shape[1] + 1)), tail_open=False)
+        assert np.array_equal(heads.expectation_batch(HeadKind.BINOM, logits, scheme)[1], at_bound)
 
     def test_zero_logits_give_half(self):
         assert np.allclose(probs_of([0.0, 0.0]), 0.5)
@@ -497,7 +498,7 @@ class TestExpectation:
         assert got == pytest.approx(10.0, rel=1e-12)
 
     def test_vgeo_unit(self):
-        assert heads.expectation_batch(HeadKind.VGEO, np.zeros((1, 1)))[0] == 1.0
+        assert heads.expectation_batch(HeadKind.VGEO, np.zeros((1, 1)))[0][0] == 1.0
 
     def test_binom_saturates_at_horizon(self):
         got = expectation(HeadKind.BINOM, np.full(3, 1 - 1e-7), CLOSED)
@@ -516,19 +517,19 @@ class TestExpectation:
 
     def test_wlr_and_vgeo_share_estimator(self):
         y = np.array([[1.3]])
-        wlr = heads.expectation_batch(HeadKind.WLR, y)[0]
-        assert wlr == heads.expectation_batch(HeadKind.VGEO, y)[0]
+        wlr = heads.expectation_batch(HeadKind.WLR, y)[0][0]
+        assert wlr == heads.expectation_batch(HeadKind.VGEO, y)[0][0]
         assert wlr == pytest.approx(math.exp(1.3), rel=1e-12)
 
     def test_stationary_estimator_finite_at_extreme_logits(self):
         # the odds of clamped probabilities saturate near 1e7 like the geo
         # tail, where exp(y) would overflow to inf near y = 710
         for kind in (HeadKind.VGEO, HeadKind.WLR):
-            extreme = heads.expectation_batch(kind, np.array([[-800.0], [-40.0], [40.0], [800.0]]))
+            extreme = heads.expectation_batch(kind, np.array([[-800.0], [-40.0], [40.0], [800.0]]))[0]
             assert np.all(np.isfinite(extreme)) and np.all(extreme > 0)
             assert extreme.max() == pytest.approx(1e7, rel=1e-6)
             y = np.linspace(-16.0, 16.0, 321)
-            got = heads.expectation_batch(kind, y[:, None])
+            got = heads.expectation_batch(kind, y[:, None])[0]
             np.testing.assert_allclose(got, np.exp(y), rtol=1e-8)
 
     def test_geo_dispatch(self):

@@ -115,6 +115,10 @@ class TestPearson:
             0.9933992677987828, abs=1e-12
         )
 
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            metrics.pearson([1.0], [2.0])
+
     # a constant vector has no correlation: pearson gives NaN, as evaluate does
     def test_constant_vector_rejected(self):
         assert np.isnan(metrics.pearson([1, 1, 1], [1, 2, 3]))

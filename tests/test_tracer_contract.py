@@ -1,5 +1,6 @@
-"""The benchmark's tracer (perfbench/tracer.py) still finds every site it wraps
-and counts the tokens each command encodes, over commands that read a CSV."""
+"""The benchmark's tracer (perfbench/tracer.py) still finds every site it wraps,
+sees each span the benchmark requires of a geo pipeline fire, and counts the
+tokens each command encodes, over commands that read a CSV."""
 
 import json
 import subprocess
@@ -9,6 +10,9 @@ from pathlib import Path
 from swat import dataio
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run as bench  # noqa: E402
 
 
 def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
@@ -27,6 +31,7 @@ def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
     full = dataio.load_csv(data, dataio.DEFAULT_SCHEMAS["sim"])
     train_part, test_part = map(full.take, dataio.split(len(full), 0.8, seed=0))
     encoded = {"buckets": None, "train": train_part, "eval": test_part}
+    fired = set()
 
     for command, argv in argvs.items():
         spans = tmp_path / f"spans-{command}.json"
@@ -38,6 +43,7 @@ def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
         assert done.returncode == 0, done.stderr
         record = json.loads(spans.read_text(encoding="utf-8"))
         assert record["exit"] == 0 and record["missing"] == []
+        fired |= {name for name, counters in record["counts"].items() if counters.get("calls", 0) > 0}
         counts = record["counts"].get("predictor.encode_dataset")
         part = encoded[command]
         if part is None:
@@ -46,3 +52,6 @@ def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
             tokens = sum(len(dataio.tokenize("feat", cell)) for cell in part.features["feat"])
             assert tokens > len(part)
             assert counts == {"calls": 1, "tokens": tokens}
+
+    required = bench.COMMON_SPANS + bench.WORKLOADS["kuairec-geo-train"].spans
+    assert [name for name in required if name not in fired] == []
