@@ -3,9 +3,12 @@
 The feature encoder works on whole arrays, with no Python step per token.
 It joins each column's distinct cells into one UTF-8 buffer, a chunk at a
 time, finds the token bounds with a byte table of ``dataio.split_cell``'s
-separators, and hashes every ``column=token`` with a seeded 64-bit hash:
-FNV-1a from the offset basis XOR the seed, then MurmurHash3's fmix64, then
-the remainder by ``hash_dim``.  Each row's slots are kept as CSR token bags.
+separators, and hashes every ``column=token`` with a seeded 64-bit hash: the
+polynomial sum_k q_k P^k + 0xFF P^n mod 2**64 of its n UTF-8 bytes q, with
+P = 0x100000001B3, read off prefix sums of the chunk's bytes, XOR the seed,
+then MurmurHash3's fmix64, then the remainder by ``hash_dim``.  0xFF, which
+UTF-8 never uses, ends every string, so distinct strings are distinct
+polynomials.  Each row's slots are kept as CSR token bags.
 Training and scoring densify one batch of rows at a time into the
 mean-pooled one-hot slots of each row, so feature memory grows with the
 token count and the batch size, not with rows x ``hash_dim``.  The net is a
@@ -35,8 +38,8 @@ from .dataio import Dataset, json_field
 from .heads import HeadKind
 
 # 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once;
-# 5: token slots from the FNV-1a/fmix64 hash
-ARTIFACT_VERSION = 5
+# 5: token slots from the FNV-1a/fmix64 hash; 6: token slots from the polynomial hash
+ARTIFACT_VERSION = 6
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -52,12 +55,7 @@ class TrainingDiverged(RuntimeError):
         )
 
 
-# FNV-1a (64-bit) with the feature seed XOR-ed into its offset basis, then
-# MurmurHash3's fmix64 finalizer: a seeded hash whose byte steps numpy runs
-# over many tokens at once
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME_INT, _MASK64 = 0x100000001B3, 2**64 - 1
-_FNV_PRIME = np.uint64(_FNV_PRIME_INT)
+_P = 0x100000001B3  # the hash's base: odd, so P^-1 mod 2**64 exists
 _FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
 # the UTF-8 bytes that end a token: ASCII whitespace as str.isspace has it, and '|'
 _SEPARATOR = np.array([b < 128 and (chr(b).isspace() or chr(b) == "|") for b in range(256)])
@@ -66,7 +64,6 @@ _WIDE_SPACES = str.maketrans(dict.fromkeys("\x85\xa0\u1680\u2000\u2001\u2002\u20
                                            "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
                                            "\u205f\u3000", " "))
 ENCODE_CHUNK = 1 << 16  # characters tokenized, or tokens gathered into bags, at once
-_FEW_TOKENS = 8  # tokens left below which _fnv1a steps each one in Python
 
 
 def _run_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -84,28 +81,21 @@ def _chunks(sizes: np.ndarray, limit: int):
     return zip(cuts[:-1], cuts[1:])
 
 
-def _fnv1a(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, state) -> np.ndarray:
-    """The FNV-1a states after feeding token i's bytes ``buf[starts[i]:starts[i] + lengths[i]]``
-    to ``state``: one step per byte position over the tokens still that long,
-    which sorted longest first are a prefix, so the work is O(bytes).  Once
-    only _FEW_TOKENS remain, each is finished on its own, since a numpy call
-    per byte would cost far more than the byte."""
-    order = np.argsort(-lengths, kind="stable")
-    pos, ends, h = starts[order], (starts + lengths)[order], np.full(len(order), state, np.uint64)
-    longer = len(lengths) - np.cumsum(np.bincount(lengths))  # tokens longer than k bytes, by k
-    for k, m in enumerate(longer[:-1].tolist()):
-        if m <= _FEW_TOKENS:
-            for i in range(m):
-                x = int(h[i])
-                for byte in buf[pos[i] + k : ends[i]].tolist():
-                    x = (x ^ byte) * _FNV_PRIME_INT & _MASK64
-                h[i] = x
-            break
-        h[:m] ^= buf[pos[:m] + k]
-        h[:m] *= _FNV_PRIME
-    out = np.empty_like(h)
-    out[order] = h
-    return out
+def _powers(base: int, n: int) -> np.ndarray:
+    """base**0, ..., base**(n - 1) mod 2**64, as uint64."""
+    powers = np.full(n, base, np.uint64)
+    powers[0] = 1
+    return np.multiply.accumulate(powers, out=powers)
+
+
+def _polynomials(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, powers, inverses):
+    """sum_k b_k P^k + 0xFF P^(e - s) mod 2**64 of each token's bytes b =
+    ``buf[s:e]``: with S[i] the sum of buf[j] P^j over j < i, that is
+    (S[e] - S[s]) P^-s + 0xFF P^(e - s).  ``powers`` and ``inverses`` hold
+    P^i and P^-i for i up to len(buf)."""
+    sums = np.zeros(len(buf) + 1, np.uint64)
+    np.cumsum(buf * powers[: len(buf)], out=sums[1:])
+    return (sums[ends] - sums[starts]) * inverses[starts] + np.uint64(0xFF) * powers[ends - starts]
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:
@@ -151,16 +141,8 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be >= 2, got {self.hash_dim}")
-        if not 0 <= self.seed < 2**64:  # the seed is XOR-ed into the 64-bit offset basis
+        if not 0 <= self.seed < 2**64:  # the seed is XOR-ed into the 64-bit hash
             raise ValueError(f"feature seed must be in [0, 2**64), got {self.seed}")
-
-    def _seeded_fnv1a(self, text: str) -> np.ndarray:
-        """The (1,) FNV-1a state of ``text``'s UTF-8 bytes, from the seeded offset basis."""
-        buf = np.frombuffer(text.encode("utf-8"), np.uint8)
-        return _fnv1a(buf, np.zeros(1, np.int64), np.array([len(buf)]), _FNV_OFFSET ^ self.seed)
-
-    def _slots(self, states: np.ndarray) -> np.ndarray:
-        return (_fmix64(states) % np.uint64(self.hash_dim)).astype(np.int64)
 
     def encode_dataset(self, dataset: Dataset) -> TokenBags:
         """The hashed slots of each row's tokens, as CSR token bags (each distinct
@@ -198,17 +180,25 @@ class FeatureSpec:
 
     def _tokenize(self, column: str, cells: list):
         """For consecutive chunks of about ENCODE_CHUNK characters of ``cells``:
-        (the slots of the chunk's tokens, cell after cell; each cell's token count)."""
-        prefix = self._seeded_fnv1a(f"{column}=")[0]
+        (the slots of the chunk's tokens, cell after cell; each cell's token count).
+        ``column=``'s m bytes enter once, as their polynomial plus P^m times the
+        token's; the power tables grow to the column's longest chunk."""
+        prefix = f"{column}=".encode("utf-8")
+        head = np.uint64(sum(b * pow(_P, k, 2**64) for k, b in enumerate(prefix)) % 2**64)
+        shift, seed = np.uint64(pow(_P, len(prefix), 2**64)), np.uint64(self.seed)
+        powers = inverses = np.ones(1, np.uint64)
         texts = [cell or "" for cell in cells]
         for lo, hi in _chunks(np.fromiter(map(len, texts), np.int64, len(texts)) + 1, ENCODE_CHUNK):
             raw = [t.encode("utf-8") if t.isascii() else t.translate(_WIDE_SPACES).encode("utf-8")
                    for t in texts[lo:hi]]
             buf = np.frombuffer(b" ".join(raw), np.uint8)
+            if len(buf) >= len(powers):
+                powers, inverses = _powers(_P, len(buf) + 1), _powers(pow(_P, -1, 2**64), len(buf) + 1)
             bounds = np.flatnonzero(np.diff(~_SEPARATOR[buf], prepend=False, append=False))
             starts, ends = bounds[::2], bounds[1::2]
+            h = (head + shift * _polynomials(buf, starts, ends, powers, inverses)) ^ seed
             cell_ends = np.cumsum(np.fromiter(map(len, raw), np.int64, len(raw)) + 1)
-            yield (self._slots(_fnv1a(buf, starts, ends - starts, prefix)),
+            yield ((_fmix64(h) % np.uint64(self.hash_dim)).astype(np.int64),
                    np.diff(np.searchsorted(starts, cell_ends), prepend=0))
 
 

@@ -120,14 +120,17 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
         grad = _losses(HeadKind.BINOM, scheme, y[None, :], t)[1][0]
-        if np.any(np.abs(grad) > 1.0):
-            return False, f"binom gradient {grad} escapes [-1, 1]"
+        i = int(np.argmax(np.abs(grad) > 1.0))  # the first component past its bound, if any
+        if abs(grad[i]) > 1.0:
+            return False, f"binom gradient component {i} ({grad[i]:.4g}) escapes [-1, 1]"
         open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 10))
         grad = _losses(HeadKind.GEO, open_scheme, y[None, :], t)[1][0]
-        if np.any(np.abs(grad[: scheme.n_buckets]) > scheme.widths):
-            return False, f"geo gradient {grad} escapes width bounds {scheme.widths}"
+        i = int(np.argmax(np.abs(grad[: scheme.n_buckets]) > scheme.widths))
+        if abs(grad[i]) > scheme.widths[i]:
+            return False, (f"geo gradient component {i} ({grad[i]:.4g}) escapes width bounds "
+                           f"(width {scheme.widths[i]})")
     return True, f"no violations over {trials} draws"
 
 

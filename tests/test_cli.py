@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from swat import heads, labels, simulate
+from swat import heads, labels, predictor, simulate
 from swat.buckets import ABLATIONS
 from swat.cli import build_parser, main
 from swat.heads import HeadKind
@@ -138,13 +138,14 @@ class TestTrainEval:
     def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
         # format 1 charged the geo stop factor to the bucket holding t;
         # format 2 carried a numeric feature width; format 3 did not record c;
-        # format 4 hashed its tokens into other slots
+        # formats 4 and 5 hashed their tokens into other slots; every older
+        # format exits 2
         tdir = tmp_path / "t"
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
         artifact = json.loads((tdir / "model.json").read_text())
-        assert artifact["format_version"] == 5
-        for old in (1, 2, 3, 4):
+        assert artifact["format_version"] == predictor.ARTIFACT_VERSION
+        for old in range(1, predictor.ARTIFACT_VERSION):
             path = tmp_path / f"model_v{old}.json"
             path.write_text(json.dumps(dict(artifact, format_version=old)), encoding="utf-8")
             capsys.readouterr()
@@ -442,9 +443,12 @@ class TestVerify:
             monkeypatch.setitem(heads.HEADS, HeadKind(fault), dataclasses.replace(entry, loss=scaled))
         assert run("verify", "--trials", "20") == 1
         out = capsys.readouterr()
-        # the detail runs to the next check's line; a printed array may wrap
-        detail = out.out.split(f"\n[FAIL] {check}: ")[1].split("\n[")[0]
-        assert message in detail
+        *lines, dump = out.out.splitlines()
+        results = json.loads(dump)
+        assert not results[check]["passed"] and message in results[check]["detail"]
+        # one line per check, and every failed detail printed whole on its line
+        failed = [f"[FAIL] {name}: {r['detail']}" for name, r in results.items() if not r["passed"]]
+        assert len(lines) == len(results) and all("\n" not in line and line in lines for line in failed)
         assert check in out.err
 
 

@@ -27,17 +27,26 @@ SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace(
 
 
 def reference_slot(token, seed, hash_dim):
-    """The documented hash in plain Python: 64-bit FNV-1a over the token's
-    UTF-8 bytes from the offset basis XOR the seed, MurmurHash3's fmix64,
-    then the remainder by ``hash_dim``."""
-    h = 0xCBF29CE484222325 ^ seed
-    for byte in token.encode("utf-8"):
-        h = (h ^ byte) * 0x100000001B3 % 2**64
+    """The documented hash in plain Python: the polynomial sum_k q_k P^k +
+    0xFF P^n mod 2**64 of the token's n UTF-8 bytes q, P = 0x100000001B3,
+    XOR the seed, MurmurHash3's fmix64, then the remainder by ``hash_dim``."""
+    h = 0
+    for byte in reversed(token.encode("utf-8") + b"\xff"):  # Horner's rule, last byte first
+        h = (h * 0x100000001B3 + byte) % 2**64
+    h ^= seed
     h ^= h >> 33
     h = h * 0xFF51AFD7ED558CCD % 2**64
     h ^= h >> 33
     h = h * 0xC4CEB9FE1A85EC53 % 2**64
     return (h ^ h >> 33) % hash_dim
+
+
+# tokens of 1 byte to 9 KB, ASCII and not, joined by '|', ASCII or wide
+# spaces into cells that may be empty or absent
+TOKENS = st.text(st.sampled_from("a9=é漢"), min_size=1, max_size=6) | st.builds(
+    str.__mul__, st.sampled_from("aé漢"), st.integers(1, 3000))
+CELLS = st.none() | st.builds(str.join, st.sampled_from(["|", " ", "\t", "\u3000", "\x85 |"]),
+                              st.lists(TOKENS, max_size=4))
 
 
 def slot(spec, token):
@@ -100,31 +109,41 @@ class TestFeatureSpec:
         assert bags.rows(idx, np.float32).tobytes() == expected32[idx].tobytes()
 
     def test_each_distinct_cell_tokenized_once(self, monkeypatch):
-        # the hash sees the column's prefix once and the tokens of each of the
-        # five distinct cells once, not the 13 tokens of the seven rows
-        hashed, fnv1a = [], predictor._fnv1a
+        # the hash sees the tokens of each of the five distinct cells once,
+        # not the 13 tokens of the seven rows; the column's prefix enters as
+        # a constant
+        hashed, polynomials = [], predictor._polynomials
 
-        def spy(buf, starts, lengths, state):
-            hashed.extend(buf[a : a + n].tobytes() for a, n in zip(starts.tolist(), lengths.tolist()))
-            return fnv1a(buf, starts, lengths, state)
+        def spy(buf, starts, ends, powers, inverses):
+            hashed.extend(buf[a:b].tobytes() for a, b in zip(starts.tolist(), ends.tolist()))
+            return polynomials(buf, starts, ends, powers, inverses)
 
-        monkeypatch.setattr(predictor, "_fnv1a", spy)
+        monkeypatch.setattr(predictor, "_polynomials", spy)
         cells = ["a b a", "", "b c", "c c a", "b c", None, "a b a"]
         FeatureSpec(hash_dim=8).encode_dataset(Dataset(list("0123456"), np.zeros(7), {"feat": cells}))
-        assert sorted(hashed) == sorted([b"feat=", *b"a b a b c c c a".split()])
+        assert sorted(hashed) == sorted(b"a b a b c c c a".split())
 
-    @pytest.mark.parametrize("seed, golden", [(0, [780, 539, 691, 245]),
-                                              (2**64 - 1, [702, 736, 219, 832])])
+    @pytest.mark.parametrize("seed, golden", [(0, [719, 21, 915, 125]),
+                                              (2**64 - 1, [820, 298, 461, 105])])
     def test_slots_follow_the_documented_hash(self, seed, golden):
         spec = FeatureSpec(hash_dim=1024, seed=seed)
         dataset = Dataset(["0", "1"], np.zeros(2), {"items": ["42|é", None], "ключ": ["", "слово 42"]})
         tokens = ["items=42", "items=é", "ключ=слово", "ключ=42"]
         assert [reference_slot(token, seed, 1024) for token in tokens] == golden
         assert spec.encode_dataset(dataset).slots.tolist() == golden
-        # enough tokens, of mixed lengths, that most bytes take the numpy steps
+        # many tokens of mixed lengths in one buffer
         many = [f"t{i}" + "é" * (i % 7) for i in range(100)]
         slots = spec.encode_dataset(Dataset(["0"], np.zeros(1), {"ключ": [" ".join(many)]})).slots
         assert slots.tolist() == [reference_slot(f"ключ={token}", seed, 1024) for token in many]
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(CELLS, min_size=1, max_size=6), seed=st.integers(0, 2**64 - 1),
+           hash_dim=st.integers(2, 2**16))
+    def test_slots_match_the_reference_hash(self, cells, seed, hash_dim):
+        dataset = Dataset([str(i) for i in range(len(cells))], np.zeros(len(cells)), {"ключ": cells})
+        slots = FeatureSpec(hash_dim, seed).encode_dataset(dataset).slots
+        assert slots.tolist() == [reference_slot(f"ключ={token}", seed, hash_dim)
+                                  for cell in cells for token in (cell or "").replace("|", " ").split()]
 
     @pytest.mark.parametrize("hash_dim", [64, 1024])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -477,9 +496,9 @@ class TestArtifact:
                       {"w": np.array([[0.5, -1.25]]), "b": np.array([0.1])})
         model.save(tmp_path / "model.json")
         assert (tmp_path / "model.json").read_bytes() == (
-            b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": 5, '
+            b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": %d, '
             b'"head": "binom", "hidden": 0, "params": {"b": [0.1], "w": [0.5, -1.25]}, '
-            b'"scheme": {"endpoints": [3], "tail_open": false}}\n')
+            b'"scheme": {"endpoints": [3], "tail_open": false}}\n' % predictor.ARTIFACT_VERSION)
 
 
 class TestHiddenLayerTraining:
