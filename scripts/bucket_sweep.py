@@ -16,7 +16,7 @@ feature.
 import argparse
 import sys
 
-from synthetic_experiment import mixed_dataset
+from synthetic_experiment import group_width, mixed_dataset
 
 from swat import dataio, heads, metrics, predictor
 from swat.buckets import from_percentiles
@@ -38,11 +38,14 @@ def main():
     parser.add_argument("--out", default="bucket_sweep.csv")
     args = parser.parse_args()
 
+    hash_dim = 8
     if args.data:
         schema = dataio.DEFAULT_SCHEMAS[args.schema]
         full = dataio.load_csv(args.data, schema, c=schema.c if args.c is None else args.c)
     else:
         full = mixed_dataset(Behavior.FOCUSED, args.n, args.seed)
+        hash_dim = group_width(hash_dim, args.seed)
+        print(f"hash_dim {hash_dim}: the smallest from 8 that keeps the groups apart at seed {args.seed}")
     train_set, test_set = map(full.take, dataio.split(len(full), 0.8, seed=args.seed))
     train_targets = train_set.targets()
 
@@ -50,7 +53,7 @@ def main():
     for n_buckets, step in sorted(STEPS.items()):
         for head in (HeadKind.BINOM, HeadKind.GEO):
             scheme = from_percentiles(train_targets, step, tail_open=heads.HEADS[head].tail_open)
-            config = TrainConfig(head=head, scheme=scheme, hash_dim=8,
+            config = TrainConfig(head=head, scheme=scheme, hash_dim=hash_dim,
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model
             rep = metrics.evaluate(model.predict_dataset(test_set)[0], test_set.raw_targets)

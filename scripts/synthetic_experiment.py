@@ -15,7 +15,7 @@ import numpy as np
 from swat import dataio, heads, metrics, predictor, simulate
 from swat.buckets import BucketScheme, from_percentiles
 from swat.heads import HeadKind
-from swat.predictor import TrainConfig
+from swat.predictor import FeatureSpec, TrainConfig
 from swat.simulate import Behavior, BehaviorProfile
 
 ENDPOINTS = (8, 20, 45)
@@ -56,14 +56,25 @@ def mixed_dataset(kind, n, seed):
     )
 
 
-def fit_and_score(train_set, test_set, head, seed):
+def group_width(width, seed):
+    """The smallest hash width, doubling from ``width``, at which the group
+    tokens land in distinct slots under the hash seed ``seed``, encoded as
+    training encodes them."""
+    probe = dataio.Dataset([str(g) for g in range(len(GROUPS))], np.zeros(len(GROUPS)),
+                           {"group": np.asarray(list(GROUPS), dtype=object)})
+    while len(set(FeatureSpec(width, seed).encode_dataset(probe).slots.tolist())) < len(GROUPS):
+        width *= 2
+    return width
+
+
+def fit_and_score(train_set, test_set, head, seed, hash_dim):
     """The head's report on the test rows, how its fit stopped and how many
     test rows it predicted from a probability at the clamp."""
     scheme = None
     tail_open = heads.HEADS[head].tail_open
     if tail_open is not None:
         scheme = from_percentiles(train_set.targets(), 5, tail_open=tail_open)
-    config = TrainConfig(head=head, scheme=scheme, lr=2e-2, hash_dim=16, max_epochs=100, seed=seed)
+    config = TrainConfig(head=head, scheme=scheme, lr=2e-2, hash_dim=hash_dim, max_epochs=100, seed=seed)
     result = predictor.train(train_set, config)
     preds, clamped = result.model.predict_dataset(test_set)
     return metrics.evaluate(preds, test_set.raw_targets), result.stopped, clamped
@@ -74,6 +85,8 @@ def main():
     parser.add_argument("--n", type=int, default=60_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    hash_dim = group_width(16, args.seed)
+    print(f"hash_dim {hash_dim}: the smallest from 16 that keeps the {len(GROUPS)} groups apart at seed {args.seed}")
 
     for kind in Behavior:
         full = mixed_dataset(kind, args.n, args.seed)
@@ -83,7 +96,7 @@ def main():
               f"{len(GROUPS)} groups, mean watch time {mean_t:.3f} ==")
         print(f"{'head':8s}  {'mae':>9s}  {'xauc':>6s}  {'pearson':>8s}  {'stopped':>10s}  {'clamped':>7s}")
         for head in HeadKind:
-            rep, stopped, clamped = fit_and_score(train_set, test_set, head, args.seed)
+            rep, stopped, clamped = fit_and_score(train_set, test_set, head, args.seed, hash_dim)
             pearson = "---" if np.isnan(rep.pearson) else f"{rep.pearson:8.4f}"
             print(f"{head.value:8s}  {rep.mae:9.4f}  {rep.xauc:6.4f}  {pearson:>8s}  {stopped:>10s}  {clamped:7d}")
 

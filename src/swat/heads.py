@@ -20,7 +20,26 @@ log_sigmoid(y), log(1 - p) = log p - y and p = exp(log p), so its gradient is
 the exact derivative of the loss it returns at every finite logit.  Only
 `expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
 finite: an odds factor p / (1 - p) is at most about 1e7.  It returns, beside
-the predictions, the rows that have a probability at either bound.
+the predictions, the rows where that clamp moved a prediction: those with a
+probability at the upper bound in a column the head reads through
+p / (1 - p) (``Head.saturates``).  Anywhere else a clamped probability moves
+the prediction by a relative amount near 1e-7.
+
+Every head's bias-only likelihood separates by logit into a Bernoulli
+likelihood, successes s and failures f summed over rows
+(``Head.counts``), so its maximum-likelihood logit is log(s / f).
+`prior_logits` returns the Beta(1, 1)-smoothed log((s + 1) / (f + 1)),
+which training starts from:
+
+    head   successes of logit i             failures of logit i
+    binom  sum of soft labels i             sum of 1 - soft labels i
+    geo    seconds continued in bucket i    stops in bucket i
+    vgeo   sum of t                         rows
+    wlr    (none: every bias starts at 0)
+
+The smoothing keeps a logit finite when s or f is 0, as for geo's open tail
+when no watch time passes x_N.  wlr has no prior: when no watch time is 0
+its bias-only loss falls without bound as the logit grows.
 
 The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the
 losses compute in the float dtype of the logits (float64 for any other
@@ -46,6 +65,7 @@ from . import labels
 from .buckets import BucketScheme
 
 PROB_EPS = 1e-7
+PRIOR_BLOCK = 4096  # rows encoded at once by `prior_logits`
 
 
 def _floating(y) -> np.ndarray:
@@ -212,14 +232,20 @@ class Head:
     the loss returns per-row losses and logit gradients.  Watch times reach a
     loss only through ``loss_batch``, which calls both.
     ``expectation(probs, scheme)`` returns the per-row mean watch time of
-    clamped probabilities.  Functions that a profiler may wrap are looked up
-    by name when called, so the entries hold lambdas around them.
+    clamped probabilities; ``saturates`` lists the columns it reads through
+    p / (1 - p), where the upper clamp caps a prediction near 1e7.
+    ``counts(encoded)`` returns each logit's successes and failures over a
+    batch of float64 targets, or is None for a head without a prior.
+    Functions that a profiler may wrap are looked up by name when called, so
+    the entries hold lambdas around them.
     """
 
     tail_open: bool | None
     encode: Callable[[BucketScheme | None, np.ndarray, Any], Any]
     loss: Callable[[np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
     expectation: Callable[[np.ndarray, BucketScheme | None], np.ndarray]
+    saturates: tuple[int, ...]
+    counts: Callable[[Any], tuple[np.ndarray, np.ndarray]] | None
 
 
 HEADS: dict[HeadKind, Head] = {
@@ -228,15 +254,21 @@ HEADS: dict[HeadKind, Head] = {
         encode=lambda scheme, t, dtype: labels.matrix(scheme, t),
         loss=binom_loss_batch,
         expectation=binom_expectation_batch,
+        saturates=(),
+        counts=lambda soft: (soft.sum(axis=0), (1.0 - soft).sum(axis=0)),
     ),
     HeadKind.GEO: Head(
         tail_open=True,
         encode=lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype),
         loss=lambda logits, enc: geo_loss_batch(logits, *enc),
         expectation=geo_expectation_batch,
+        saturates=(-1,),  # the open tail
+        counts=lambda enc: (enc[0].sum(axis=0), np.bincount(enc[1], minlength=enc[0].shape[1])),
     ),
-    HeadKind.VGEO: Head(None, lambda scheme, t, dtype: t, vgeo_loss_batch, vgeo_expectation_batch),
-    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, vgeo_expectation_batch),
+    HeadKind.VGEO: Head(None, lambda scheme, t, dtype: t, vgeo_loss_batch, vgeo_expectation_batch,
+                        saturates=(0,), counts=lambda t: (t.sum(), len(t))),
+    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, vgeo_expectation_batch,
+                       saturates=(0,), counts=None),
 }
 
 
@@ -264,24 +296,47 @@ def _checked(kind: HeadKind, logits, scheme: BucketScheme | None) -> np.ndarray:
     return logits
 
 
+def _watch_times(targets) -> np.ndarray:
+    """Integer watch times as int64; ValueError when one is negative."""
+    t = np.asarray(targets, dtype=np.int64)
+    if np.any(t < 0):
+        raise ValueError(f"watch time must be non-negative, got {int(t.min())}")
+    return t
+
+
 def loss_batch(kind: HeadKind, logits: np.ndarray, targets,
                scheme: BucketScheme | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row losses and logit gradients of (B, arity) logits against B integer
     watch times, in the logits' float dtype (float64 for any other input); the
     targets are encoded in that dtype.  Negative times raise ValueError."""
     logits = _checked(kind, logits, scheme)
-    t = np.asarray(targets, dtype=np.int64)
+    t = _watch_times(targets)
     if t.shape != logits.shape[:1]:
         raise ValueError(f"{len(logits)} logit rows but watch times of shape {t.shape}")
-    if np.any(t < 0):
-        raise ValueError(f"watch time must be non-negative, got {int(t.min())}")
     return HEADS[kind].loss(logits, HEADS[kind].encode(scheme, t, logits.dtype))
+
+
+def prior_logits(kind: HeadKind, targets, scheme: BucketScheme | None = None) -> np.ndarray:
+    """(arity,) float64 smoothed bias-only maximum-likelihood logits
+    log((s + 1) / (f + 1)) of the head on integer watch times; zeros for a head
+    without ``counts``.  The counts are summed over blocks of PRIOR_BLOCK rows
+    encoded as ``loss_batch`` encodes them, so one block is held at a time.
+    Negative times raise ValueError."""
+    head, t = HEADS[kind], _watch_times(targets)
+    successes, failures = np.zeros(arity(kind, scheme)), np.zeros(arity(kind, scheme))
+    if head.counts is not None:
+        for lo in range(0, len(t), PRIOR_BLOCK):
+            s, f = head.counts(head.encode(scheme, t[lo : lo + PRIOR_BLOCK], np.float64))
+            successes += s
+            failures += f
+    return np.log1p(successes) - np.log1p(failures)
 
 
 def expectation_batch(kind: HeadKind, logits: np.ndarray,
                       scheme: BucketScheme | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form expected watch time of each logit row, read at clamped
-    probabilities, and which rows have a probability the clamp put at a bound."""
+    probabilities, and which rows read an odds factor p / (1 - p) at the
+    upper clamp (``Head.saturates``)."""
     probs = clamp_probs(sigmoid(_checked(kind, logits, scheme)))
-    at_bound = ((probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)).any(axis=1)
+    at_bound = (probs[:, list(HEADS[kind].saturates)] == 1.0 - PROB_EPS).any(axis=1)
     return HEADS[kind].expectation(probs, scheme), at_bound

@@ -13,7 +13,9 @@ Training and scoring densify one batch of rows at a time into the
 mean-pooled one-hot slots of each row, so feature memory grows with the
 token count and the batch size, not with rows x ``hash_dim``.  The net is a
 single affine map, or one rectified hidden layer when ``hidden > 0``.
-Training is seeded mini-batch Adam against any head's loss; given the same
+Training is seeded mini-batch Adam against any head's loss, started with
+the output bias at the head's smoothed bias-only optimum
+(``heads.prior_logits``) and every other bias at 0; given the same
 config and seed, two runs produce bit-identical models, which ``dataio``
 writes and reads as JSON.  A model records the target scale ``c`` it was
 fitted at and predicts in raw units.
@@ -395,16 +397,20 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
     The head fits the dataset's integer targets round(c * raw), encoded one
     batch at a time and read by the loss in float32; the returned model
-    records the dataset's c, and its parameters are float64.  Raises
-    ValueError when a watch time is negative, and TrainingDiverged on a
-    non-finite batch loss.
+    records the dataset's c, and its parameters are float64.  The output
+    bias (``b``, or ``b2`` with a hidden layer) starts at the head's
+    ``heads.prior_logits`` of the targets, an entry that is not finite at 0;
+    the weights start at random.  Raises ValueError when a watch time is
+    negative, and TrainingDiverged on a non-finite batch loss.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, dataset.c, rng)
+    targets = dataset.targets()
+    prior = heads.prior_logits(config.head, targets, config.scheme)
+    model.params["b2" if config.hidden > 0 else "b"] = np.where(np.isfinite(prior), prior, 0.0)
     model.params = {key: value.astype(np.float32) for key, value in model.params.items()}
     bags = spec.encode_dataset(dataset)
-    targets = dataset.targets()
     clipped = 0
     if heads.HEADS[config.head].tail_open is False:
         clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from swat import heads, labels, predictor, simulate
-from swat.buckets import ABLATIONS
+from swat.buckets import ABLATIONS, from_endpoints
 from swat.cli import build_parser, main
 from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model
@@ -170,17 +170,35 @@ class TestTrainEval:
         assert "--c 1.0" in err and "10.0" in err
         assert not (tmp_path / "e").exists()
 
-    @pytest.mark.parametrize("bias, clamped", [(20.0, 400), (-20.0, 400), (16.0, 0)])
-    def test_rows_predicted_at_the_clamp_are_counted(self, tmp_path, sim_csv, caplog, bias, clamped):
-        # a logit beyond +-16.12 puts the vgeo probability at the clamp
-        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.VGEO, None, 1.0,
-                      {"w": np.zeros((1, 4)), "b": np.array([bias])})
+    @staticmethod
+    def eval_clamped(tmp_path, sim_csv, caplog, model):
+        """`clamped` in the manifest of `eval` of ``model`` on ``sim_csv``, after
+        checking that the warning names it."""
         model.save(tmp_path / "model.json")
         assert run("eval", "--data", sim_csv, "--model", tmp_path / "model.json", "--out", tmp_path / "e") == 0
-        assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["clamped"] == clamped
+        clamped = json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["clamped"]
         warned = [r.getMessage() for r in caplog.records if "at the clamp" in r.getMessage()]
         assert warned == ([f"{clamped} of 400 rows predicted from a probability at the clamp "
                            "(1e-07 from 0 or 1)"] if clamped else [])
+        return clamped
+
+    @pytest.mark.parametrize("bias, clamped", [(20.0, 400), (-20.0, 0), (16.0, 0)])
+    def test_rows_predicted_at_the_clamp_are_counted(self, tmp_path, sim_csv, caplog, bias, clamped):
+        # a logit beyond 16.12 puts the vgeo probability at the upper clamp, which
+        # caps its odds p / (1 - p); the lower clamp moves the odds by about 1e-7
+        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.VGEO, None, 1.0,
+                      {"w": np.zeros((1, 4)), "b": np.array([bias])})
+        assert self.eval_clamped(tmp_path, sim_csv, caplog, model) == clamped
+
+    @pytest.mark.parametrize("bucket, clamped", [(0, 0), (1, 0), (2, 400)])
+    def test_only_the_geo_tail_at_the_clamp_is_counted(self, tmp_path, sim_csv, caplog, bucket, clamped):
+        # an inner bucket at the upper clamp adds about its width, as it would
+        # unclamped; the tail's odds are capped near 1e7
+        bias = np.zeros(3)
+        bias[bucket] = 20.0
+        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.GEO, from_endpoints([5, 12], tail_open=True),
+                      1.0, {"w": np.zeros((3, 4)), "b": bias})
+        assert self.eval_clamped(tmp_path, sim_csv, caplog, model) == clamped
 
     def test_constant_prediction_report_is_strict_json(self, tmp_path, sim_csv):
         # every sim row carries the one token `feat=all`, so the predictions are constant

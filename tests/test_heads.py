@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swat import heads, labels, simulate
@@ -82,10 +82,13 @@ class TestSigmoid:
     @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 5)),
                   elements=st.floats(-40, 40) | st.floats(16.11, 16.13) | st.floats(-16.13, -16.11)))
     def test_expectation_marks_the_rows_with_a_probability_at_a_bound(self, logits):
+        # only an odds factor p / (1 - p) read at the upper bound marks a row:
+        # binom reads none, vgeo its one probability
         probs = heads.clamp_probs(heads.sigmoid(logits))
-        at_bound = ((probs == heads.PROB_EPS) | (probs == 1.0 - heads.PROB_EPS)).any(axis=1)
         scheme = BucketScheme(tuple(range(1, logits.shape[1] + 1)), tail_open=False)
-        assert np.array_equal(heads.expectation_batch(HeadKind.BINOM, logits, scheme)[1], at_bound)
+        assert not heads.expectation_batch(HeadKind.BINOM, logits, scheme)[1].any()
+        assert np.array_equal(heads.expectation_batch(HeadKind.VGEO, logits[:, :1])[1],
+                              probs[:, 0] == 1.0 - heads.PROB_EPS)
 
     def test_zero_logits_give_half(self):
         assert np.allclose(probs_of([0.0, 0.0]), 0.5)
@@ -586,3 +589,60 @@ class TestPmfProductStructure:
         assert pmf[3] == pytest.approx(
             p[0] ** 5 * p[1] ** 7 * p[2] ** 10 * p[3] ** 3 * (1 - p[3]), rel=1e-12
         )
+
+
+def bias_only_optimum(kind, scheme, t, i, lo=-40.0, hi=40.0, points=101, rounds=6):
+    """The logit y_i in [lo, hi] minimizing the summed ``loss_batch`` over watch
+    times t with every other logit at 0: the best of a grid, refined around
+    the best point each round (the loss is convex in y_i)."""
+    t = np.asarray(t)
+    for _ in range(rounds):
+        ys = np.linspace(lo, hi, points)
+        logits = np.zeros((points * len(t), heads.arity(kind, scheme)))
+        logits[:, i] = np.repeat(ys, len(t))
+        totals = heads.loss_batch(kind, logits, np.tile(t, points), scheme)[0].reshape(points, -1).sum(axis=1)
+        k = int(np.argmin(totals))
+        lo, hi = ys[max(k - 1, 0)], ys[min(k + 1, points - 1)]
+    return ys[k]
+
+
+class TestPrior:
+    PRIOR_HEADS = (HeadKind.BINOM, HeadKind.GEO, HeadKind.VGEO)
+
+    @staticmethod
+    def counts(kind, scheme, t):
+        head = heads.HEADS[kind]
+        return head.counts(head.encode(scheme, np.asarray(t, dtype=np.int64), np.float64))
+
+    @settings(deadline=None)
+    @given(schemes(max_buckets=5, max_width=12), st.lists(st.integers(0, 70), min_size=1, max_size=30))
+    def test_successes_over_trials_minimize_the_bias_only_loss(self, drawn, t):
+        for kind in self.PRIOR_HEADS:
+            tail_open = heads.HEADS[kind].tail_open
+            scheme = None if tail_open is None else BucketScheme(drawn.endpoints, tail_open)
+            successes, failures = self.counts(kind, scheme, t)
+            trials = np.broadcast_to(successes + failures, (heads.arity(kind, scheme),))
+            for i in np.flatnonzero(trials):  # a logit no row reaches leaves the loss flat
+                want = np.atleast_1d(successes)[i] / trials[i]
+                got = float(heads.sigmoid(bias_only_optimum(kind, scheme, t, i)))
+                assert got == pytest.approx(want, abs=1e-6), (kind, i)
+
+    @pytest.mark.parametrize("kind", PRIOR_HEADS)
+    def test_blockwise_sums_equal_one_whole_batch_encode(self, kind, monkeypatch):
+        t = np.random.default_rng(5).geometric(0.08, size=20) - 1
+        scheme = scheme_for(kind)
+        successes, failures = self.counts(kind, scheme, t)
+        monkeypatch.setattr(heads, "PRIOR_BLOCK", 3)
+        np.testing.assert_allclose(heads.prior_logits(kind, t, scheme),
+                                   np.log1p(successes) - np.log1p(failures), rtol=1e-12, atol=0)
+
+    def test_geo_tail_stays_finite_with_no_watch_time_beyond_the_last_endpoint(self):
+        # three of the times end at x_N = 22: each stops in the tail, which no
+        # second continues, so its unsmoothed logit would be -inf
+        prior = heads.prior_logits(HeadKind.GEO, [3, 9, 22, 22, 15, 22], OPEN)
+        assert np.all(np.isfinite(prior))
+        assert prior[-1] == pytest.approx(-math.log(4.0), rel=1e-12)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            heads.prior_logits(HeadKind.GEO, [3, -3], OPEN)

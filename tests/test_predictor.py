@@ -438,6 +438,29 @@ class TestTraining:
         assert err.value.param_norm > 0
 
 
+class TestWarmStart:
+    """At a learning rate too small to move them, the trained biases read where training started."""
+
+    @staticmethod
+    def fit(kind, scheme, targets, hidden):
+        cfg = TrainConfig(head=kind, scheme=scheme, hash_dim=4, hidden=hidden, lr=1e-9,
+                          max_epochs=1, batch_size=64, seed=3)
+        return predictor.train(constant_feature_dataset(targets), cfg).model.params
+
+    @pytest.mark.parametrize("kind, scheme", [(HeadKind.GEO, OPEN), (HeadKind.VGEO, None)])
+    def test_prior_lands_in_the_output_bias(self, kind, scheme):
+        targets = np.random.default_rng(2).geometric(0.1, size=300) - 1
+        prior = heads.prior_logits(kind, targets, scheme)
+        np.testing.assert_allclose(self.fit(kind, scheme, targets, 0)["b"], prior, rtol=1e-6, atol=1e-6)
+        params = self.fit(kind, scheme, targets, 4)
+        np.testing.assert_allclose(params["b2"], prior, rtol=1e-6, atol=1e-6)
+        assert np.all(np.abs(params["b1"]) < 1e-6)
+
+    @pytest.mark.parametrize("hidden, key", [(0, "b"), (4, "b2")])
+    def test_wlr_bias_starts_at_zero(self, hidden, key):
+        assert np.all(np.abs(self.fit(HeadKind.WLR, None, np.arange(1, 40), hidden)[key]) < 1e-6)
+
+
 class TestRecoveryFeasible:
     """MLE recovery on identifiable synthetic populations (moderate sizes)."""
 

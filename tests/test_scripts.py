@@ -7,7 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from swat.dataio import Dataset
+from swat.predictor import FeatureSpec
+
 ROOT = Path(__file__).resolve().parents[1]
+GROUPS = ["casual", "regular", "hooked"]  # synthetic_experiment.GROUPS
 
 
 def run_script(name, *args, cwd):
@@ -50,3 +56,13 @@ def test_bucket_sweep_writes_one_row_per_head_and_bucket_count(tmp_path):
     for r in rows:
         assert float(r["xauc"]) != 0.5, r
         assert math.isfinite(float(r["pearson"])), r
+
+
+def test_bucket_sweep_keeps_the_groups_in_distinct_slots(tmp_path):
+    # width 8 merges `casual` and `regular` at seed 1
+    done = run_script("bucket_sweep.py", "--n", 600, "--epochs", 1, "--seed", 1, "--out", "tmp", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    width = int(done.stdout.split()[1].rstrip(":"))
+    spec = FeatureSpec(width, seed=1)
+    slots = spec.encode_dataset(Dataset(["0", "1", "2"], np.zeros(3), {"group": GROUPS})).slots
+    assert width > 8 and len(set(slots.tolist())) == 3
