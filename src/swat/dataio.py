@@ -122,8 +122,8 @@ class Dataset:
 
         Only perfbench/tracer.py reads this, to count the tokens that
         ``FeatureSpec.encode_dataset`` pools; the library works on the
-        columns.  The benchmark change of ROADMAP item 2, which takes that
-        count from the library instead, deletes this view and Sample.
+        columns.  The benchmark change that takes that count from the library
+        instead deletes this view and Sample.
         """
         tokens = [[] for _ in range(len(self))]
         for col, cells in self.features.items():

@@ -266,7 +266,7 @@ HEADS: dict[HeadKind, Head] = {
         counts=lambda enc: (enc[0].sum(axis=0), np.bincount(enc[1], minlength=enc[0].shape[1])),
     ),
     HeadKind.VGEO: Head(None, lambda scheme, t, dtype: t, vgeo_loss_batch, vgeo_expectation_batch,
-                        saturates=(0,), counts=lambda t: (t.sum(), len(t))),
+                        saturates=(0,), counts=lambda t: (t.sum(dtype=np.float64), len(t))),
     HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, vgeo_expectation_batch,
                        saturates=(0,), counts=None),
 }

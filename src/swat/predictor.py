@@ -11,8 +11,9 @@ UTF-8 never uses, ends every string, so distinct strings are distinct
 polynomials.  Each row's slots are kept as CSR token bags.
 Training and scoring densify one batch of rows at a time into the
 mean-pooled one-hot slots of each row, so feature memory grows with the
-token count and the batch size, not with rows x ``hash_dim``.  The net is a
-single affine map, or one rectified hidden layer when ``hidden > 0``.
+token count and the batch size, not with rows x ``hash_dim``.  The net's
+affine output layer reads h: the features, or one rectified hidden layer of
+them when ``hidden > 0``; the forward returns h and the backward reuses it.
 Training is seeded mini-batch Adam against any head's loss, started with
 the output bias at the head's smoothed bias-only optimum
 (``heads.prior_logits``) and every other bias at 0; given the same
@@ -227,37 +228,34 @@ class Model:
         return model
 
     @property
-    def arity(self) -> int:
-        return heads.arity(self.head, self.scheme)
+    def output(self) -> tuple[str, str]:
+        """The keys of the output layer's (weight, bias)."""
+        return ("w2", "b2") if self.hidden > 0 else ("w", "b")
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Each parameter's key and shape, in layer order."""
-        d, h, k = self.feature_spec.hash_dim, self.hidden, self.arity
+        d, h, k = self.feature_spec.hash_dim, self.hidden, heads.arity(self.head, self.scheme)
         if h > 0:
             return {"w1": (h, d), "b1": (h,), "w2": (k, h), "b2": (k,)}
         return {"w": (k, d), "b": (k,)}
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """(B, d) features -> (B, arity) logits."""
+    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, d) features -> (B, arity) logits and the output layer's input h:
+        the rectified hidden units, or x itself without a hidden layer."""
+        h = x
         if self.hidden > 0:
-            z = x @ self.params["w1"].T + self.params["b1"]
-            return np.maximum(z, 0.0) @ self.params["w2"].T + self.params["b2"]
-        return x @ self.params["w"].T + self.params["b"]
+            h = np.maximum(x @ self.params["w1"].T + self.params["b1"], 0.0)
+        w, b = self.output
+        return h @ self.params[w].T + self.params[b], h
 
-    def backward_batch(self, x: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of sum_b loss_b given d(loss)/d(logits) rows."""
-        if self.hidden > 0:
-            z = x @ self.params["w1"].T + self.params["b1"]
-            h = np.maximum(z, 0.0)
-            dh = dlogits @ self.params["w2"]
-            dz = dh * (z > 0.0)
-            return {
-                "w1": dz.T @ x,
-                "b1": dz.sum(axis=0),
-                "w2": dlogits.T @ h,
-                "b2": dlogits.sum(axis=0),
-            }
-        return {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
+    def backward_batch(self, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        """Exact gradients of sum_b loss_b given d(loss)/d(logits) rows and the forward's h."""
+        w, b = self.output
+        grads = {w: dlogits.T @ h, b: dlogits.sum(axis=0)}
+        if self.hidden > 0:  # h > 0 exactly where the unit's pre-activation z > 0
+            dz = (dlogits @ self.params["w2"]) * (h > 0.0)
+            grads |= {"w1": dz.T @ x, "b1": dz.sum(axis=0)}
+        return grads
 
     def param_norm(self) -> float:
         return float(np.sqrt(sum(float((v * v).sum()) for v in self.params.values())))
@@ -265,7 +263,7 @@ class Model:
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected watch times (scaled-target units) for feature rows, and which
         rows read a probability at the clamp (``heads.expectation_batch``)."""
-        return heads.expectation_batch(self.head, self.forward_batch(x), self.scheme)
+        return heads.expectation_batch(self.head, self.forward_batch(x)[0], self.scheme)
 
     def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, int]:
         """Expected watch times of the dataset's rows in raw units (``predict`` / c),
@@ -325,22 +323,13 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class AdamState:
     """Adam: moment accumulators plus step count."""
 
-    lr: float
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, params, lr) -> "AdamState":
-        return cls(
-            lr=lr,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.lr, self.step = lr, 0
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         beta1, beta2 = ADAM_BETAS
@@ -398,24 +387,24 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     The head fits the dataset's integer targets round(c * raw), encoded one
     batch at a time and read by the loss in float32; the returned model
     records the dataset's c, and its parameters are float64.  The output
-    bias (``b``, or ``b2`` with a hidden layer) starts at the head's
-    ``heads.prior_logits`` of the targets, an entry that is not finite at 0;
-    the weights start at random.  Raises ValueError when a watch time is
-    negative, and TrainingDiverged on a non-finite batch loss.
+    bias (``Model.output``) starts at the head's ``heads.prior_logits`` of
+    the targets, an entry that is not finite at 0; the weights start at
+    random.  Raises ValueError when a watch time is negative, and
+    TrainingDiverged on a non-finite batch loss.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     model = Model.init(spec, config.hidden, config.head, config.scheme, dataset.c, rng)
     targets = dataset.targets()
     prior = heads.prior_logits(config.head, targets, config.scheme)
-    model.params["b2" if config.hidden > 0 else "b"] = np.where(np.isfinite(prior), prior, 0.0)
+    model.params[model.output[1]] = np.where(np.isfinite(prior), prior, 0.0)
     model.params = {key: value.astype(np.float32) for key, value in model.params.items()}
     bags = spec.encode_dataset(dataset)
     clipped = 0
     if heads.HEADS[config.head].tail_open is False:
         clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
 
-    optimizer = AdamState.for_params(model.params, config.lr)
+    optimizer = AdamState(model.params, config.lr)
     n = len(dataset)
     epoch_losses: list[float] = []
     stopped = "max_epochs"
@@ -426,12 +415,12 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             xb = bags.rows(idx, np.float32)
-            logits = model.forward_batch(xb)
+            logits, h = model.forward_batch(xb)
             losses, dlogits = heads.loss_batch(config.head, logits, targets[idx], config.scheme)
             total += float(losses.sum())  # one non-finite loss makes the total non-finite
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, bi, model.param_norm())
-            grads = model.backward_batch(xb, dlogits / len(idx))
+            grads = model.backward_batch(xb, h, dlogits / len(idx))
             optimizer.update(model.params, grads)
         epoch_losses.append(total / n)
         if epoch > 0:

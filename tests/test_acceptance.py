@@ -72,7 +72,7 @@ def loss_at(kind, scheme, logits, t):
 
 def constant_probs(model):
     x = encode_tokens(model.feature_spec, ("all",))
-    return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
+    return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)[0]))[0]
 
 
 def test_criterion_01_expectation_equivalence():
@@ -139,11 +139,12 @@ def test_criterion_03_gradient_fidelity():
                 size = model.params[key].size
                 model.params[key] = flat[offset : offset + size].reshape(model.params[key].shape)
                 offset += size
-            return float(heads.loss_batch(kind, model.forward_batch(x), t, scheme)[0].sum())
+            return float(heads.loss_batch(kind, model.forward_batch(x)[0], t, scheme)[0].sum())
 
         flat = np.concatenate([model.params[k].ravel() for k in sorted(model.params)])
-        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), t, scheme)
-        grads = model.backward_batch(x, dlogits)
+        logits, h = model.forward_batch(x)
+        _, dlogits = heads.loss_batch(kind, logits, t, scheme)
+        grads = model.backward_batch(x, h, dlogits)
         analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
         numeric = fd_gradient(total_loss_from_params, flat)
         worst[f"e2e_{kind.value}"] = max_component_rel_err(analytic, numeric)

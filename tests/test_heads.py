@@ -643,6 +643,11 @@ class TestPrior:
         assert np.all(np.isfinite(prior))
         assert prior[-1] == pytest.approx(-math.log(4.0), rel=1e-12)
 
+    def test_vgeo_sum_past_int64_stays_finite(self):
+        # 3 * 2**62 seconds wrap an int64 sum negative, and log1p of it is NaN
+        prior = heads.prior_logits(HeadKind.VGEO, [2**62] * 3)
+        assert prior[0] == pytest.approx(math.log1p(3 * 2.0**62) - math.log1p(3), rel=1e-12)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             heads.prior_logits(HeadKind.GEO, [3, -3], OPEN)

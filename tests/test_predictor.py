@@ -57,7 +57,7 @@ def slot(spec, token):
 
 def constant_probs(model):
     x = encode_tokens(model.feature_spec, ("all",))
-    return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)))[0]
+    return heads.clamp_probs(heads.sigmoid(model.forward_batch(x)[0]))[0]
 
 
 class TestFeatureSpec:
@@ -216,7 +216,7 @@ class TestForward:
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
-        logits = model.forward_batch(encode_tokens(spec, ("a",)))
+        logits, _ = model.forward_batch(encode_tokens(spec, ("a",)))
         assert np.allclose(logits, 0.0)
         assert np.allclose(heads.clamp_probs(heads.sigmoid(logits)), 0.5)
 
@@ -226,14 +226,14 @@ class TestForward:
         model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
-        assert np.allclose(model.forward_batch(x)[0], w[:, slot(spec, f"feat={token}")])
+        assert np.allclose(model.forward_batch(x)[0][0], w[:, slot(spec, f"feat={token}")])
 
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
         spec = FeatureSpec(hash_dim=9, seed=0)
         model = Model.init(spec, 6, HeadKind.GEO, OPEN, 1.0, rng)
         x = rng.normal(size=(10, spec.hash_dim))
-        assert np.all(np.isfinite(model.forward_batch(x)))
+        assert np.all(np.isfinite(model.forward_batch(x)[0]))
 
     def test_dimension_mismatch(self):
         spec = FeatureSpec(hash_dim=8, seed=0)
@@ -251,9 +251,9 @@ class TestBackward:
             for i in range(flat.size):
                 old = flat[i]
                 flat[i] = old + step
-                up = loss_of_logits(model.forward_batch(x))
+                up = loss_of_logits(model.forward_batch(x)[0])
                 flat[i] = old - step
-                dn = loss_of_logits(model.forward_batch(x))
+                dn = loss_of_logits(model.forward_batch(x)[0])
                 flat[i] = old
                 g.ravel()[i] = (up - dn) / (2 * step)
             grads[key] = g
@@ -270,8 +270,9 @@ class TestBackward:
         def loss_of_logits(logits):
             return float(heads.vgeo_loss_batch(logits, t)[0].sum())
 
-        _, dlogits = heads.vgeo_loss_batch(model.forward_batch(x), t)
-        analytic = model.backward_batch(x, dlogits)
+        logits, h = model.forward_batch(x)
+        _, dlogits = heads.vgeo_loss_batch(logits, t)
+        analytic = model.backward_batch(x, h, dlogits)
         numeric = self.fd_param_grad(model, x, loss_of_logits)
         for key in analytic:
             scale = np.maximum(np.maximum(np.abs(analytic[key]), np.abs(numeric[key])), 1.0)
@@ -290,8 +291,9 @@ class TestBackward:
         def total_loss(logits):
             return float(heads.loss_batch(kind, logits, t, scheme)[0].sum())
 
-        _, dlogits = heads.loss_batch(kind, model.forward_batch(x), t, scheme)
-        analytic = model.backward_batch(x, dlogits)
+        logits, h = model.forward_batch(x)
+        _, dlogits = heads.loss_batch(kind, logits, t, scheme)
+        analytic = model.backward_batch(x, h, dlogits)
         numeric = self.fd_param_grad(model, x, total_loss)
         for key in analytic:
             scale = np.maximum(np.maximum(np.abs(analytic[key]), np.abs(numeric[key])), 1.0)
@@ -301,7 +303,7 @@ class TestBackward:
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model.init(spec, 3, HeadKind.VGEO, None, 1.0, np.random.default_rng(3))
         x = np.random.default_rng(4).normal(size=(6, 4))
-        grads = model.backward_batch(x, np.zeros((6, 1)))
+        grads = model.backward_batch(x, model.forward_batch(x)[1], np.zeros((6, 1)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_duplicated_sample_doubles_contribution(self):
@@ -310,10 +312,56 @@ class TestBackward:
         model = Model.init(spec, 0, HeadKind.VGEO, None, 1.0, rng)
         x = rng.normal(size=(1, 4))
         dlogit = np.array([[0.37]])
-        single = model.backward_batch(x, dlogit)
-        doubled = model.backward_batch(np.vstack([x, x]), np.vstack([dlogit, dlogit]))
+        x2 = np.vstack([x, x])
+        single = model.backward_batch(x, model.forward_batch(x)[1], dlogit)
+        doubled = model.backward_batch(x2, model.forward_batch(x2)[1], np.vstack([dlogit, dlogit]))
         for key in single:
             assert np.allclose(doubled[key], 2 * single[key])
+
+
+def recomputing_forward(params, x):
+    """Reference logits of either net, written out from x."""
+    if "w1" in params:
+        z = x @ params["w1"].T + params["b1"]
+        return np.maximum(z, 0.0) @ params["w2"].T + params["b2"]
+    return x @ params["w"].T + params["b"]
+
+
+def recomputing_backward(params, x, dlogits):
+    """Reference gradients of either net, with the hidden layer recomputed from x."""
+    if "w1" in params:
+        z = x @ params["w1"].T + params["b1"]
+        h = np.maximum(z, 0.0)
+        dz = (dlogits @ params["w2"]) * (z > 0.0)
+        return {"w1": dz.T @ x, "b1": dz.sum(axis=0), "w2": dlogits.T @ h, "b2": dlogits.sum(axis=0)}
+    return {"w": dlogits.T @ x, "b": dlogits.sum(axis=0)}
+
+
+class TestForwardHandsHToBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [0, 1, 2, 4])
+    def test_bit_equal_to_the_recomputing_net(self, hidden, dtype):
+        for trial in range(25):
+            rng = np.random.default_rng([hidden, trial])
+            spec = FeatureSpec(hash_dim=int(rng.integers(2, 9)), seed=0)
+            model = Model(spec, hidden, HeadKind.GEO, OPEN, 1.0)  # 4 logits
+            model.params = {key: rng.normal(size=shape).astype(dtype)
+                            for key, shape in model.shapes().items()}
+            x = rng.normal(size=(int(rng.integers(1, 8)), spec.hash_dim)).astype(dtype)
+            x[0] = 0.0  # an all-zero feature row
+            if hidden > 0:
+                model.params["b1"][0] = 0.0  # so the zero row meets unit 0 at z == 0 exactly
+                model.params["w1"][-1], model.params["b1"][-1] = 0.0, 0.0  # z == 0 on every row
+            dlogits = rng.normal(size=(len(x), 4)).astype(dtype)
+
+            logits, h = model.forward_batch(x)
+            want = recomputing_forward(model.params, x)
+            assert logits.dtype == want.dtype == dtype and np.array_equal(logits, want)
+            grads = model.backward_batch(x, h, dlogits)
+            want = recomputing_backward(model.params, x, dlogits)
+            assert grads.keys() == want.keys() == model.params.keys()
+            for key, g in grads.items():
+                assert g.dtype == want[key].dtype == dtype and np.array_equal(g, want[key]), key
 
 
 class TestTraining:
@@ -325,7 +373,7 @@ class TestTraining:
         model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
-        losses, _ = heads.binom_loss_batch(model.forward_batch(x), labels.matrix(CLOSED, targets))
+        losses, _ = heads.binom_loss_batch(model.forward_batch(x)[0], labels.matrix(CLOSED, targets))
         assert np.allclose(losses, 3 * math.log(2))
 
     def test_train_does_not_materialise_all_features(self):
