@@ -122,10 +122,14 @@ def _grid(step: Fraction, upto: int = 100) -> list[Fraction]:
 
 
 def _sorted(targets: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The targets sorted by ``np.sort``; ValueError when there are none."""
+    """The targets sorted by ``np.sort``; ValueError when there are none, or
+    when the largest rounds below 1, so that no percentile is an endpoint."""
     srt = np.sort(np.asarray(targets))
     if not len(srt):
         raise ValueError("no targets given")
+    if round(srt[-1]) < 1:
+        raise ValueError(f"no positive endpoint: all {len(srt)} targets round below 1 "
+                         f"(the largest is {srt[-1]})")
     return srt
 
 

@@ -45,11 +45,17 @@ def _utcnow() -> str:
 class Run:
     """One command's manifest.json, which ``main`` writes after the command
     returns when it took an output path from ``output``: the config is
-    ``vars(args)`` at that point plus what the command ``resolved``."""
+    ``vars(args)`` at that point plus what the command ``resolved``, and the
+    inputs are the files it took from ``read``."""
 
     def __init__(self, args) -> None:
         self.args, self.started = args, _utcnow()
         self.inputs, self.outputs, self.resolved = [], [], {}
+
+    def read(self, path: str) -> str:
+        """``path``, recorded as an input of the command."""
+        self.inputs.append(path)
+        return path
 
     def output(self, name: str) -> Path:
         """The path of ``name`` under --out, which is created on first use."""
@@ -106,8 +112,9 @@ def _take_c(args, c: float, source: str) -> None:
     args.c = c  # the data is read, and the manifest records c, at that scale
 
 
-def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Dataset:
-    """Load args.data; when --ratio is set, only the train or test part.
+def _load_dataset(args, run: Run, part: str, *, targets_only: bool = False) -> dataio.Dataset:
+    """Load args.data, an input of ``run``, which records its skipped rows;
+    when --ratio is set, only the train or test part.
 
     The split is a pure function of (--ratio, --seed) and the usable-row
     count, so `train` and `eval` invoked with the same values see disjoint
@@ -121,17 +128,19 @@ def _load_dataset(args, part: str, *, targets_only: bool = False) -> dataio.Data
         def rows(n: int):
             return dataio.split(n, args.ratio, args.seed)[part == "test"]
     schema = dataio.DEFAULT_SCHEMAS[args.schema]
-    dataset = dataio.load_csv(args.data, schema, c=_c(args), targets_only=targets_only, rows=rows)
+    dataset = dataio.load_csv(run.read(args.data), schema, c=_c(args), targets_only=targets_only, rows=rows)
+    run.resolved["skipped"] = dataset.skipped
     if dataset.skipped:
         log.warning("%d unusable rows of %s skipped", dataset.skipped, args.data)
     return dataset
 
 
-def _scheme(args, head: HeadKind) -> tuple[BucketScheme | None, float | None]:
-    """The scheme of --scheme and the c it was built at, else the scheme of
-    --endpoints with the tail ``head`` reads and no c, else neither."""
+def _scheme(args, run: Run, head: HeadKind) -> tuple[BucketScheme | None, float | None]:
+    """The scheme of --scheme, an input of ``run``, and the c it was built at,
+    else the scheme of --endpoints with the tail ``head`` reads and no c, else
+    neither."""
     if args.scheme is not None:
-        return BucketScheme.load(args.scheme)
+        return BucketScheme.load(run.read(args.scheme))
     if args.endpoints is None:
         return None, None
     return from_endpoints(args.endpoints, tail_open=bool(heads.HEADS[head].tail_open)), None
@@ -149,14 +158,11 @@ def cmd_buckets(args, run: Run) -> int:
     else:
         if args.choice is None:
             check_percent_step(args.percent_step)  # before the data is read
-        dataset = _load_dataset(args, part="train", targets_only=True)
-        run.resolved["skipped"] = dataset.skipped
-        targets = dataset.targets()
+        targets = _load_dataset(args, run, part="train", targets_only=True).targets()
         if args.choice is not None:
             scheme = ablation_choice(targets, args.choice, tail_open=args.tail_open)
         else:
             scheme = from_percentiles(targets, args.percent_step, tail_open=args.tail_open)
-        run.inputs.append(args.data)
     scheme_path = run.output("scheme.json")
     scheme.save(scheme_path, c)
     print(f"buckets: N={scheme.n_buckets} endpoints={','.join(map(str, scheme.endpoints))}")
@@ -166,13 +172,13 @@ def cmd_buckets(args, run: Run) -> int:
 
 def cmd_train(args, run: Run) -> int:
     head = HeadKind(args.head)
-    scheme, scheme_c = _scheme(args, head)
+    scheme, scheme_c = _scheme(args, run, head)
     if scheme_c is not None:
         _take_c(args, scheme_c, f"the scheme's c {scheme_c}, the scale it was built at")
     # TrainConfig checks every setting, so before the data is read
     config = TrainConfig(head, scheme, lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                          seed=args.seed, hash_dim=args.hash_dim, hidden=args.hidden)
-    dataset = _load_dataset(args, part="train")
+    dataset = _load_dataset(args, run, part="train")
     result = predictor.train(dataset, config)
     if result.clipped:
         log.warning("%d samples clipped beyond the last bucket edge", result.clipped)
@@ -184,8 +190,7 @@ def cmd_train(args, run: Run) -> int:
     trace_path = run.output("loss_trace.csv")
     result.model.save(model_path)
     dataio.write_csv(trace_path, ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
-    run.inputs += [args.data] + ([args.scheme] if args.scheme else [])
-    run.resolved.update(clipped=result.clipped, stopped=result.stopped, skipped=dataset.skipped)
+    run.resolved.update(clipped=result.clipped, stopped=result.stopped)
     print(f"trained {head.value} head: {len(result.epoch_losses)} epochs, "
           f"final loss {result.epoch_losses[-1]:.6f}")
     print(f"wrote {model_path}")
@@ -193,9 +198,9 @@ def cmd_train(args, run: Run) -> int:
 
 
 def cmd_eval(args, run: Run) -> int:
-    model = Model.load(args.model)
+    model = Model.load(run.read(args.model))
     _take_c(args, model.c, f"the model's c {model.c}, the scale it was trained at")
-    dataset = _load_dataset(args, part="test")
+    dataset = _load_dataset(args, run, part="test")
     preds, clamped = model.predict_dataset(dataset)
     if clamped:
         log.warning("%d of %d rows predicted from a probability at the clamp (%g from 0 or 1)",
@@ -208,15 +213,14 @@ def cmd_eval(args, run: Run) -> int:
     preds_path = run.output("predictions.csv")
     dataio.write_json(report_path, fields)
     dataio.write_predictions(preds_path, dataset, preds)
-    run.inputs += [args.model, args.data]
-    run.resolved.update(skipped=dataset.skipped, clamped=clamped)
+    run.resolved["clamped"] = clamped
     print(report.table())
     return 0
 
 
 def cmd_simulate(args, run: Run) -> int:
     kind = simulate.Behavior(args.kind)
-    scheme, _ = _scheme(args, simulate.HEAD_OF[kind])  # the draws are in seconds: no c
+    scheme, _ = _scheme(args, run, simulate.HEAD_OF[kind])  # the draws are in seconds: no c
     profile = simulate.BehaviorProfile(kind, tuple(args.probs), scheme, args.seed)
     totals = simulate.draw(profile, args.n)
     csv_path = run.output("samples.csv")

@@ -335,12 +335,13 @@ def check_ratio(ratio: float) -> None:
 
 def split(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The row indices of the train and test parts of n rows: a seeded
-    shuffle whose first floor(ratio * n) rows become the train part."""
+    shuffle whose first floor(ratio * n) rows become the train part.
+    ValueError when either part would be empty."""
     check_ratio(ratio)
-    if n < 2:
-        raise ValueError("need at least two samples to split")
-    perm = np.random.default_rng(seed).permutation(n)
     cut = int(ratio * n)
+    if not 0 < cut < n:
+        raise ValueError(f"split ratio {ratio} of {n} rows leaves the {'test' if cut else 'train'} part empty")
+    perm = np.random.default_rng(seed).permutation(n)
     return perm[:cut], perm[cut:]
 
 

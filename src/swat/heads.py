@@ -10,8 +10,8 @@ knows: the pipeline hands every head its logits y.
             probabilities (open tail): the law of a user who continues each
             second t+1 with the probability of the bucket holding t+1;
             closed-form expectation.
-* vgeo   -- single stationary continuation probability; estimator the odds
-            p / (1 - p), the mean of that geometric law.
+* vgeo   -- geo with no closed bucket: one stationary continuation
+            probability; its mean is the odds p / (1 - p).
 * wlr    -- weighted-logistic baseline: the vgeo objective without the
             log(1-p) term when t > 0; same estimator.
 
@@ -34,7 +34,7 @@ which training starts from:
     head   successes of logit i             failures of logit i
     binom  sum of soft labels i             sum of 1 - soft labels i
     geo    seconds continued in bucket i    stops in bucket i
-    vgeo   sum of t                         rows
+    vgeo   (geo's, with no closed bucket: sum of t and rows)
     wlr    (none: every bias starts at 0)
 
 The smoothing keeps a logit finite when s or f is 0, as for geo's open tail
@@ -55,7 +55,7 @@ one `HEADS` entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -158,14 +158,6 @@ def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> t
     return losses, grads
 
 
-def vgeo_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(t, dtype=logits.dtype)
-    log_p, log_q, p = _log_probs(logits[:, 0])
-    losses = -(t * log_p + log_q)
-    grads = -(t * (1.0 - p) - p)
-    return losses, grads[:, None]
-
-
 def wlr_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=logits.dtype)
     log_p, log_q, p = _log_probs(logits[:, 0])
@@ -184,7 +176,7 @@ def binom_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarr
     return probs @ np.asarray(scheme.widths, dtype=np.float64)
 
 
-def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray:
+def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme | None) -> np.ndarray:
     """Closed-form mean of the bucketized geometric law, rows of (B, N+1) probs.
 
     E[T] is the survival sum over t >= 1 of P(T >= t): bucket i contributes
@@ -192,9 +184,10 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
     contributes prod_j p_j^{w_j} times p / (1 - p).  The power sum is taken
     as p (1 - p^w) / (1 - p) with 1 - p^w = -expm1(w log p), which keeps its
     relative error near machine precision up to the clamp ceiling 1 - 1e-7.
+    No scheme means no closed bucket: the mean is the odds p / (1 - p).
     """
-    n = scheme.n_buckets
-    widths = np.asarray(scheme.widths, dtype=np.float64)[None, :]
+    widths = np.asarray(scheme.widths if scheme is not None else (), dtype=np.float64)[None, :]
+    n = widths.shape[1]
 
     inner = probs[:, :n]
     prefix = np.cumprod(np.exp(widths * np.log(inner)), axis=1)  # prod_{j<=i} p_j^{w_j}
@@ -203,16 +196,6 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme) -> np.ndarray
     tail_p = probs[:, n]
     series = inner * -np.expm1(widths * np.log(inner)) / (1.0 - inner)
     return (prefix[:, :n] * series).sum(axis=1) + prefix[:, n] * tail_p / (1.0 - tail_p)
-
-
-def vgeo_expectation_batch(probs: np.ndarray, scheme: BucketScheme | None = None) -> np.ndarray:
-    """Mean p / (1 - p) of the stationary geometric law, rows of (B, 1) probs.
-
-    Equal to exp(y) for p = sigmoid(y), but finite: at the clamp ceiling it
-    saturates at about 1e7, like the geo tail.
-    """
-    p = probs[:, 0]
-    return p / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +210,8 @@ class Head:
     ``tail_open`` is the scheme tail the head needs: None for no scheme, False
     for a closed tail (N probabilities), True for an open one (N + 1).
     ``encode(scheme, t, dtype)`` turns an int64 batch of watch times into the
-    targets ``loss(logits, encoded)`` takes for logits of float ``dtype`` (the
-    geo coefficients are built in it; the other losses cast their targets);
+    targets ``loss(logits, encoded)`` takes for logits of float ``dtype`` (geo
+    and vgeo encode in it; binom's and wlr's losses cast their targets);
     the loss returns per-row losses and logit gradients.  Watch times reach a
     loss only through ``loss_batch``, which calls both.
     ``expectation(probs, scheme)`` returns the per-row mean watch time of
@@ -248,6 +231,15 @@ class Head:
     counts: Callable[[Any], tuple[np.ndarray, np.ndarray]] | None
 
 
+_GEO = Head(
+    tail_open=True,
+    encode=lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype),
+    loss=lambda logits, enc: geo_loss_batch(logits, *enc),
+    expectation=geo_expectation_batch,
+    saturates=(-1,),  # the open tail
+    counts=lambda enc: (enc[0].sum(axis=0), np.bincount(enc[1], minlength=enc[0].shape[1])),
+)
+
 HEADS: dict[HeadKind, Head] = {
     HeadKind.BINOM: Head(
         tail_open=False,
@@ -257,17 +249,11 @@ HEADS: dict[HeadKind, Head] = {
         saturates=(),
         counts=lambda soft: (soft.sum(axis=0), (1.0 - soft).sum(axis=0)),
     ),
-    HeadKind.GEO: Head(
-        tail_open=True,
-        encode=lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype),
-        loss=lambda logits, enc: geo_loss_batch(logits, *enc),
-        expectation=geo_expectation_batch,
-        saturates=(-1,),  # the open tail
-        counts=lambda enc: (enc[0].sum(axis=0), np.bincount(enc[1], minlength=enc[0].shape[1])),
-    ),
-    HeadKind.VGEO: Head(None, lambda scheme, t, dtype: t, vgeo_loss_batch, vgeo_expectation_batch,
-                        saturates=(0,), counts=lambda t: (t.sum(dtype=np.float64), len(t))),
-    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, vgeo_expectation_batch,
+    HeadKind.GEO: _GEO,
+    # no closed bucket: a row continues its t seconds in the open tail and stops there
+    HeadKind.VGEO: replace(_GEO, tail_open=None, encode=lambda scheme, t, dtype:
+                           (t[:, None].astype(dtype), np.zeros(len(t), np.intp))),
+    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, geo_expectation_batch,
                        saturates=(0,), counts=None),
 }
 

@@ -409,25 +409,27 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     epoch_losses: list[float] = []
     stopped = "max_epochs"
 
-    for epoch in range(config.max_epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
-            xb = bags.rows(idx, np.float32)
-            logits, h = model.forward_batch(xb)
-            losses, dlogits = heads.loss_batch(config.head, logits, targets[idx], config.scheme)
-            total += float(losses.sum())  # one non-finite loss makes the total non-finite
-            if not np.isfinite(total):
-                raise TrainingDiverged(epoch, bi, model.param_norm())
-            grads = model.backward_batch(xb, h, dlogits / len(idx))
-            optimizer.update(model.params, grads)
-        epoch_losses.append(total / n)
-        if epoch > 0:
-            prev, cur = epoch_losses[-2], epoch_losses[-1]
-            if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
-                stopped = "rel_tol"
-                break
+    # an overflow surfaces as a non-finite loss, which raises TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            perm = rng.permutation(n)
+            total = 0.0
+            for bi, start in enumerate(range(0, n, config.batch_size)):
+                idx = perm[start : start + config.batch_size]
+                xb = bags.rows(idx, np.float32)
+                logits, h = model.forward_batch(xb)
+                losses, dlogits = heads.loss_batch(config.head, logits, targets[idx], config.scheme)
+                total += float(losses.sum())  # one non-finite loss makes the total non-finite
+                if not np.isfinite(total):
+                    raise TrainingDiverged(epoch, bi, model.param_norm())
+                grads = model.backward_batch(xb, h, dlogits / len(idx))
+                optimizer.update(model.params, grads)
+            epoch_losses.append(total / n)
+            if epoch > 0:
+                prev, cur = epoch_losses[-2], epoch_losses[-1]
+                if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
+                    stopped = "rel_tol"
+                    break
     model.params = {key: value.astype(np.float64) for key, value in model.params.items()}
     return TrainResult(model, epoch_losses, clipped, stopped)
 

@@ -7,8 +7,8 @@ probabilities:
                 watch time ~ Binomial(width_i, p_i).
 * focused    -- watches sequentially, continuing each second with the
                 probability of the bucket that second lies in.
-* stationary -- one continuation probability over the whole horizon:
-                T ~ Geometric on {0, 1, ...} with pmf p^t (1 - p).
+* stationary -- the focused user with no closed bucket: one continuation
+                probability, T ~ Geometric on {0, 1, ...}, pmf p^t (1 - p).
 
 The module also carries exact enumeration oracles for two laws.  The
 ``process_*`` oracles follow the focused user: the stop factor after t
@@ -80,12 +80,13 @@ def _focused(profile: BehaviorProfile, n: int) -> np.ndarray:
 
     Within bucket i the count of further-watched seconds before the first
     stop is geometric; a draw of at least width_i means the bucket was
-    watched through and the walk continues into the next bucket.
+    watched through and the walk continues into the next bucket.  With no
+    scheme (the stationary user) every draw is the open tail's.
     """
     rng = np.random.default_rng(profile.seed)
     totals = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    for width, p in zip(profile.scheme.widths, profile.probs):
+    for width, p in zip(profile.scheme.widths if profile.scheme is not None else (), profile.probs):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
@@ -101,8 +102,7 @@ def _focused(profile: BehaviorProfile, n: int) -> np.ndarray:
 _DRAW = {
     Behavior.WANDERING: lambda profile, n: wandering_buckets(profile, n).sum(axis=1),
     Behavior.FOCUSED: _focused,
-    Behavior.STATIONARY: lambda profile, n:
-        np.random.default_rng(profile.seed).geometric(1.0 - profile.probs[0], size=n) - 1,
+    Behavior.STATIONARY: _focused,
 }
 
 

@@ -132,6 +132,13 @@ def sorted_ablation_choice(targets, choice, tail_open=False):
     return from_endpoints(sorted_grid(srt, head_step, head_upto) + tail, tail_open)
 
 
+def below_one(targets):
+    """The error of the percentile constructors when no target rounds to 1 or more, else None."""
+    if round(max(targets)) < 1:
+        return f"no positive endpoint: all {len(targets)} targets round below 1 (the largest is {max(targets)})"
+    return None
+
+
 def outcome(build, *args):
     """The scheme ``build(*args)`` makes, or the message of its ValueError."""
     try:
@@ -149,15 +156,25 @@ class TestNumpySortMatchesSorted:
     @given(targets, st.sampled_from([Fraction(1), Fraction(1, 2), 2, 5, 7, 10, 50]), st.booleans())
     def test_from_percentiles(self, targets, step, tail_open):
         grid = sorted_grid(targets, max(Fraction(step), Fraction(100, len(targets))))
-        want = outcome(from_endpoints, grid, tail_open)
+        want = below_one(targets) or outcome(from_endpoints, grid, tail_open)
         assert outcome(from_percentiles, targets, step, tail_open) == want
         assert outcome(from_percentiles, np.asarray(targets, dtype=np.int64), step, tail_open) == want
 
     @given(targets, st.integers(1, 6), st.booleans())
     def test_ablation_choice(self, targets, choice, tail_open):
-        want = outcome(sorted_ablation_choice, targets, choice, tail_open)
+        want = below_one(targets) or outcome(sorted_ablation_choice, targets, choice, tail_open)
         assert outcome(ablation_choice, targets, choice, tail_open) == want
         assert outcome(ablation_choice, np.asarray(targets, dtype=np.int64), choice, tail_open) == want
+
+    @pytest.mark.parametrize("targets", [np.zeros(20_000, dtype=np.int64), [0.4, -3.0, 0.5]])
+    def test_targets_below_one_raise_one_short_message(self, targets):
+        # a 0.01 step would list all 10,000 percentiles in from_endpoints' message
+        for make in (lambda t: from_percentiles(t, 0.01), lambda t: ablation_choice(t, 6)):
+            with pytest.raises(ValueError) as info:
+                make(targets)
+            largest = max(targets)
+            assert str(info.value) == (f"no positive endpoint: all {len(targets)} targets round below 1 "
+                                       f"(the largest is {largest})")
 
     def test_empty_array_raises(self):
         for make in (from_percentiles, lambda t, _: ablation_choice(t, 1)):

@@ -68,6 +68,14 @@ class TestBuckets:
         targets = {int(r["watch_time"]) for r in read_rows(sim_csv)} - {0}
         assert json.loads((out / "scheme.json").read_text())["endpoints"] == sorted(targets)
 
+    def test_targets_below_one_exit_2_with_one_short_line(self, tmp_path, capsys):
+        data = tmp_path / "zeros.csv"
+        data.write_text("sample_id,feat,watch_time\n" + "".join(f"{i},a,0\n" for i in range(20_000)),
+                        encoding="utf-8")
+        assert run("buckets", "--data", data, "--percent-step", "0.01", "--out", tmp_path / "b") == 2
+        assert capsys.readouterr().err == ("error: no positive endpoint: all 20000 targets round below 1 "
+                                           "(the largest is 0)\n")
+
     @pytest.mark.parametrize("flags, message", [
         (("--ratio", "1.5"), "split ratio must be in (0, 1)"),
         (("--ratio", "0"), "split ratio must be in (0, 1)"),
@@ -480,6 +488,13 @@ class TestRatioSplit:
         report = json.loads((edir / "report.json").read_text())
         assert report["n"] == 80  # the held-out 20% of 400 rows
 
+    def test_a_ratio_that_empties_the_train_part_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("sample_id,feat,watch_time\n" + "".join(f"{i},a,{i}\n" for i in range(5)),
+                        encoding="utf-8")
+        assert run("train", "--data", data, "--head", "vgeo", "--ratio", "0.1", "--out", tmp_path / "t") == 2
+        assert capsys.readouterr().err == "error: split ratio 0.1 of 5 rows leaves the train part empty\n"
+
 
 class TestExitCodes:
     def test_training_divergence_maps_to_3(self, tmp_path, sim_csv, monkeypatch):
@@ -491,6 +506,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.predictor, "train", explode)
         assert run("train", "--data", sim_csv, "--head", "vgeo", "--out", tmp_path / "t") == 3
+
+    def test_a_real_divergence_exits_3_with_one_stderr_line(self, tmp_path, sim_csv, capsys):
+        # the overflowing Adam step warns nothing: the non-finite loss that follows is the report
+        assert run("train", "--data", sim_csv, "--head", "vgeo", "--lr", "1e300", "--out", tmp_path / "t") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite loss at epoch ") and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
 
     def test_verify_without_out_emits_json_line(self, capsys):
         assert run("verify", "--trials", "10") == 0
@@ -564,6 +586,9 @@ class TestManifest:
             ("train", *common, "--head", "geo", "--scheme", "b/scheme.json", "--epochs", "2", "--out", "t"),
             ("eval", *common, "--model", "t/model.json", "--out", "e"),
             ("verify", "--trials", "5", "--out", "v"),
+            ("buckets", "--endpoints", "5,12", "--tail-open", "--out", "f"),
+            ("simulate", "--kind", "focused", "--probs", "0.9,0.5,0.2", "--scheme", "f/scheme.json",
+             "--n", "50", "--out", "g"),
         ]
         data_flags = ["c", "command", "data", "out", "ratio", "schema", "seed"]
         expected = {  # out: (command, seed, config keys, inputs, outputs)
@@ -578,6 +603,8 @@ class TestManifest:
             "e": ("eval", 0, sorted(data_flags + ["clamped", "model", "skipped"]),
                   ["s/samples.csv", "t/model.json"], ["e/report.json", "e/predictions.csv"]),
             "v": ("verify", 0, ["command", "out", "seed", "trials"], [], ["v/verify.json"]),
+            "g": ("simulate", 0, ["command", "endpoints", "kind", "n", "out", "probs", "scheme", "seed"],
+                  ["f/scheme.json"], ["g/samples.csv"]),
         }
         for argv in argvs:
             assert run(*argv) == 0, argv

@@ -362,6 +362,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             dataio.split(1, 0.5, seed=0)
 
+    @pytest.mark.parametrize("n, ratio", [(5, 0.1), (1, 0.5), (0, 0.5)])
+    def test_a_ratio_that_empties_the_train_part_raises_naming_it(self, n, ratio):
+        with pytest.raises(ValueError, match=f"split ratio {ratio} of {n} rows leaves the train part empty"):
+            dataio.split(n, ratio, seed=0)
+
 
 def raw_dataset(raws, c):
     return Dataset([str(i) for i in range(len(raws))], raws, {}, c=c)

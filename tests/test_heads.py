@@ -313,16 +313,15 @@ def term_scales(kind, y, scheme, t):
     p = np.exp(log_p)
     if kind is HeadKind.BINOM:  # -(s log p + (1 - s)(log p - y)); p - s
         loss_terms, grad_terms = [log_p, y], [p, encoded]
-    elif kind is HeadKind.GEO:  # -(sum a log p + log p_k - y_k); -a (1 - p) + p_k
-        a, stop = encoded
+    elif kind in (HeadKind.GEO, HeadKind.VGEO):  # -(sum a log p + log p_k - y_k); -a (1 - p) + p_k
+        a, stop = encoded  # vgeo: a = t in one column, where every row stops
         at_stop = np.zeros_like(y)
         at_stop[np.arange(len(y)), stop] = 1.0
         loss_terms, grad_terms = [a * log_p, at_stop * log_p, at_stop * y], [a, at_stop * p]
     else:
         t = np.asarray(encoded, dtype=np.float64)[:, None]
-        # vgeo: -(t log p + log p - y); -(t (1 - p) - p).  wlr drops the
-        # log(1 - p) terms where t > 0 and keeps only them where t = 0
-        keeps_log_q = np.ones_like(t) if kind is HeadKind.VGEO else (t == 0).astype(np.float64)
+        # wlr: -(t log p) where t > 0, -(log p - y) where t = 0; -t (1 - p) or p
+        keeps_log_q = (t == 0).astype(np.float64)
         loss_terms = [t * log_p, keeps_log_q * log_p, keeps_log_q * y]
         grad_terms = [t, keeps_log_q * p]
     return (np.sum(np.abs(np.hstack(loss_terms)), axis=1),
@@ -378,6 +377,81 @@ class TestFloat32Kernels:
         assert heads.log_sigmoid(y.astype(np.float32)).dtype == np.float32
         assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
         assert_bit_equal(heads.sigmoid(y.astype(np.float64)), np.exp(float64_log_sigmoid(y)))
+
+
+def reference_vgeo_loss_batch(logits, t):
+    """vgeo's loss as its own one-column kernel, before vgeo became geo with no closed bucket."""
+    t = np.asarray(t, dtype=logits.dtype)
+    log_p = heads.log_sigmoid(logits[:, 0])
+    log_q, p = log_p - logits[:, 0], np.exp(log_p)
+    losses = -(t * log_p + log_q)
+    grads = -(t * (1.0 - p) - p)
+    return losses, grads[:, None]
+
+
+def reference_vgeo_expectation_batch(probs, scheme=None):
+    """vgeo's and wlr's estimator as its own function: the odds p / (1 - p)."""
+    p = probs[:, 0]
+    return p / (1.0 - p)
+
+
+def reference_vgeo_prior(t):
+    """vgeo's prior from its own counts: sum of t over rows, blocks summed in float64."""
+    successes, failures = np.zeros(1), np.zeros(1)
+    for lo in range(0, len(t), heads.PRIOR_BLOCK):
+        block = t[lo : lo + heads.PRIOR_BLOCK]
+        successes += block.sum(dtype=np.float64)
+        failures += len(block)
+    return np.log1p(successes) - np.log1p(failures)
+
+
+class TestVgeoIsGeoWithNoClosedBucket:
+    """vgeo runs through geo's kernel, estimator and counts with no closed
+    bucket, and gives what its own one-column functions gave, bit for bit.
+    The one exception is the sign of a zero gradient: where t (1 - p) = p
+    exactly, geo adds p to -t (1 - p) and gets +0, the one-column kernel
+    negated t (1 - p) - p and got -0."""
+
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_loss_and_gradient_equal_the_one_column_kernel(self, data, dtype):
+        _, t, y32 = data.draw(float32_batches(HeadKind.VGEO))
+        t, y = np.asarray(t, dtype=np.int64), y32.astype(dtype)
+        y[: len(t) // 2] = data.draw(st.sampled_from([-40.0, 0.0, 40.0]))  # log(1 - p) = 0 at -40
+        t[: len(t) // 3] = data.draw(st.sampled_from([0, 1]))  # t = 1 at y = 0: t (1 - p) = p
+        got_loss, got_grad = heads.loss_batch(HeadKind.VGEO, y, t)
+        want_loss, want_grad = reference_vgeo_loss_batch(y, t)
+        assert_bit_equal(got_loss, want_loss)
+        assert got_grad.shape == want_grad.shape and got_grad.dtype == want_grad.dtype == dtype
+        assert np.array_equal(got_grad, want_grad)
+        nonzero = want_grad != 0
+        assert np.array_equal(np.signbit(got_grad[nonzero]), np.signbit(want_grad[nonzero]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_zero_gradient_at_t_1_and_even_odds_is_positive(self, dtype):
+        y, t = np.zeros((1, 1), dtype), [1]
+        assert np.signbit(reference_vgeo_loss_batch(y, t)[1]).all()
+        grad = heads.loss_batch(HeadKind.VGEO, y, t)[1]
+        assert grad == 0 and not np.signbit(grad).any()
+
+    @pytest.mark.parametrize("kind", [HeadKind.VGEO, HeadKind.WLR])
+    @given(y=arrays(np.float64, st.integers(1, 40), elements=st.floats(-40, 40)))
+    @example(y=np.array([-40.0, -16.2, 0.0, 16.2, 40.0]))  # both clamps and even odds
+    def test_estimator_equals_the_odds(self, kind, y):
+        logits = y[:, None]
+        got = heads.expectation_batch(kind, logits)[0]
+        assert_bit_equal(got, reference_vgeo_expectation_batch(probs_of(logits)))
+        assert_bit_equal(heads.geo_expectation_batch(probs_of(logits), None), got)
+
+    @given(st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26), st.integers(2**53, 2**62)),
+                    min_size=1, max_size=12))
+    @example([2**62] * 3)
+    def test_prior_equals_the_one_column_counts(self, t):
+        t = np.asarray(t, dtype=np.int64)
+        assert_bit_equal(heads.prior_logits(HeadKind.VGEO, t), reference_vgeo_prior(t))
+
+    def test_prior_over_several_blocks_equals_the_one_column_counts(self):
+        t = np.random.default_rng(9).integers(2**53, 2**62, size=2 * heads.PRIOR_BLOCK + 17)
+        assert_bit_equal(heads.prior_logits(HeadKind.VGEO, t), reference_vgeo_prior(t))
 
 
 class TestGeoPmf:

@@ -268,10 +268,10 @@ class TestBackward:
         t = np.array([0, 3, 1, 7])
 
         def loss_of_logits(logits):
-            return float(heads.vgeo_loss_batch(logits, t)[0].sum())
+            return float(heads.loss_batch(HeadKind.VGEO, logits, t)[0].sum())
 
         logits, h = model.forward_batch(x)
-        _, dlogits = heads.vgeo_loss_batch(logits, t)
+        _, dlogits = heads.loss_batch(HeadKind.VGEO, logits, t)
         analytic = model.backward_batch(x, h, dlogits)
         numeric = self.fd_param_grad(model, x, loss_of_logits)
         for key in analytic:

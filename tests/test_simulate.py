@@ -133,6 +133,13 @@ class TestStationary:
         draws = simulate.draw(prof, 500_000)
         assert np.mean(draws == 0) == pytest.approx(1 - p, abs=0.005)
 
+    @given(st.floats(1e-7, 1 - 1e-7), st.integers(0, 2**32), st.integers(1, 2000))
+    def test_focused_with_no_scheme_is_the_stationary_stream(self, p, seed, n):
+        # the sampler the stationary user had before it became focused with no closed bucket
+        want = np.random.default_rng(seed).geometric(1.0 - p, size=n) - 1
+        got = simulate.draw(profile(Behavior.STATIONARY, (p,), seed=seed), n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestOracles:
     def test_total_mass_uniform_is_one(self):
