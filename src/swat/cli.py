@@ -28,6 +28,7 @@ from .heads import HeadKind
 from .predictor import Model, TrainConfig, TrainingDiverged
 
 log = logging.getLogger("swat")
+LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 
 def _sha256(path: Path) -> str:
@@ -324,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SWAT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("SWAT_LOG", "warning").lower()
+    logging.basicConfig(level=LOG_LEVELS.get(level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     run = Run(args)

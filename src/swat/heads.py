@@ -1,5 +1,5 @@
-"""Statistical heads: batch losses, analytic logit gradients, and expectation
-estimators, dispatched through one table with an entry per head.
+"""Statistical heads: one Bernoulli likelihood with its logit gradient, and
+expectation estimators, dispatched through one table with an entry per head.
 
 Four heads share the parameterization p = sigmoid(y), which only this module
 knows: the pipeline hands every head its logits y.
@@ -15,9 +15,21 @@ knows: the pipeline hands every head its logits y.
 * wlr    -- weighted-logistic baseline: the vgeo objective without the
             log(1-p) term when t > 0; same estimator.
 
-Losses are negated log-likelihoods of logits: each forms log p =
-log_sigmoid(y), log(1 - p) = log p - y and p = exp(log p), so its gradient is
-the exact derivative of the loss it returns at every finite logit.  Only
+Every head's likelihood is a Bernoulli likelihood per logit: a row's loss is
+-sum_i (s_i log p_i + f_i log(1 - p_i)), with logit gradient (s + f) p - s.
+The heads differ only in the successes s and failures f that ``Head.encode``
+makes of a watch time t, so this table states each head's assumption:
+
+    head   successes s_i                      failures f_i
+    binom  soft label i                       1 - soft label i
+    geo    seconds continued in bucket i      1 in the bucket of second t + 1
+    vgeo   t, in one column                   1
+    wlr    t, in one column                   1 when t = 0, else 0
+
+geo and vgeo stop once per row, so their f is an index vector: one failure
+at column f[b] of row b.  `bernoulli_loss_batch` forms log p = log_sigmoid(y),
+log(1 - p) = log p - y and p = exp(log p), so its gradient is the exact
+derivative of the loss it returns at every finite logit.  Only
 `expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
 finite: an odds factor p / (1 - p) is at most about 1e7.  It returns, beside
 the predictions, the rows where that clamp moved a prediction: those with a
@@ -25,32 +37,22 @@ probability at the upper bound in a column the head reads through
 p / (1 - p) (``Head.saturates``).  Anywhere else a clamped probability moves
 the prediction by a relative amount near 1e-7.
 
-Every head's bias-only likelihood separates by logit into a Bernoulli
-likelihood, successes s and failures f summed over rows
-(``Head.counts``), so its maximum-likelihood logit is log(s / f).
-`prior_logits` returns the Beta(1, 1)-smoothed log((s + 1) / (f + 1)),
-which training starts from:
+A logit's bias-only likelihood is that of its s and f summed over rows, so
+its maximum-likelihood logit is log(s / f).  `prior_logits` returns the
+Beta(1, 1)-smoothed log((s + 1) / (f + 1)), which training starts from; the
+smoothing keeps a logit finite when s or f is 0, as for geo's open tail when
+no watch time passes x_N.  wlr has no ``Head.prior``: when no watch time is
+0 its bias-only loss falls without bound as the logit grows.
 
-    head   successes of logit i             failures of logit i
-    binom  sum of soft labels i             sum of 1 - soft labels i
-    geo    seconds continued in bucket i    stops in bucket i
-    vgeo   (geo's, with no closed bucket: sum of t and rows)
-    wlr    (none: every bias starts at 0)
+The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the loss
+compute in the float dtype of the logits (float64 for any other input), and
+`loss_batch` encodes the targets in that dtype.  Training passes float32
+logits; float64 logits give float64 results.  The estimators always read
+float64 probabilities.
 
-The smoothing keeps a logit finite when s or f is 0, as for geo's open tail
-when no watch time passes x_N.  wlr has no prior: when no watch time is 0
-its bias-only loss falls without bound as the logit grows.
-
-The kernels keep their input's dtype: `log_sigmoid`, `sigmoid` and the
-losses compute in the float dtype of the logits (float64 for any other
-input), and `loss_batch` encodes the targets in that dtype.  Training passes
-float32 logits; float64 logits give float64 results.  The estimators always
-read float64 probabilities.
-
-All functions are pure and work on (B, arity) batches; watch times reach a
-loss only through `loss_batch`, which encodes a batch of integer watch
-times into the targets that head's loss takes.  Adding a head means adding
-one `HEADS` entry.
+All functions are pure and work on (B, arity) batches; watch times reach the
+loss only through `loss_batch`, which encodes them into the head's s and f.
+Adding a head means adding one `HEADS` entry.
 """
 
 from __future__ import annotations
@@ -105,26 +107,41 @@ class HeadKind(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# batch losses: logits (B, arity) -> per-sample losses (B,) and d(loss)/d(logits)
+# the loss: logits (B, arity) -> per-sample losses (B,) and d(loss)/d(logits)
 # ---------------------------------------------------------------------------
 
 
-def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log p, log(1 - p) and p of p = sigmoid(logits)."""
+def bernoulli_loss_batch(logits: np.ndarray, s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -sum_i (s_i log p_i + f_i log(1 - p_i)) and its logit gradient (s + f) p - s.
+
+    f is either (B, arity) like s, or an index vector: one failure per row, at
+    column f[b].  An index f forms log(1 - p) = log p - y only at f[b] and
+    reuses the (B, arity) buffers, so the loss takes three of them.
+    """
+    s = np.asarray(s, dtype=logits.dtype)
     log_p = log_sigmoid(logits)
-    return log_p, log_p - logits, np.exp(log_p)
-
-
-def binom_loss_batch(logits: np.ndarray, soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    soft = np.asarray(soft, dtype=logits.dtype)
-    log_p, log_q, p = _log_probs(logits)
-    losses = -(soft * log_p + (1.0 - soft) * log_q).sum(axis=1)
-    return losses, p - soft
+    if f.ndim == 2:
+        f = np.asarray(f, dtype=logits.dtype)
+        losses = -(s * log_p + f * (log_p - logits)).sum(axis=1)
+        p = np.exp(log_p, out=log_p)
+        return losses, (s + f) * p - s
+    rows = np.arange(len(s))
+    stop_log_q = log_p[rows, f] - logits[rows, f]
+    work = np.multiply(s, log_p)
+    losses = work.sum(axis=1)
+    np.negative(losses, out=losses)
+    losses -= stop_log_q
+    p = np.exp(log_p, out=log_p)
+    grads = np.subtract(1.0, p, out=work)
+    grads *= s
+    np.negative(grads, out=grads)
+    grads[rows, f] += p[rows, f]
+    return losses, grads
 
 
 def geo_coefficients(scheme: BucketScheme, targets: np.ndarray,
                      dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample likelihood coefficients for the bucketized geometric head.
+    """geo's successes and failures: seconds continued per bucket and the stop bucket.
 
     Watching exactly t seconds means continuing at seconds 1..t and stopping
     before second t + 1, so log pmf(t) = sum_i A[b, i] log p_i + log(1 - p_k)
@@ -136,35 +153,10 @@ def geo_coefficients(scheme: BucketScheme, targets: np.ndarray,
     return labels.seconds(scheme, targets, dtype), np.searchsorted(scheme.endpoints, targets, side="right")
 
 
-def geo_loss_batch(logits: np.ndarray, a: np.ndarray, stop_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row -log pmf and its logit gradient -A (1 - p), plus p at the stop bucket.
-
-    log(1 - p) = log p - y is formed only at the stop bucket, and the
-    (B, N+1) buffers are reused, so the loss takes three of them.
-    """
-    a = np.asarray(a, dtype=logits.dtype)
-    log_p = log_sigmoid(logits)
-    rows = np.arange(len(a))
-    stop_log_q = log_p[rows, stop_idx] - logits[rows, stop_idx]
-    work = np.multiply(a, log_p)
-    losses = work.sum(axis=1)
-    np.negative(losses, out=losses)
-    losses -= stop_log_q
-    p = np.exp(log_p, out=log_p)
-    grads = np.subtract(1.0, p, out=work)
-    grads *= a
-    np.negative(grads, out=grads)
-    grads[rows, stop_idx] += p[rows, stop_idx]
-    return losses, grads
-
-
-def wlr_loss_batch(logits: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(t, dtype=logits.dtype)
-    log_p, log_q, p = _log_probs(logits[:, 0])
-    zero = t == 0
-    losses = -np.where(zero, log_q, t * log_p)
-    grads = np.where(zero, p, -t * (1.0 - p))
-    return losses, grads[:, None]
+def _soft_labels(scheme: BucketScheme, t: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """binom's successes and failures: the soft labels in ``dtype`` and 1 minus them."""
+    soft = labels.matrix(scheme, t).astype(dtype, copy=False)
+    return soft, 1.0 - soft
 
 
 # ---------------------------------------------------------------------------
@@ -210,51 +202,35 @@ class Head:
     ``tail_open`` is the scheme tail the head needs: None for no scheme, False
     for a closed tail (N probabilities), True for an open one (N + 1).
     ``encode(scheme, t, dtype)`` turns an int64 batch of watch times into the
-    targets ``loss(logits, encoded)`` takes for logits of float ``dtype`` (geo
-    and vgeo encode in it; binom's and wlr's losses cast their targets);
-    the loss returns per-row losses and logit gradients.  Watch times reach a
-    loss only through ``loss_batch``, which calls both.
+    successes and failures (s, f) that ``bernoulli_loss_batch`` reads against
+    logits of float ``dtype``; ``prior`` says whether their sums give the
+    head's starting bias (``prior_logits``).
     ``expectation(probs, scheme)`` returns the per-row mean watch time of
     clamped probabilities; ``saturates`` lists the columns it reads through
     p / (1 - p), where the upper clamp caps a prediction near 1e7.
-    ``counts(encoded)`` returns each logit's successes and failures over a
-    batch of float64 targets, or is None for a head without a prior.
     Functions that a profiler may wrap are looked up by name when called, so
     the entries hold lambdas around them.
     """
 
     tail_open: bool | None
-    encode: Callable[[BucketScheme | None, np.ndarray, Any], Any]
-    loss: Callable[[np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
+    encode: Callable[[BucketScheme | None, np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
     expectation: Callable[[np.ndarray, BucketScheme | None], np.ndarray]
     saturates: tuple[int, ...]
-    counts: Callable[[Any], tuple[np.ndarray, np.ndarray]] | None
+    prior: bool
 
 
-_GEO = Head(
-    tail_open=True,
-    encode=lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype),
-    loss=lambda logits, enc: geo_loss_batch(logits, *enc),
-    expectation=geo_expectation_batch,
-    saturates=(-1,),  # the open tail
-    counts=lambda enc: (enc[0].sum(axis=0), np.bincount(enc[1], minlength=enc[0].shape[1])),
-)
+# geo saturates in its open tail
+_GEO = Head(True, lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype), geo_expectation_batch,
+            saturates=(-1,), prior=True)
 
 HEADS: dict[HeadKind, Head] = {
-    HeadKind.BINOM: Head(
-        tail_open=False,
-        encode=lambda scheme, t, dtype: labels.matrix(scheme, t),
-        loss=binom_loss_batch,
-        expectation=binom_expectation_batch,
-        saturates=(),
-        counts=lambda soft: (soft.sum(axis=0), (1.0 - soft).sum(axis=0)),
-    ),
+    HeadKind.BINOM: Head(False, _soft_labels, binom_expectation_batch, saturates=(), prior=True),
     HeadKind.GEO: _GEO,
     # no closed bucket: a row continues its t seconds in the open tail and stops there
     HeadKind.VGEO: replace(_GEO, tail_open=None, encode=lambda scheme, t, dtype:
                            (t[:, None].astype(dtype), np.zeros(len(t), np.intp))),
-    HeadKind.WLR: Head(None, lambda scheme, t, dtype: t, wlr_loss_batch, geo_expectation_batch,
-                       saturates=(0,), counts=None),
+    HeadKind.WLR: Head(None, lambda scheme, t, dtype: (t[:, None].astype(dtype), t[:, None] == 0),
+                       geo_expectation_batch, saturates=(0,), prior=False),
 }
 
 
@@ -299,22 +275,21 @@ def loss_batch(kind: HeadKind, logits: np.ndarray, targets,
     t = _watch_times(targets)
     if t.shape != logits.shape[:1]:
         raise ValueError(f"{len(logits)} logit rows but watch times of shape {t.shape}")
-    return HEADS[kind].loss(logits, HEADS[kind].encode(scheme, t, logits.dtype))
+    return bernoulli_loss_batch(logits, *HEADS[kind].encode(scheme, t, logits.dtype))
 
 
 def prior_logits(kind: HeadKind, targets, scheme: BucketScheme | None = None) -> np.ndarray:
     """(arity,) float64 smoothed bias-only maximum-likelihood logits
     log((s + 1) / (f + 1)) of the head on integer watch times; zeros for a head
-    without ``counts``.  The counts are summed over blocks of PRIOR_BLOCK rows
+    without a ``prior``.  s and f are summed over blocks of PRIOR_BLOCK rows
     encoded as ``loss_batch`` encodes them, so one block is held at a time.
     Negative times raise ValueError."""
     head, t = HEADS[kind], _watch_times(targets)
     successes, failures = np.zeros(arity(kind, scheme)), np.zeros(arity(kind, scheme))
-    if head.counts is not None:
-        for lo in range(0, len(t), PRIOR_BLOCK):
-            s, f = head.counts(head.encode(scheme, t[lo : lo + PRIOR_BLOCK], np.float64))
-            successes += s
-            failures += f
+    for lo in range(0, len(t) if head.prior else 0, PRIOR_BLOCK):
+        s, f = head.encode(scheme, t[lo : lo + PRIOR_BLOCK], np.float64)
+        successes += s.sum(axis=0)
+        failures += f.sum(axis=0) if f.ndim == 2 else np.bincount(f, minlength=s.shape[1])
     return np.log1p(successes) - np.log1p(failures)
 
 

@@ -47,14 +47,14 @@ PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' tempor
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch loss goes non-finite."""
+    """Raised when a batch loss, or a parameter after the last step, goes non-finite."""
 
-    def __init__(self, epoch: int, batch: int, param_norm: float):
+    def __init__(self, epoch: int, batch: int, param_norm: float, what: str = "loss"):
         self.epoch = epoch
         self.batch = batch
         self.param_norm = param_norm
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch} (parameter norm {param_norm:.3e})"
+            f"non-finite {what} at epoch {epoch}, batch {batch} (parameter norm {param_norm:.3e})"
         )
 
 
@@ -390,7 +390,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     bias (``Model.output``) starts at the head's ``heads.prior_logits`` of
     the targets, an entry that is not finite at 0; the weights start at
     random.  Raises ValueError when a watch time is negative, and
-    TrainingDiverged on a non-finite batch loss.
+    TrainingDiverged on a non-finite batch loss or returned parameter.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
@@ -430,6 +430,9 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
                     stopped = "rel_tol"
                     break
+        # a step after the last loss, or on rows no later batch reads, can still overflow
+        if not all(np.isfinite(value).all() for value in model.params.values()):
+            raise TrainingDiverged(epoch, bi, model.param_norm(), "parameters")
     model.params = {key: value.astype(np.float64) for key, value in model.params.items()}
     return TrainResult(model, epoch_losses, clipped, stopped)
 

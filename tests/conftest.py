@@ -26,10 +26,16 @@ def constant_feature_dataset(targets, c=1.0):
 def fit_binom_to_labels(monkeypatch, labels):
     """Make the binom head fit the soft labels ``labels[t]`` in place of those
     of watch time t: on ``constant_feature_dataset(np.arange(n))`` each row's
-    target is its row number, so row i fits ``labels[i]``."""
+    target is its row number, so row i fits ``labels[i]``.  As binom's own
+    encoding does, the successes are the labels in the loss's dtype and the
+    failures 1 minus them."""
     entry = heads.HEADS[HeadKind.BINOM]
-    monkeypatch.setitem(heads.HEADS, HeadKind.BINOM,
-                        dataclasses.replace(entry, encode=lambda scheme, t, dtype: labels[t]))
+
+    def encode(scheme, t, dtype):
+        soft = labels[t].astype(dtype)
+        return soft, 1 - soft
+
+    monkeypatch.setitem(heads.HEADS, HeadKind.BINOM, dataclasses.replace(entry, encode=encode))
 
 
 def encode_tokens(spec, tokens):

@@ -59,9 +59,8 @@ def geo_mean(probs, scheme):
 
 def head_pmf(probs, scheme, t):
     """Geo head pmf exp(-loss) of each watch time in t."""
-    a, stop_idx = heads.geo_coefficients(scheme, t)
-    logits = np.broadcast_to(np.log(probs) - np.log1p(-probs), a.shape)
-    return np.exp(-heads.geo_loss_batch(logits, a, stop_idx)[0])
+    logits = np.broadcast_to(np.log(probs) - np.log1p(-probs), (len(t), len(probs)))
+    return np.exp(-heads.loss_batch(HeadKind.GEO, logits, t, scheme)[0])
 
 
 def loss_at(kind, scheme, logits, t):

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,9 @@ from swat.buckets import ABLATIONS, from_endpoints
 from swat.cli import build_parser, main
 from swat.heads import HeadKind
 from swat.predictor import FeatureSpec, Model
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -437,17 +443,12 @@ class TestVerify:
         assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
 
     def test_injected_bad_gradient_fails_naming_head(self, monkeypatch, capsys):
-        entry = heads.HEADS[HeadKind.GEO]
-
-        def flipped(logits, encoded):
-            losses, grad = entry.loss(logits, encoded)
-            return losses, -grad
-
-        monkeypatch.setitem(heads.HEADS, HeadKind.GEO, dataclasses.replace(entry, loss=flipped))
+        alter_gradient(monkeypatch, HeadKind.GEO, np.negative)
         assert run("verify", "--trials", "20") == 1
         out = capsys.readouterr()
         assert "[FAIL] gradient_fd_geo" in out.out
         assert "gradient_fd_geo" in out.err
+        assert failed_checks(out.out) == {"gradient_fd_geo"}
 
     @pytest.mark.parametrize("fault, check, message", [
         ("decode", "label_round_trip", "round trip broke at t="),
@@ -455,18 +456,13 @@ class TestVerify:
         ("geo", "gradient_bounds", "escapes width bounds"),
     ])
     def test_injected_fault_fails_its_check(self, monkeypatch, capsys, fault, check, message):
+        failing = {check}
         if fault == "decode":
             decode = labels.decode
             monkeypatch.setattr(labels, "decode", lambda scheme, row: decode(scheme, row) + 1)
-        else:
-            entry = heads.HEADS[HeadKind(fault)]
-
-            def scaled(logits, encoded):
-                # past 1, and past the widths of at most 12 the check draws
-                losses, grad = entry.loss(logits, encoded)
-                return losses, 100.0 * grad
-
-            monkeypatch.setitem(heads.HEADS, HeadKind(fault), dataclasses.replace(entry, loss=scaled))
+        else:  # past 1, and past the widths of at most 12 the check draws
+            alter_gradient(monkeypatch, HeadKind(fault), lambda grad: 100.0 * grad)
+            failing.add(f"gradient_fd_{fault}")
         assert run("verify", "--trials", "20") == 1
         out = capsys.readouterr()
         *lines, dump = out.out.splitlines()
@@ -476,6 +472,33 @@ class TestVerify:
         failed = [f"[FAIL] {name}: {r['detail']}" for name, r in results.items() if not r["passed"]]
         assert len(lines) == len(results) and all("\n" not in line and line in lines for line in failed)
         assert check in out.err
+        assert failed_checks(out.out) == failing  # only the faulty head's checks
+
+
+class Encoded(np.ndarray):
+    """Successes that one head's encode marked, so the loss kernel can tell its rows."""
+
+
+def alter_gradient(monkeypatch, kind, alter):
+    """Pass the gradient that ``bernoulli_loss_batch`` returns for the head's
+    own (s, f) through ``alter``; every other head's stays as it is."""
+    entry, kernel = heads.HEADS[kind], heads.bernoulli_loss_batch
+
+    def encode(scheme, t, dtype):
+        s, f = entry.encode(scheme, t, dtype)
+        return s.view(Encoded), f
+
+    def faulty(logits, s, f):
+        losses, grad = kernel(logits, np.asarray(s), f)
+        return losses, alter(grad) if isinstance(s, Encoded) else grad
+
+    monkeypatch.setitem(heads.HEADS, kind, dataclasses.replace(entry, encode=encode))
+    monkeypatch.setattr(heads, "bernoulli_loss_batch", faulty)
+
+
+def failed_checks(stdout):
+    """Names of the checks a verify run's JSON line reports failed."""
+    return {name for name, r in json.loads(stdout.splitlines()[-1]).items() if not r["passed"]}
 
 
 class TestRatioSplit:
@@ -513,6 +536,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite loss at epoch ") and err.count("\n") == 1
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("head", ["vgeo", "wlr"])
+    def test_a_divergence_in_the_last_step_exits_3_with_one_stderr_line(self, tmp_path, sim_csv, capsys, head):
+        # one epoch of one batch: no loss follows the overflowing step, so the parameters are the report
+        assert run("train", "--data", sim_csv, "--head", head, "--lr", "1e300", "--epochs", "1",
+                   "--out", tmp_path / "t") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite parameters at epoch 0, batch 0 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("value, level", [("basic_format", "WARNING"), ("_STYLES", "WARNING"),
+                                              ("nonsense", "WARNING"), ("INFO", "INFO"), ("debug", "DEBUG")])
+    def test_swat_log_reads_only_the_documented_levels(self, tmp_path, value, level):
+        # in a fresh interpreter: in-process, basicConfig leaves pytest's root handlers be
+        probe = ("import logging, sys; from swat.cli import main; code = main(sys.argv[1:]); "
+                 "print(logging.getLevelName(logging.getLogger().level)); sys.exit(code)")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "buckets", "--endpoints", "5,12", "--out", str(tmp_path / "b")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "SWAT_LOG": value, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        assert done.stdout.splitlines()[-1] == level
 
     def test_verify_without_out_emits_json_line(self, capsys):
         assert run("verify", "--trials", "10") == 0
@@ -937,7 +984,7 @@ class TestBucketsReadsTargetsOnly:
 
 class TestReadmeWalkthrough:
     def test_cli_block_runs_in_order(self, tmp_path, monkeypatch):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
         commands = [line for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("swat ")]

@@ -227,7 +227,7 @@ def reference_geo_coefficients(scheme, targets):
 
 
 def reference_geo_loss_batch(logits, a, stop_idx):
-    """geo_loss_batch as first written: full log(1 - p), fresh temporaries."""
+    """geo's kernel as first written: full log(1 - p), fresh temporaries."""
     log_p = reference_log_sigmoid(logits)
     log_q, p = log_p - logits, np.exp(log_p)
     rows = np.arange(len(a))
@@ -261,7 +261,7 @@ class TestGeoKernelMatchesReference:
             assert np.array_equal(got_stop, want_stop)
             logits = rng.uniform(-40.0, 40.0, size=want_a.shape)
             logits.flat[rng.integers(0, logits.size, size=3)] = rng.choice([-40.0, 0.0, 40.0], size=3)
-            for got, want in zip(heads.geo_loss_batch(logits, got_a, got_stop),
+            for got, want in zip(heads.bernoulli_loss_batch(logits, got_a, got_stop),
                                  reference_geo_loss_batch(logits, want_a, want_stop)):
                 assert_bit_equal(got, want)
 
@@ -308,22 +308,20 @@ def term_scales(kind, y, scheme, t):
     with their count and with their absolute sum; each gradient entry adds
     at most three.
     """
-    encoded = heads.HEADS[kind].encode(scheme, np.asarray(t), np.float64)
+    s, f = heads.HEADS[kind].encode(scheme, np.asarray(t), np.float64)
     log_p = float64_log_sigmoid(y)
     p = np.exp(log_p)
     if kind is HeadKind.BINOM:  # -(s log p + (1 - s)(log p - y)); p - s
-        loss_terms, grad_terms = [log_p, y], [p, encoded]
+        loss_terms, grad_terms = [log_p, y], [p, s]
     elif kind in (HeadKind.GEO, HeadKind.VGEO):  # -(sum a log p + log p_k - y_k); -a (1 - p) + p_k
-        a, stop = encoded  # vgeo: a = t in one column, where every row stops
-        at_stop = np.zeros_like(y)
-        at_stop[np.arange(len(y)), stop] = 1.0
-        loss_terms, grad_terms = [a * log_p, at_stop * log_p, at_stop * y], [a, at_stop * p]
+        at_stop = np.zeros_like(y)  # vgeo: a = t in one column, where every row stops
+        at_stop[np.arange(len(y)), f] = 1.0
+        loss_terms, grad_terms = [s * log_p, at_stop * log_p, at_stop * y], [s, at_stop * p]
     else:
-        t = np.asarray(encoded, dtype=np.float64)[:, None]
-        # wlr: -(t log p) where t > 0, -(log p - y) where t = 0; -t (1 - p) or p
-        keeps_log_q = (t == 0).astype(np.float64)
-        loss_terms = [t * log_p, keeps_log_q * log_p, keeps_log_q * y]
-        grad_terms = [t, keeps_log_q * p]
+        # wlr: -(t log p) where t > 0, -(log p - y) where t = 0; t p - t or p
+        keeps_log_q = f.astype(np.float64)
+        loss_terms = [s * log_p, keeps_log_q * log_p, keeps_log_q * y]
+        grad_terms = [s, keeps_log_q * p]
     return (np.sum(np.abs(np.hstack(loss_terms)), axis=1),
             np.max(np.abs(np.hstack(grad_terms)), axis=1))
 
@@ -452,6 +450,107 @@ class TestVgeoIsGeoWithNoClosedBucket:
     def test_prior_over_several_blocks_equals_the_one_column_counts(self):
         t = np.random.default_rng(9).integers(2**53, 2**62, size=2 * heads.PRIOR_BLOCK + 17)
         assert_bit_equal(heads.prior_logits(HeadKind.VGEO, t), reference_vgeo_prior(t))
+
+
+def binom_loss_batch(logits, soft):
+    """Reference copy of binom's own kernel, before every head shared the Bernoulli one."""
+    soft = np.asarray(soft, dtype=logits.dtype)
+    log_p = heads.log_sigmoid(logits)
+    log_q, p = log_p - logits, np.exp(log_p)
+    losses = -(soft * log_p + (1.0 - soft) * log_q).sum(axis=1)
+    return losses, p - soft
+
+
+def geo_loss_batch(logits, a, stop_idx):
+    """Reference copy of geo's and vgeo's own buffer-reusing kernel."""
+    a = np.asarray(a, dtype=logits.dtype)
+    log_p = heads.log_sigmoid(logits)
+    rows = np.arange(len(a))
+    stop_log_q = log_p[rows, stop_idx] - logits[rows, stop_idx]
+    work = np.multiply(a, log_p)
+    losses = work.sum(axis=1)
+    np.negative(losses, out=losses)
+    losses -= stop_log_q
+    p = np.exp(log_p, out=log_p)
+    grads = np.subtract(1.0, p, out=work)
+    grads *= a
+    np.negative(grads, out=grads)
+    grads[rows, stop_idx] += p[rows, stop_idx]
+    return losses, grads
+
+
+def wlr_loss_batch(logits, t):
+    """Reference copy of wlr's own kernel: -(t log p) where t > 0, -log(1 - p) where t = 0."""
+    t = np.asarray(t, dtype=logits.dtype)
+    log_p = heads.log_sigmoid(logits[:, 0])
+    log_q, p = log_p - logits[:, 0], np.exp(log_p)
+    zero = t == 0
+    losses = -np.where(zero, log_q, t * log_p)
+    grads = np.where(zero, p, -t * (1.0 - p))
+    return losses, grads[:, None]
+
+
+def reference_loss_batch(kind, logits, t, scheme):
+    """A head's loss through its own kernel and the encoding that kernel took."""
+    if kind is HeadKind.BINOM:
+        return binom_loss_batch(logits, labels.matrix(scheme, t))
+    if kind is HeadKind.GEO:
+        return geo_loss_batch(logits, *heads.geo_coefficients(scheme, t, logits.dtype))
+    if kind is HeadKind.VGEO:
+        return geo_loss_batch(logits, t[:, None].astype(logits.dtype), np.zeros(len(t), np.intp))
+    return wlr_loss_batch(logits, t)
+
+
+@st.composite
+def kernel_batches(draw, kind):
+    """``float32_batches`` in float32 or float64, with some rows at t = 0 and
+    some logits at -40, 0 and 40."""
+    scheme, t, y32 = draw(float32_batches(kind))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    t, y = np.asarray(t, dtype=np.int64), y32.astype(dtype)
+    if dtype == np.float64:
+        y += draw(st.floats(-0.5, 0.5))  # logits float32 cannot hold
+    y[: len(t) // 2, 0] = draw(st.sampled_from([-40.0, 0.0, 40.0]))
+    t[: len(t) // 3] = 0
+    return scheme, t, y
+
+
+class TestBernoulliKernelMatchesTheHeadKernels:
+    """``bernoulli_loss_batch`` on each head's (s, f) performs what that head's
+    own kernel performed.  binom's gradient (s + f) p - s is p - s because
+    fl(s + fl(1 - s)) = 1 for every s in [0, 1] (checked over every float32
+    there); only wlr's gradient t p - t for t > 0, once -t (1 - p), moves."""
+
+    @pytest.mark.parametrize("kind", [HeadKind.BINOM, HeadKind.GEO, HeadKind.VGEO])
+    @given(data=st.data())
+    def test_bit_equal_to_the_head_kernel(self, kind, data):
+        scheme, t, y = data.draw(kernel_batches(kind))
+        got = heads.bernoulli_loss_batch(y, *heads.HEADS[kind].encode(scheme, t, y.dtype))
+        for g, w in zip(got, reference_loss_batch(kind, y, t, scheme)):
+            assert_bit_equal(g, w)
+
+    @given(data=st.data())
+    def test_wlr_loss_bit_equal_and_gradient_within_1_5_eps_t(self, data):
+        # The analytic bound: fl(fl(t p) - t) and -fl(t fl(1 - p)) each round
+        # twice, 1.5 eps t apart at most (for p < 1/2; eps t / 2 above).  The
+        # largest gap measured over 3e7 draws per dtype was 0.99999 eps t.
+        _, t, y = data.draw(kernel_batches(HeadKind.WLR))
+        got_loss, got_grad = heads.bernoulli_loss_batch(y, *heads.HEADS[HeadKind.WLR].encode(None, t, y.dtype))
+        want_loss, want_grad = wlr_loss_batch(y, t)
+        assert_bit_equal(got_loss, want_loss)
+        assert got_grad.shape == want_grad.shape and got_grad.dtype == want_grad.dtype
+        zero = t == 0
+        assert_bit_equal(got_grad[zero], want_grad[zero])
+        bound = 1.5 * np.finfo(y.dtype).eps * t.astype(y.dtype).astype(np.float64)[:, None]
+        assert np.all(np.abs(got_grad.astype(np.float64) - want_grad) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_a_success_plus_its_complement_is_one(self, dtype, data):
+        edges = [0.0, 0.5, np.nextafter(dtype(0.5), dtype(0.0)), 1.0]
+        drawn = data.draw(st.lists(st.floats(0.0, 1.0, width=np.finfo(dtype).bits), max_size=50))
+        s = np.array(edges + drawn, dtype=dtype)
+        assert np.all(s + (1 - s) == 1)
 
 
 class TestGeoPmf:
@@ -685,8 +784,10 @@ class TestPrior:
 
     @staticmethod
     def counts(kind, scheme, t):
-        head = heads.HEADS[kind]
-        return head.counts(head.encode(scheme, np.asarray(t, dtype=np.int64), np.float64))
+        """Each logit's successes and failures summed over the rows of one encode."""
+        s, f = heads.HEADS[kind].encode(scheme, np.asarray(t, dtype=np.int64), np.float64)
+        failures = np.bincount(f, minlength=s.shape[1]) if f.ndim == 1 else f.sum(axis=0)
+        return s.sum(axis=0), failures
 
     @settings(deadline=None)
     @given(schemes(max_buckets=5, max_width=12), st.lists(st.integers(0, 70), min_size=1, max_size=30))

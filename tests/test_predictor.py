@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swat import heads, labels, predictor, simulate
+from swat import heads, predictor, simulate
 from swat.buckets import from_endpoints
 from swat.dataio import Dataset
 from swat.heads import HeadKind
@@ -373,7 +373,7 @@ class TestTraining:
         model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
-        losses, _ = heads.binom_loss_batch(model.forward_batch(x)[0], labels.matrix(CLOSED, targets))
+        losses, _ = heads.loss_batch(HeadKind.BINOM, model.forward_batch(x)[0], targets, CLOSED)
         assert np.allclose(losses, 3 * math.log(2))
 
     def test_train_does_not_materialise_all_features(self):
