@@ -40,6 +40,8 @@ class BucketScheme:
                     f"endpoints must be strictly increasing positive integers, got {self.endpoints}"
                 )
             prev = x
+        if prev >= 2**63:  # the targets, seconds and draws are int64
+            raise ValueError(f"endpoint {prev} is not below 2**63")
 
     @property
     def n_buckets(self) -> int:

@@ -155,9 +155,13 @@ def _scheme(args, run: Run, head: HeadKind) -> tuple[BucketScheme | None, float 
 def cmd_buckets(args, run: Run) -> int:
     c = _c(args)  # scheme.json records it, with --endpoints too
     if args.endpoints is not None:
+        if args.choice is not None or args.percent_step is not None:
+            raise ValueError("--endpoints gives the endpoints: --choice and --percent-step apply only with --data")
         scheme = from_endpoints(args.endpoints, tail_open=args.tail_open)
     else:
         if args.choice is None:
+            if args.percent_step is None:
+                args.percent_step = 1.0  # the manifest records the step the grid was built at
             check_percent_step(args.percent_step)  # before the data is read
         targets = _load_dataset(args, run, part="train", targets_only=True).targets()
         if args.choice is not None:
@@ -278,10 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     add_data_flags(p, source)
     source.add_argument("--endpoints", type=_list_of(int), help="explicit endpoints, e.g. 5,12,22")
-    p.add_argument("--choice", type=int, choices=sorted(ABLATIONS), default=None,
-                   help="endpoint construction 1..6")
-    p.add_argument("--percent-step", type=float, default=1.0,
-                   help="percentile grid step when --choice is absent")
+    construction = p.add_mutually_exclusive_group()
+    construction.add_argument("--choice", type=int, choices=sorted(ABLATIONS), default=None,
+                              help="endpoint construction 1..6")
+    construction.add_argument("--percent-step", type=float, default=None,
+                              help="percentile grid step (default 1) when --choice is absent")
     p.add_argument("--tail-open", action="store_true",
                    help="include the unbounded tail bucket (geometric heads)")
     p.add_argument("--out", default="buckets_out")

@@ -30,7 +30,9 @@ after training (scoring, the estimators and the artifact) works in float64.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,6 +41,8 @@ from . import dataio, heads
 from .buckets import BucketScheme
 from .dataio import Dataset, json_field
 from .heads import HeadKind
+
+log = logging.getLogger(__name__)
 
 # 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once;
 # 5: token slots from the FNV-1a/fmix64 hash; 6: token slots from the polynomial hash
@@ -389,8 +393,10 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     records the dataset's c, and its parameters are float64.  The output
     bias (``Model.output``) starts at the head's ``heads.prior_logits`` of
     the targets, an entry that is not finite at 0; the weights start at
-    random.  Raises ValueError when a watch time is negative, and
-    TrainingDiverged on a non-finite batch loss or returned parameter.
+    random.  At logging level INFO each epoch logs one line: its mean loss,
+    the norm of its last batch gradient, the parameter norm and samples/s.
+    Raises ValueError when a watch time is negative, and TrainingDiverged on
+    a non-finite batch loss or returned parameter.
     """
     spec = FeatureSpec(config.hash_dim, seed=config.seed)
     rng = np.random.default_rng(config.seed)
@@ -408,10 +414,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     n = len(dataset)
     epoch_losses: list[float] = []
     stopped = "max_epochs"
+    verbose = log.isEnabledFor(logging.INFO)  # the epoch line's norms and timing cost a pass
 
     # an overflow surfaces as a non-finite loss, which raises TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
+            if verbose:
+                started = time.perf_counter()
             perm = rng.permutation(n)
             total = 0.0
             for bi, start in enumerate(range(0, n, config.batch_size)):
@@ -425,6 +434,11 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 grads = model.backward_batch(xb, h, dlogits / len(idx))
                 optimizer.update(model.params, grads)
             epoch_losses.append(total / n)
+            if verbose:
+                seconds = time.perf_counter() - started
+                grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                log.info("epoch %d: mean loss %.6f, gradient norm %.6g, parameter norm %.6g, %.0f samples/s",
+                         epoch, epoch_losses[-1], grad_norm, model.param_norm(), n / seconds)
             if epoch > 0:
                 prev, cur = epoch_losses[-2], epoch_losses[-1]
                 if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:

@@ -10,15 +10,9 @@ probabilities:
 * stationary -- the focused user with no closed bucket: one continuation
                 probability, T ~ Geometric on {0, 1, ...}, pmf p^t (1 - p).
 
-The module also carries exact enumeration oracles for two laws.  The
-``process_*`` oracles follow the focused user: the stop factor after t
-seconds is (1 - p) of the bucket of second t + 1.  This is the law the geo
-head fits, and its mass is exactly 1.  The ``model_*`` oracles (pmf, total
-mass, mean) keep the contrast law whose stop factor uses the bucket that
-contains t.  The two agree except at bucket endpoints t = x_n, where they
-charge (1 - p_{n+1}) and (1 - p_n) respectively; ``total_mass`` exposes the
-normalization gap of the contrast law.  PAPER.md (the abstract) does not
-say which convention the paper uses at an endpoint.
+The module also carries exact enumeration oracles of the law the geo head
+fits, the focused user's: after t seconds the stop factor is (1 - p) of the
+bucket of second t + 1, so the pmf's mass is exactly 1.
 """
 
 from __future__ import annotations
@@ -136,39 +130,11 @@ def _survival(probs, scheme: BucketScheme, t: int) -> float:
     return val * probs[n - 1] ** (t - xs[n - 1])
 
 
-def model_pmf(probs, scheme: BucketScheme, t: int) -> float:
-    """Contrast law: stop factor uses the bucket containing t (mass != 1)."""
-    _check_open_arity(probs, scheme, "model_pmf")
-    return _survival(probs, scheme, t) * (1.0 - probs[bisect_left(scheme.endpoints, t)])
-
-
 def process_pmf(probs, scheme: BucketScheme, t: int) -> float:
     """Sequential process law, fitted by the geo head: stop factor uses the
     bucket of second t + 1."""
     _check_open_arity(probs, scheme, "process_pmf")
     return _survival(probs, scheme, t) * (1.0 - probs[bisect_left(scheme.endpoints, t + 1)])
-
-
-def total_mass(probs, scheme: BucketScheme) -> float:
-    """Sum of the contrast-law pmf (``model_pmf``) over all t.
-
-    Exactly 1 when all probabilities are equal; otherwise the endpoint stop
-    factors leave a gap, so this diagnostic can land on either side of 1.
-    """
-    _check_open_arity(probs, scheme, "total_mass")
-    x_n = scheme.endpoints[-1]
-    mass = sum(model_pmf(probs, scheme, t) for t in range(x_n + 1))
-    return mass + _survival(probs, scheme, x_n) * probs[-1]
-
-
-def model_mean(probs, scheme: BucketScheme) -> float:
-    """Mean of the contrast law: exact enumeration to x_N plus the
-    closed-form tail sum_{t > x_N} t P_N p^{t - x_N} (1 - p)."""
-    _check_open_arity(probs, scheme, "model_mean")
-    x_n = scheme.endpoints[-1]
-    mean = sum(t * model_pmf(probs, scheme, t) for t in range(x_n + 1))
-    p = probs[-1]
-    return mean + _survival(probs, scheme, x_n) * (x_n * p + p / (1.0 - p))
 
 
 def process_mean(probs, scheme: BucketScheme) -> float:

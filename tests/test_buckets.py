@@ -46,6 +46,11 @@ class TestFromEndpoints:
         with pytest.raises(ValueError):
             BucketScheme((5, 3))
 
+    def test_constructor_rejects_an_endpoint_past_int64(self):
+        assert BucketScheme((5, 2**63 - 1)).widths == (5, 2**63 - 6)
+        with pytest.raises(ValueError, match=r"^endpoint 9223372036854775808 is not below 2\*\*63$"):
+            BucketScheme((5, 2**63))
+
     def test_constructor_rejects_no_endpoints(self):
         with pytest.raises(ValueError, match="needs at least one endpoint"):
             BucketScheme(())

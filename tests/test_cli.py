@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -55,6 +56,23 @@ class TestBuckets:
         scheme = json.loads((out / "scheme.json").read_text())
         assert scheme["tail_open"] is True
         assert len(scheme["endpoints"]) >= 1
+
+    @pytest.mark.parametrize("flag", [("--choice", "3"), ("--percent-step", "2")], ids=["choice", "percent-step"])
+    def test_endpoints_with_a_construction_flag_exit_2(self, tmp_path, flag, capsys):
+        # the flag would pick endpoints from --data, which --endpoints replaces
+        out = tmp_path / "b"
+        assert run("buckets", "--endpoints", "5,12", *flag, "--out", out) == 2
+        assert capsys.readouterr().err == ("error: --endpoints gives the endpoints: "
+                                           "--choice and --percent-step apply only with --data\n")
+        assert not (out / "scheme.json").exists()
+
+    def test_manifest_records_the_step_only_of_a_percentile_grid(self, tmp_path, sim_csv):
+        for out, flags in {"grid": (), "choice": ("--choice", "4")}.items():
+            assert run("buckets", "--data", sim_csv, *flags, "--out", tmp_path / out) == 0
+        config = {out: json.loads((tmp_path / out / "manifest.json").read_text())["config"]
+                  for out in ("grid", "choice")}
+        assert (config["grid"]["choice"], config["grid"]["percent_step"]) == (None, 1.0)
+        assert (config["choice"]["choice"], config["choice"]["percent_step"]) == (4, None)
 
     def test_choice_flag_offers_the_ablation_table(self):
         commands = next(a for a in build_parser()._actions if a.dest == "command")
@@ -768,6 +786,75 @@ class TestSchemeFileForSimulate:
         assert len(rows) == 50
 
 
+class TestEndpointBound:
+    """The targets, the encoded seconds and the draws are int64, so an
+    endpoint at or past 2**63 exits 2 with one line in every command."""
+
+    @pytest.mark.parametrize("endpoint", [2**63, 10**20])
+    def test_exits_2_with_one_line(self, tmp_path, sim_csv, endpoint, capsys):
+        inline = ("--endpoints", f"5,{endpoint}")
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"c": 1.0, "endpoints": [5, endpoint], "tail_open": True}), encoding="utf-8")
+        assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3", "--epochs", "1",
+                   "--out", tmp_path / "t") == 0
+        model = json.loads((tmp_path / "t" / "model.json").read_text())
+        model["scheme"]["endpoints"] = [1, endpoint]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        focused = ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5")
+        argvs = {  # the file that holds the endpoint, if any: argv
+            None: [("buckets", *inline, "--tail-open"), ("train", "--data", sim_csv, "--head", "geo", *inline),
+                   (*focused, *inline)],
+            scheme: [("train", "--data", sim_csv, "--head", "geo", "--scheme", scheme),
+                     (*focused, "--scheme", scheme)],
+            model_path: [("eval", "--data", sim_csv, "--model", model_path)],
+        }
+        capsys.readouterr()
+        for path, commands in argvs.items():
+            for argv in commands:
+                out = tmp_path / "out"
+                assert run(*argv, "--out", out) == 2, argv
+                where = "" if path is None else f"{path}: "
+                assert capsys.readouterr().err == f"error: {where}endpoint {endpoint} is not below 2**63\n"
+                assert not out.exists()
+
+    @pytest.mark.parametrize("head, tail", [("geo", ("--tail-open",)), ("binom", ())])
+    def test_the_largest_int64_endpoint_trains_and_scores(self, tmp_path, sim_csv, head, tail):
+        assert run("buckets", "--endpoints", f"5,{2**63}", *tail, "--out", tmp_path / "over") == 2
+        assert run("buckets", "--endpoints", f"5,{2**63 - 1}", *tail, "--out", tmp_path / "b") == 0
+        assert run("train", "--data", sim_csv, "--head", head, "--scheme", tmp_path / "b" / "scheme.json",
+                   "--epochs", "2", "--out", tmp_path / "t") == 0
+        assert run("eval", "--data", sim_csv, "--model", tmp_path / "t" / "model.json",
+                   "--out", tmp_path / "e") == 0
+        preds = [float(row["prediction"]) for row in read_rows(tmp_path / "e" / "predictions.csv")]
+        assert len(preds) == 400 and all(map(np.isfinite, preds))
+
+
+class TestEpochLog:
+    def test_swat_log_info_logs_one_line_per_epoch(self, tmp_path, sim_csv):
+        # in a fresh interpreter: in-process, basicConfig leaves pytest's root handlers be
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "SWAT_LOG"} | {"PYTHONPATH": path}
+        stderr = {}
+        for level in ("info", None):
+            done = subprocess.run(
+                [sys.executable, "-m", "swat", "train", "--data", str(sim_csv), "--head", "wlr", "--epochs", "3",
+                 "--out", str(tmp_path / str(level))],
+                capture_output=True, text=True, timeout=120, env=env | ({"SWAT_LOG": level} if level else {}),
+            )
+            assert done.returncode == 0, done.stderr
+            stderr[level] = done.stderr
+        trace = read_rows(tmp_path / "info" / "loss_trace.csv")
+        assert len(trace) == 3
+        lines = [line for line in stderr["info"].splitlines() if re.search(r"\bepoch \d+:", line)]
+        pattern = (r"INFO:swat\.predictor:epoch (\d+): mean loss (\S+), gradient norm \S+, "
+                   r"parameter norm \S+, \d+ samples/s")
+        logged = [re.fullmatch(pattern, line).groups() for line in lines]
+        assert logged == [(row["epoch"], f"{float(row['mean_loss']):.6f}") for row in trace]
+        assert not re.search(r"\bepoch \d+:", stderr[None])
+        assert (tmp_path / "info" / "model.json").read_bytes() == (tmp_path / "None" / "model.json").read_bytes()
+
+
 class TestSettingsCheckedWhileParsing:
     """A setting argparse can check exits 2 before any file is read: --data
     does not exist, so a later check would name the path, not the flag."""
@@ -788,6 +875,8 @@ class TestSettingsCheckedWhileParsing:
                                "argument --seed:"),
         "verify --seed -1": (("verify", "--seed", "-1"), "argument --seed:"),
         "buckets --choice 9": (("buckets", "--choice", "9", *DATA), "argument --choice:"),
+        "buckets --choice and --percent-step": (("buckets", "--choice", "4", "--percent-step", "0.5", *DATA),
+                                                "argument --percent-step: not allowed with argument --choice"),
         "buckets --endpoints 5,x": (("buckets", "--endpoints", "5,x"),
                                     "argument --endpoints: invalid literal for int()"),
         "train --endpoints 5,x": (("train", "--head", "geo", "--endpoints", "5,x", *DATA),

@@ -107,10 +107,6 @@ class TestFocused:
         want = simulate.process_mean(p, OPEN)
         band = 4 * draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - want) < band
-        # the normalized model law sits close by: the two laws only disagree
-        # at the three bucket endpoints
-        normalized = simulate.model_mean(p, OPEN) / simulate.total_mass(p, OPEN)
-        assert abs(draws.mean() - normalized) < 0.05 * want
 
     def test_seed_determinism(self):
         prof = profile(Behavior.FOCUSED, (0.8, 0.6, 0.4, 0.2), OPEN, seed=4)
@@ -142,21 +138,6 @@ class TestStationary:
 
 
 class TestOracles:
-    def test_total_mass_uniform_is_one(self):
-        assert simulate.total_mass((0.4,) * 4, OPEN) == pytest.approx(1.0, abs=1e-9)
-
-    def test_total_mass_hand_case(self):
-        scheme = from_endpoints([1], tail_open=True)
-        assert simulate.total_mass((0.5, 0.25), scheme) == pytest.approx(0.875, abs=1e-12)
-
-    def test_total_mass_stays_in_unit_neighborhood(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            widths = rng.integers(1, 12, size=rng.integers(1, 7))
-            scheme = from_endpoints(np.cumsum(widths).tolist(), tail_open=True)
-            probs = rng.uniform(0.05, 0.95, size=scheme.n_buckets + 1)
-            assert 0.0 < simulate.total_mass(probs, scheme) < 2.0
-
     def test_process_mass_is_exactly_one(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -172,14 +153,14 @@ class TestOracles:
     # bucket i holds (x_{i-1}, x_i] and bucket N + 1 every t past x_N
     def test_pmf_interior_bucket(self):
         probs = (0.9, 0.6, 0.4, 0.3)
-        assert simulate.model_pmf(probs, OPEN, 10) == pytest.approx(0.9**5 * 0.6**5 * 0.4, rel=1e-12)
+        assert simulate.process_pmf(probs, OPEN, 10) == pytest.approx(0.9**5 * 0.6**5 * 0.4, rel=1e-12)
 
     def test_pmf_zero_in_first_bucket(self):
-        assert simulate.model_pmf((0.9, 0.6, 0.4, 0.3), OPEN, 0) == pytest.approx(0.1, rel=1e-12)
+        assert simulate.process_pmf((0.9, 0.6, 0.4, 0.3), OPEN, 0) == pytest.approx(0.1, rel=1e-12)
 
     def test_pmf_open_tail(self):
         probs = (0.9, 0.6, 0.4, 0.3)
-        assert simulate.model_pmf(probs, OPEN, 23) == pytest.approx(
+        assert simulate.process_pmf(probs, OPEN, 23) == pytest.approx(
             0.9**5 * 0.6**7 * 0.4**10 * 0.3 * 0.7, rel=1e-12)
 
     @given(schemes(tail_open=True), st.integers(0, 400), st.data())
@@ -193,21 +174,7 @@ class TestOracles:
             return probs[next((i for i, x in enumerate(scheme.endpoints) if s <= x), k - 1)]
 
         survival = math.prod(p(s) for s in range(1, t + 1))
-        assert simulate.model_pmf(probs, scheme, t) == pytest.approx(survival * (1 - p(t)), rel=1e-9)
         assert simulate.process_pmf(probs, scheme, t) == pytest.approx(survival * (1 - p(t + 1)), rel=1e-9)
-
-    def test_laws_agree_except_at_endpoints(self):
-        probs = (0.9, 0.6, 0.4, 0.3)
-        for t in range(0, 40):
-            model = simulate.model_pmf(probs, OPEN, t)
-            process = simulate.process_pmf(probs, OPEN, t)
-            if t in OPEN.endpoints:
-                n = OPEN.endpoints.index(t) + 1  # t = x_n
-                assert process / model == pytest.approx(
-                    (1 - probs[n]) / (1 - probs[n - 1]), rel=1e-12
-                )
-            else:
-                assert process == pytest.approx(model, rel=1e-12)
 
 
 class TestDrawGuards:
@@ -218,9 +185,9 @@ class TestDrawGuards:
 
     def test_oracles_check_arity(self):
         with pytest.raises(ValueError, match="4 probabilities"):
-            simulate.total_mass((0.5, 0.5), OPEN)
+            simulate.process_mean((0.5, 0.5), OPEN)
         with pytest.raises(ValueError, match="open-tail"):
-            simulate.model_mean((0.5,) * 4, CLOSED)
+            simulate.process_mean((0.5,) * 4, CLOSED)
         with pytest.raises(ValueError, match="open-tail"):
             simulate.process_pmf((0.5,) * 4, CLOSED, 23)
 
