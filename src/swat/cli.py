@@ -155,8 +155,8 @@ def _scheme(args, run: Run, head: HeadKind) -> tuple[BucketScheme | None, float 
 def cmd_buckets(args, run: Run) -> int:
     c = _c(args)  # scheme.json records it, with --endpoints too
     if args.endpoints is not None:
-        if args.choice is not None or args.percent_step is not None:
-            raise ValueError("--endpoints gives the endpoints: --choice and --percent-step apply only with --data")
+        if (args.choice, args.percent_step, args.ratio) != (None, None, None):
+            raise ValueError("--choice, --percent-step and --ratio apply only with --data, not with --endpoints")
         scheme = from_endpoints(args.endpoints, tail_open=args.tail_open)
     else:
         if args.choice is None:
@@ -194,7 +194,9 @@ def cmd_train(args, run: Run) -> int:
     model_path = run.output("model.json")
     trace_path = run.output("loss_trace.csv")
     result.model.save(model_path)
-    dataio.write_csv(trace_path, ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
+    epochs = enumerate(zip(result.epoch_losses, result.grad_norms, result.param_norms))
+    dataio.write_csv(trace_path, ["epoch", "mean_loss", "grad_norm", "param_norm"],
+                     ([k, *map(repr, values)] for k, values in epochs))
     run.resolved.update(clipped=result.clipped, stopped=result.stopped)
     print(f"trained {head.value} head: {len(result.epoch_losses)} epochs, "
           f"final loss {result.epoch_losses[-1]:.6f}")
@@ -206,6 +208,8 @@ def cmd_eval(args, run: Run) -> int:
     model = Model.load(run.read(args.model))
     _take_c(args, model.c, f"the model's c {model.c}, the scale it was trained at")
     dataset = _load_dataset(args, run, part="test")
+    if len(dataset) < 2:  # before anything is written
+        raise ValueError(f"--data {args.data} leaves {len(dataset)} usable row to score; XAUC ranks pairs of rows")
     preds, clamped = model.predict_dataset(dataset)
     if clamped:
         log.warning("%d of %d rows predicted from a probability at the clamp (%g from 0 or 1)",

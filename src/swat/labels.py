@@ -5,8 +5,7 @@ every bucket before the one holding t and t - x_{i-1} seconds of that one.
 `seconds` encodes a batch of watch times so, with a last column for the
 seconds past x_N; both bucketized likelihoods read it.  The binomial head's
 label for bucket i is the fraction watched, seconds_i / (x_i - x_{i-1}),
-which `matrix` returns (t beyond x_N fills every bucket).  `decode` inverts
-one label row and accepts exactly the rows `matrix` produces.
+which `matrix` returns (t beyond x_N fills every bucket).
 """
 
 from __future__ import annotations
@@ -41,21 +40,3 @@ def matrix(scheme: BucketScheme, targets: np.ndarray) -> np.ndarray:
     """(n,) non-negative integer targets -> (n, N) label rows; t beyond x_N gives all ones."""
     return seconds(scheme, targets)[:, :-1] / scheme.widths
 
-
-def decode(scheme: BucketScheme, row) -> int:
-    """Recover the watch time one label row encodes.
-
-    Raises on rows of the wrong length, labels outside [0, 1] and rows
-    `matrix` never produces; an all-ones row decodes to x_N.
-    """
-    vals = np.asarray(row, dtype=np.float64)
-    if vals.shape != (scheme.n_buckets,):
-        raise ValueError(
-            f"label shape {vals.shape} does not match scheme with {scheme.n_buckets} buckets"
-        )
-    if not np.all((vals >= 0.0) & (vals <= 1.0)):
-        raise ValueError(f"label outside [0, 1] in {vals}")
-    t = round(float(vals @ scheme.widths))
-    if np.max(np.abs(matrix(scheme, [t])[0] - vals)) > 1e-9:
-        raise ValueError(f"labels must be non-increasing with at most one partial bucket, got {vals}")
-    return t

@@ -209,6 +209,11 @@ class FeatureSpec:
                    np.diff(np.searchsorted(starts, cell_ends), prepend=0))
 
 
+def _norm(arrays) -> float:
+    """The Euclidean norm of the arrays taken as one vector, summed in float64."""
+    return math.sqrt(sum(float(np.square(a, dtype=np.float64).sum()) for a in arrays))
+
+
 @dataclass
 class Model:
     """Affine(-ReLU-affine) map from features to head logits, fitted on the
@@ -260,9 +265,6 @@ class Model:
             dz = (dlogits @ self.params["w2"]) * (h > 0.0)
             grads |= {"w1": dz.T @ x, "b1": dz.sum(axis=0)}
         return grads
-
-    def param_norm(self) -> float:
-        return float(np.sqrt(sum(float((v * v).sum()) for v in self.params.values())))
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected watch times (scaled-target units) for feature rows, and which
@@ -374,13 +376,15 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """The fitted model, the mean loss of each epoch, the count of targets
-    clipped to the last closed bucket, and how training stopped: "rel_tol"
-    when the mean loss changed by less than ``rel_tol`` relative between two
-    epochs, else "max_epochs"."""
+    """The fitted model; each epoch's mean loss, last batch gradient norm and
+    parameter norm after that step; the count of targets clipped to the last
+    closed bucket; and how training stopped: "rel_tol" when the mean loss
+    changed by less than ``rel_tol`` relative between two epochs, else "max_epochs"."""
 
     model: Model
     epoch_losses: list[float]
+    grad_norms: list[float]
+    param_norms: list[float]
     clipped: int = 0
     stopped: str = "max_epochs"
 
@@ -413,8 +417,10 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     optimizer = AdamState(model.params, config.lr)
     n = len(dataset)
     epoch_losses: list[float] = []
+    grad_norms: list[float] = []  # each epoch's last batch gradient, the one Adam applied last
+    param_norms: list[float] = []
     stopped = "max_epochs"
-    verbose = log.isEnabledFor(logging.INFO)  # the epoch line's norms and timing cost a pass
+    verbose = log.isEnabledFor(logging.INFO)  # the epoch line's timing
 
     # an overflow surfaces as a non-finite loss, which raises TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
@@ -430,15 +436,16 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 losses, dlogits = heads.loss_batch(config.head, logits, targets[idx], config.scheme)
                 total += float(losses.sum())  # one non-finite loss makes the total non-finite
                 if not np.isfinite(total):
-                    raise TrainingDiverged(epoch, bi, model.param_norm())
+                    raise TrainingDiverged(epoch, bi, _norm(model.params.values()))
                 grads = model.backward_batch(xb, h, dlogits / len(idx))
                 optimizer.update(model.params, grads)
             epoch_losses.append(total / n)
+            grad_norms.append(_norm(grads.values()))
+            param_norms.append(_norm(model.params.values()))
             if verbose:
-                seconds = time.perf_counter() - started
-                grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
                 log.info("epoch %d: mean loss %.6f, gradient norm %.6g, parameter norm %.6g, %.0f samples/s",
-                         epoch, epoch_losses[-1], grad_norm, model.param_norm(), n / seconds)
+                         epoch, epoch_losses[-1], grad_norms[-1], param_norms[-1],
+                         n / (time.perf_counter() - started))
             if epoch > 0:
                 prev, cur = epoch_losses[-2], epoch_losses[-1]
                 if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:
@@ -446,7 +453,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                     break
         # a step after the last loss, or on rows no later batch reads, can still overflow
         if not all(np.isfinite(value).all() for value in model.params.values()):
-            raise TrainingDiverged(epoch, bi, model.param_norm(), "parameters")
+            raise TrainingDiverged(epoch, bi, _norm(model.params.values()), "parameters")
     model.params = {key: value.astype(np.float64) for key, value in model.params.items()}
-    return TrainResult(model, epoch_losses, clipped, stopped)
+    return TrainResult(model, epoch_losses, grad_norms, param_norms, clipped, stopped)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from swat import heads, labels, predictor, simulate
+from swat import heads, predictor, simulate
 from swat.buckets import ABLATIONS, from_endpoints
 from swat.cli import build_parser, main
 from swat.heads import HeadKind
@@ -57,14 +58,15 @@ class TestBuckets:
         assert scheme["tail_open"] is True
         assert len(scheme["endpoints"]) >= 1
 
-    @pytest.mark.parametrize("flag", [("--choice", "3"), ("--percent-step", "2")], ids=["choice", "percent-step"])
+    @pytest.mark.parametrize("flag", [("--choice", "3"), ("--percent-step", "2"), ("--ratio", "0.8"),
+                                      ("--ratio", "7")], ids=["choice", "percent-step", "ratio-0.8", "ratio-7"])
     def test_endpoints_with_a_construction_flag_exit_2(self, tmp_path, flag, capsys):
-        # the flag would pick endpoints from --data, which --endpoints replaces
+        # the flag reads --data, which --endpoints replaces; an out-of-range ratio too
         out = tmp_path / "b"
         assert run("buckets", "--endpoints", "5,12", *flag, "--out", out) == 2
-        assert capsys.readouterr().err == ("error: --endpoints gives the endpoints: "
-                                           "--choice and --percent-step apply only with --data\n")
-        assert not (out / "scheme.json").exists()
+        assert capsys.readouterr().err == ("error: --choice, --percent-step and --ratio apply only with --data, "
+                                           "not with --endpoints\n")
+        assert not (out / "scheme.json").exists() and not (out / "manifest.json").exists()
 
     def test_manifest_records_the_step_only_of_a_percentile_grid(self, tmp_path, sim_csv):
         for out, flags in {"grid": (), "choice": ("--choice", "4")}.items():
@@ -469,15 +471,16 @@ class TestVerify:
         assert failed_checks(out.out) == {"gradient_fd_geo"}
 
     @pytest.mark.parametrize("fault, check, message", [
-        ("decode", "label_round_trip", "round trip broke at t="),
+        ("binom-estimator", "label_round_trip", "round trip broke at t="),
         ("binom", "gradient_bounds", "escapes [-1, 1]"),
         ("geo", "gradient_bounds", "escapes width bounds"),
     ])
     def test_injected_fault_fails_its_check(self, monkeypatch, capsys, fault, check, message):
         failing = {check}
-        if fault == "decode":
-            decode = labels.decode
-            monkeypatch.setattr(labels, "decode", lambda scheme, row: decode(scheme, row) + 1)
+        if fault == "binom-estimator":
+            entry = heads.HEADS[HeadKind.BINOM]
+            monkeypatch.setitem(heads.HEADS, HeadKind.BINOM,
+                                dataclasses.replace(entry, expectation=lambda p, s: entry.expectation(p, s) + 1))
         else:  # past 1, and past the widths of at most 12 the check draws
             alter_gradient(monkeypatch, HeadKind(fault), lambda grad: 100.0 * grad)
             failing.add(f"gradient_fd_{fault}")
@@ -535,6 +538,21 @@ class TestRatioSplit:
                         encoding="utf-8")
         assert run("train", "--data", data, "--head", "vgeo", "--ratio", "0.1", "--out", tmp_path / "t") == 2
         assert capsys.readouterr().err == "error: split ratio 0.1 of 5 rows leaves the train part empty\n"
+
+    @pytest.mark.parametrize("rows, flags", [(5, ("--ratio", "0.8")), (1, ())],
+                             ids=["one-test-row", "one-row-file"])
+    def test_eval_of_fewer_than_two_rows_exits_2_naming_the_file(self, tmp_path, capsys, rows, flags):
+        # XAUC ranks pairs of rows, and one row holds none
+        train_data, data = tmp_path / "train.csv", tmp_path / "d.csv"
+        for path, n in ((train_data, 5), (data, rows)):
+            path.write_text(SIM_HEADER + "\n" + "".join(f"{i},a,{i}\n" for i in range(n)), encoding="utf-8")
+        assert run("train", "--data", train_data, "--head", "vgeo", "--ratio", "0.8", "--out", tmp_path / "t") == 0
+        capsys.readouterr()
+        out = tmp_path / "e"
+        assert run("eval", "--model", tmp_path / "t" / "model.json", "--data", data, *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--data {data} leaves 1 usable row" in err
+        assert not out.exists()  # no report.json, predictions.csv or manifest
 
 
 class TestExitCodes:
@@ -845,14 +863,17 @@ class TestEpochLog:
             assert done.returncode == 0, done.stderr
             stderr[level] = done.stderr
         trace = read_rows(tmp_path / "info" / "loss_trace.csv")
-        assert len(trace) == 3
+        assert len(trace) == 3 and list(trace[0]) == ["epoch", "mean_loss", "grad_norm", "param_norm"]
+        assert all(math.isfinite(float(row[key])) for row in trace for key in list(row)[1:])
         lines = [line for line in stderr["info"].splitlines() if re.search(r"\bepoch \d+:", line)]
-        pattern = (r"INFO:swat\.predictor:epoch (\d+): mean loss (\S+), gradient norm \S+, "
-                   r"parameter norm \S+, \d+ samples/s")
+        pattern = (r"INFO:swat\.predictor:epoch (\d+): mean loss (\S+), gradient norm (\S+), "
+                   r"parameter norm (\S+), \d+ samples/s")
         logged = [re.fullmatch(pattern, line).groups() for line in lines]
-        assert logged == [(row["epoch"], f"{float(row['mean_loss']):.6f}") for row in trace]
+        assert logged == [(row["epoch"], f"{float(row['mean_loss']):.6f}", f"{float(row['grad_norm']):.6g}",
+                           f"{float(row['param_norm']):.6g}") for row in trace]
         assert not re.search(r"\bepoch \d+:", stderr[None])
-        assert (tmp_path / "info" / "model.json").read_bytes() == (tmp_path / "None" / "model.json").read_bytes()
+        for name in ("model.json", "loss_trace.csv"):  # the norms are computed at every level
+            assert (tmp_path / "info" / name).read_bytes() == (tmp_path / "None" / name).read_bytes()
 
 
 class TestSettingsCheckedWhileParsing:

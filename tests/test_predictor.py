@@ -435,6 +435,17 @@ class TestTraining:
         cut = fit(epochs - 1)
         assert cut.stopped == "max_epochs" and len(cut.epoch_losses) == epochs - 1
 
+    def test_result_holds_each_epochs_norms_summed_in_float64(self):
+        # at --lr 1e20 the float32 parameters stay finite, but their float32 squares do not
+        ds = constant_feature_dataset(np.arange(8.0))
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4, lr=1e20, max_epochs=3,
+                          batch_size=4, seed=0)
+        result = predictor.train(ds, cfg)
+        assert len(result.grad_norms) == len(result.param_norms) == len(result.epoch_losses) == 3
+        assert all(map(math.isfinite, result.grad_norms + result.param_norms))
+        params = np.concatenate([value.ravel() for value in result.model.params.values()])
+        assert result.param_norms[-1] == pytest.approx(np.linalg.norm(params), rel=1e-12)
+
     def test_seed_changes_model(self):
         prof = BehaviorProfile(Behavior.STATIONARY, (0.5,), None, seed=2)
         ds = constant_feature_dataset(simulate.draw(prof, 2000))
