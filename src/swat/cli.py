@@ -21,6 +21,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, heads, metrics, predictor, simulate, verify
 from .buckets import (ABLATIONS, BucketScheme, ablation_choice, check_percent_step, from_endpoints,
                       from_percentiles)
@@ -211,10 +213,14 @@ def cmd_eval(args, run: Run) -> int:
     if len(dataset) < 2:  # before anything is written
         raise ValueError(f"--data {args.data} leaves {len(dataset)} usable row to score; XAUC ranks pairs of rows")
     preds, clamped = model.predict_dataset(dataset)
+    with np.errstate(over="ignore"):  # a sum of errors past the float range is reported below
+        report = metrics.evaluate(preds, dataset.raw_targets) if np.isfinite(preds).all() else None
+    if report is None or not (math.isfinite(report.mae) and math.isfinite(report.xauc)):
+        raise ValueError(f"--model {args.model} at its c {model.c} predicts watch times, or an MAE, "
+                         "beyond the float range; train at a larger --c")
     if clamped:
         log.warning("%d of %d rows predicted from a probability at the clamp (%g from 0 or 1)",
                     clamped, len(preds), heads.PROB_EPS)
-    report = metrics.evaluate(preds, dataset.raw_targets)
     fields = dataclasses.asdict(report)
     if math.isnan(report.pearson):
         fields["pearson"] = None  # undefined for constant predictions; JSON has no NaN

@@ -32,10 +32,10 @@ log(1 - p) = log p - y and p = exp(log p), so its gradient is the exact
 derivative of the loss it returns at every finite logit.  Only
 `expectation_batch` clamps p to [1e-7, 1 - 1e-7], so every prediction is
 finite: an odds factor p / (1 - p) is at most about 1e7.  It returns, beside
-the predictions, the rows where that clamp moved a prediction: those with a
-probability at the upper bound in a column the head reads through
-p / (1 - p) (``Head.saturates``).  Anywhere else a clamped probability moves
-the prediction by a relative amount near 1e-7.
+the predictions, the rows where that clamp moved a prediction: those whose
+last probability, which a head without a closed tail reads through
+p / (1 - p), sits at the upper bound.  Anywhere else a clamped probability
+moves the prediction by a relative amount near 1e-7.
 
 A logit's bias-only likelihood is that of its s and f summed over rows, so
 its maximum-likelihood logit is log(s / f).  `prior_logits` returns the
@@ -83,8 +83,7 @@ def log_sigmoid(y) -> np.ndarray:
     """
     y = _floating(y)
     out = np.minimum(y, 0.0, out=np.empty(y.shape, y.dtype))
-    tail = np.abs(y, out=np.empty(y.shape, y.dtype))
-    np.negative(tail, out=tail)
+    tail = np.copysign(y, -1.0, out=np.empty(y.shape, y.dtype))
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
     return np.subtract(out, tail, out=out)
@@ -206,8 +205,8 @@ class Head:
     logits of float ``dtype``; ``prior`` says whether their sums give the
     head's starting bias (``prior_logits``).
     ``expectation(probs, scheme)`` returns the per-row mean watch time of
-    clamped probabilities; ``saturates`` lists the columns it reads through
-    p / (1 - p), where the upper clamp caps a prediction near 1e7.
+    clamped probabilities; unless the tail is closed, it reads the last one
+    through p / (1 - p), where the upper clamp caps a prediction near 1e7.
     Functions that a profiler may wrap are looked up by name when called, so
     the entries hold lambdas around them.
     """
@@ -215,22 +214,20 @@ class Head:
     tail_open: bool | None
     encode: Callable[[BucketScheme | None, np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
     expectation: Callable[[np.ndarray, BucketScheme | None], np.ndarray]
-    saturates: tuple[int, ...]
     prior: bool
 
 
-# geo saturates in its open tail
 _GEO = Head(True, lambda scheme, t, dtype: geo_coefficients(scheme, t, dtype), geo_expectation_batch,
-            saturates=(-1,), prior=True)
+            prior=True)
 
 HEADS: dict[HeadKind, Head] = {
-    HeadKind.BINOM: Head(False, _soft_labels, binom_expectation_batch, saturates=(), prior=True),
+    HeadKind.BINOM: Head(False, _soft_labels, binom_expectation_batch, prior=True),
     HeadKind.GEO: _GEO,
     # no closed bucket: a row continues its t seconds in the open tail and stops there
     HeadKind.VGEO: replace(_GEO, tail_open=None, encode=lambda scheme, t, dtype:
                            (t[:, None].astype(dtype), np.zeros(len(t), np.intp))),
     HeadKind.WLR: Head(None, lambda scheme, t, dtype: (t[:, None].astype(dtype), t[:, None] == 0),
-                       geo_expectation_batch, saturates=(0,), prior=False),
+                       geo_expectation_batch, prior=False),
 }
 
 
@@ -297,7 +294,7 @@ def expectation_batch(kind: HeadKind, logits: np.ndarray,
                       scheme: BucketScheme | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form expected watch time of each logit row, read at clamped
     probabilities, and which rows read an odds factor p / (1 - p) at the
-    upper clamp (``Head.saturates``)."""
+    upper clamp (the last probability, unless the tail is closed)."""
     probs = clamp_probs(sigmoid(_checked(kind, logits, scheme)))
-    at_bound = (probs[:, list(HEADS[kind].saturates)] == 1.0 - PROB_EPS).any(axis=1)
+    at_bound = (probs[:, -1] == 1.0 - PROB_EPS) & (HEADS[kind].tail_open is not False)
     return HEADS[kind].expectation(probs, scheme), at_bound

@@ -93,7 +93,12 @@ def xauc(preds, targets) -> tuple[float, int]:
 
 
 def pearson(preds, targets) -> float:
-    """The correlation of two vectors; NaN when either is constant, where it is undefined."""
+    """The correlation of two vectors; NaN when either is constant, where it is undefined.
+
+    Each vector is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1).  That changes no bit of the result wherever the
+    unscaled sums stay in the float range, and keeps them in it at any scale.
+    """
     p, t = _pair(preds, targets)
     if len(p) < 2:
         raise ValueError("pearson needs at least two samples")
@@ -101,6 +106,7 @@ def pearson(preds, targets) -> float:
     # so the deviations of a constant vector need not be zero
     if p.min() == p.max() or t.min() == t.max():
         return float("nan")
+    p, t = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (p, t))
     dp = p - p.mean()
     dt = t - t.mean()
     denom = np.sqrt((dp * dp).sum() * (dt * dt).sum())

@@ -273,11 +273,13 @@ class Model:
 
     def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, int]:
         """Expected watch times of the dataset's rows in raw units (``predict`` / c),
-        and how many rows read a probability at the clamp."""
+        inf where that quotient overflows, and how many rows read a probability
+        at the clamp."""
         bags, n = self.feature_spec.encode_dataset(dataset), len(dataset)
         blocks = np.split(np.arange(n), range(PREDICT_BLOCK, n, PREDICT_BLOCK))
         preds, clamped = zip(*(self.predict(bags.rows(block)) for block in blocks))
-        return np.concatenate(preds) / self.c, int(np.concatenate(clamped).sum())
+        with np.errstate(over="ignore"):
+            return np.concatenate(preds) / self.c, int(np.concatenate(clamped).sum())
 
     def to_dict(self) -> dict:
         return {

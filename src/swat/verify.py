@@ -138,10 +138,8 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
 
 def _geo_mass(probs: np.ndarray, scheme: BucketScheme) -> float:
     """Head pmf summed over t = 0..x_N plus the survival past x_N."""
-    pmf = _head_pmf(probs, scheme, np.arange(scheme.endpoints[-1] + 1))
-    widths = np.asarray(scheme.widths, dtype=np.float64)
-    beyond = np.prod(probs[:-1] ** widths) * probs[-1]
-    return float(pmf.sum() + beyond)
+    x_n = scheme.endpoints[-1]
+    return float(_head_pmf(probs, scheme, np.arange(x_n + 1)).sum() + simulate._survival(probs, scheme, x_n + 1))
 
 
 def check_total_mass(trials: int, seed: int) -> tuple[bool, str]:

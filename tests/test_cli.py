@@ -216,12 +216,18 @@ class TestTrainEval:
                            "(1e-07 from 0 or 1)"] if clamped else [])
         return clamped
 
-    @pytest.mark.parametrize("bias, clamped", [(20.0, 400), (-20.0, 0), (16.0, 0)])
-    def test_rows_predicted_at_the_clamp_are_counted(self, tmp_path, sim_csv, caplog, bias, clamped):
-        # a logit beyond 16.12 puts the vgeo probability at the upper clamp, which
-        # caps its odds p / (1 - p); the lower clamp moves the odds by about 1e-7
-        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.VGEO, None, 1.0,
-                      {"w": np.zeros((1, 4)), "b": np.array([bias])})
+    @pytest.mark.parametrize("head, bias, clamped",
+                             [("vgeo", 20.0, 400), ("vgeo", -20.0, 0), ("vgeo", 16.0, 0),
+                              ("wlr", 20.0, 400), ("binom", 20.0, 0)],
+                             ids=["20.0-400", "-20.0-0", "16.0-0", "wlr-20.0-400", "binom-20.0-0"])
+    def test_rows_predicted_at_the_clamp_are_counted(self, tmp_path, sim_csv, caplog, head, bias, clamped):
+        # a logit beyond 16.12 puts a probability at the upper clamp, which caps
+        # the odds p / (1 - p) that vgeo and wlr read; the lower clamp moves the
+        # odds by about 1e-7, and binom, with a closed tail, reads no odds
+        kind = HeadKind(head)
+        scheme = from_endpoints([5, 12], tail_open=False) if kind is HeadKind.BINOM else None
+        n = heads.arity(kind, scheme)
+        model = Model(FeatureSpec(hash_dim=4), 0, kind, scheme, 1.0, {"w": np.zeros((n, 4)), "b": np.full(n, bias)})
         assert self.eval_clamped(tmp_path, sim_csv, caplog, model) == clamped
 
     @pytest.mark.parametrize("bucket, clamped", [(0, 0), (1, 0), (2, 400)])
@@ -246,6 +252,37 @@ class TestTrainEval:
 
         report = json.loads((tmp_path / "e" / "report.json").read_text(), parse_constant=no_constant)
         assert report["pearson"] is None
+
+    def test_scale_whose_predictions_overflow_exits_2(self, tmp_path, capsys):
+        # at c = 1e-310 the predictions in raw units, predict / c, pass the float
+        # range; at c = 1e-300 odds capped near 1e7 do not, but the MAE's sum does.
+        # A RuntimeWarning would fail this test (pyproject's filterwarnings)
+        assert run("simulate", "--kind", "stationary", "--probs", "0.9", "--n", "50", "--out", tmp_path / "s") == 0
+        data, edir = tmp_path / "s" / "samples.csv", tmp_path / "e"
+        assert run("train", "--data", data, "--head", "vgeo", "--c", "1e-310", "--epochs", "2",
+                   "--out", tmp_path / "t") == 0
+        Model(FeatureSpec(hash_dim=4), 0, HeadKind.VGEO, None, 1e-300,
+              {"w": np.zeros((1, 4)), "b": np.array([20.0])}).save(tmp_path / "capped.json")
+        for model, c in ((tmp_path / "t" / "model.json", "1e-310"), (tmp_path / "capped.json", "1e-300")):
+            capsys.readouterr()
+            assert run("eval", "--data", data, "--model", model, "--out", edir) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and c in err[0]
+            assert not any((edir / name).exists() for name in ("report.json", "predictions.csv", "manifest.json"))
+
+    def test_pearson_of_tiny_watch_times(self, tmp_path):
+        # the unscaled deviations of watch times near 1e-200 underflow when squared
+        data = tmp_path / "tiny.csv"
+        data.write_text("sample_id,feat,watch_time\n"
+                        + "".join(f"{i},{'ab'[i % 2]},{i % 9 + 1}e-200\n" for i in range(40)), encoding="utf-8")
+        assert run("train", "--data", data, "--head", "vgeo", "--c", "1e200", "--epochs", "3", "--ratio", "0.8",
+                   "--out", tmp_path / "t") == 0
+        assert run("eval", "--data", data, "--model", tmp_path / "t" / "model.json", "--ratio", "0.8",
+                   "--out", tmp_path / "e") == 0
+        preds = [float(r["prediction"]) for r in read_rows(tmp_path / "e" / "predictions.csv")]
+        assert len(preds) == 8 and len(set(preds)) == 2
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert report["pearson"] == pytest.approx(0.0605, abs=1e-4)
 
     def test_target_beyond_int64_is_skipped(self, tmp_path, sim_csv, caplog):
         data = tmp_path / "big.csv"

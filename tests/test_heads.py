@@ -267,7 +267,7 @@ class TestGeoKernelMatchesReference:
 
     def test_log_sigmoid_and_sigmoid_exactly_equal(self):
         y = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, size=(257, 7)).ravel(),
-                            [-40.0, -0.0, 0.0, 40.0, 745.0, -745.0]])
+                            [-40.0, -0.0, 0.0, 40.0, 745.0, -745.0, np.inf, -np.inf]])
         assert_bit_equal(heads.log_sigmoid(y), reference_log_sigmoid(y))
         assert_bit_equal(heads.sigmoid(y), np.exp(reference_log_sigmoid(y)))
 

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from swat import metrics
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+# floats that any power of two up to 2**900 either way scales exactly
+moderate_floats = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
 
 
 class TestMae:
@@ -148,6 +150,20 @@ class TestPearson:
             return
         base = metrics.pearson(preds, targets)
         assert metrics.pearson(a * preds + b, targets) == pytest.approx(base, abs=1e-6)
+
+    @pytest.mark.parametrize("x_scale, y_scale", [(1e200, 1.0), (1e-200, 1.0), (1e160, 1e160)])
+    def test_extreme_scales(self, x_scale, y_scale):
+        # unscaled, the squared deviations overflow or underflow: 0.0, inf and NaN
+        x, y = np.array([1, 2, 3.5, 9]), np.array([1, 2, 4, 3.0])
+        assert metrics.pearson(x * x_scale, y * y_scale) == pytest.approx(0.5246774396826565, rel=1e-15)
+
+    @given(st.lists(st.tuples(moderate_floats, moderate_floats), min_size=2, max_size=40),
+           st.integers(-900, 900), st.integers(-900, 900))
+    def test_exact_under_powers_of_two(self, pairs, j, k):
+        a, b = map(np.asarray, zip(*pairs))
+        base = metrics.pearson(a, b)
+        scaled = metrics.pearson(np.ldexp(a, j), np.ldexp(b, k))
+        assert scaled == base or (np.isnan(scaled) and np.isnan(base))
 
 
 class TestEvaluate:
