@@ -56,7 +56,7 @@ def main():
             config = TrainConfig(head=head, scheme=scheme, hash_dim=hash_dim,
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model
-            rep = metrics.evaluate(model.predict_dataset(test_set)[0], test_set.raw_targets)
+            rep = metrics.evaluate(model.predict(test_set)[0], test_set.raw_targets)
             rows.append({
                 "requested_buckets": n_buckets,
                 "actual_buckets": scheme.n_buckets,

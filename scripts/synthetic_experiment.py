@@ -76,7 +76,7 @@ def fit_and_score(train_set, test_set, head, seed, hash_dim):
         scheme = from_percentiles(train_set.targets(), 5, tail_open=tail_open)
     config = TrainConfig(head=head, scheme=scheme, lr=2e-2, hash_dim=hash_dim, max_epochs=100, seed=seed)
     result = predictor.train(train_set, config)
-    preds, clamped = result.model.predict_dataset(test_set)
+    preds, clamped = result.model.predict(test_set)
     return metrics.evaluate(preds, test_set.raw_targets), result.stopped, clamped
 
 

@@ -42,6 +42,7 @@ class BucketScheme:
             prev = x
         if prev >= 2**63:  # the targets, seconds and draws are int64
             raise ValueError(f"endpoint {prev} is not below 2**63")
+        object.__setattr__(self, "endpoints", tuple(map(int, self.endpoints)))  # one form: Python ints
 
     @property
     def n_buckets(self) -> int:

@@ -212,7 +212,7 @@ def cmd_eval(args, run: Run) -> int:
     dataset = _load_dataset(args, run, part="test")
     if len(dataset) < 2:  # before anything is written
         raise ValueError(f"--data {args.data} leaves {len(dataset)} usable row to score; XAUC ranks pairs of rows")
-    preds, clamped = model.predict_dataset(dataset)
+    preds, clamped = model.predict(dataset)
     with np.errstate(over="ignore"):  # a sum of errors past the float range is reported below
         report = metrics.evaluate(preds, dataset.raw_targets) if np.isfinite(preds).all() else None
     if report is None or not (math.isfinite(report.mae) and math.isfinite(report.xauc)):

@@ -5,7 +5,7 @@ A dataset holds the usable rows of one CSV as columns: ids, raw targets,
 and the raw cells of each feature column.  Cells are tokenised only when a
 model encodes them, so reading the targets alone never tokenises; the
 encoder applies ``split_cell``'s rule through byte tables, and ``tokenize``
-serves only ``Dataset.samples`` (for the benchmark's tracer) and the tests.
+serves only ``Dataset.samples``, which only the benchmark's tracer reads.
 The integer targets the heads need are derived per dataset:
 ``Dataset.targets()`` = round(c * raw_target), half to even.  Rows whose
 target is unparseable, negative, not finite or scales beyond int64 are

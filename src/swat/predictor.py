@@ -266,18 +266,14 @@ class Model:
             grads |= {"w1": dz.T @ x, "b1": dz.sum(axis=0)}
         return grads
 
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expected watch times (scaled-target units) for feature rows, and which
-        rows read a probability at the clamp (``heads.expectation_batch``)."""
-        return heads.expectation_batch(self.head, self.forward_batch(x)[0], self.scheme)
-
-    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, int]:
-        """Expected watch times of the dataset's rows in raw units (``predict`` / c),
-        inf where that quotient overflows, and how many rows read a probability
-        at the clamp."""
+    def predict(self, dataset: Dataset) -> tuple[np.ndarray, int]:
+        """Expected watch times of the dataset's rows in raw units (the head's
+        ``heads.expectation_batch`` / c), inf where that quotient overflows, and
+        how many rows read a probability at the clamp."""
         bags, n = self.feature_spec.encode_dataset(dataset), len(dataset)
         blocks = np.split(np.arange(n), range(PREDICT_BLOCK, n, PREDICT_BLOCK))
-        preds, clamped = zip(*(self.predict(bags.rows(block)) for block in blocks))
+        preds, clamped = zip(*(heads.expectation_batch(self.head, self.forward_batch(bags.rows(block))[0],
+                                                       self.scheme) for block in blocks))
         with np.errstate(over="ignore"):
             return np.concatenate(preds) / self.c, int(np.concatenate(clamped).sum())
 
@@ -318,10 +314,13 @@ class Model:
         model = cls(spec, hidden, HeadKind(json_field(d, "head", str)), scheme, c)
         for key, shape in model.shapes().items():
             values = json_field(d, f"params.{key}", list)
+            # JSON numbers only: numpy would also read "1", true or [1] as a number
+            if len(values) != math.prod(shape) or not set(map(type, values)) <= {int, float}:
+                raise ValueError(f"field 'params.{key}' must be {math.prod(shape)} numbers")
             try:
-                model.params[key] = np.asarray(values, dtype=np.float64).reshape(shape)
-            except (TypeError, ValueError):
-                raise ValueError(f"field 'params.{key}' must be {math.prod(shape)} numbers") from None
+                model.params[key] = np.array(values, dtype=np.float64).reshape(shape)
+            except OverflowError:  # an integer past the float range
+                raise ValueError(f"non-finite parameters in artifact ({key})") from None
             if not np.all(np.isfinite(model.params[key])):
                 raise ValueError(f"non-finite parameters in artifact ({key})")
         return model
@@ -422,13 +421,11 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     grad_norms: list[float] = []  # each epoch's last batch gradient, the one Adam applied last
     param_norms: list[float] = []
     stopped = "max_epochs"
-    verbose = log.isEnabledFor(logging.INFO)  # the epoch line's timing
 
     # an overflow surfaces as a non-finite loss, which raises TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
-            if verbose:
-                started = time.perf_counter()
+            started = time.perf_counter()
             perm = rng.permutation(n)
             total = 0.0
             for bi, start in enumerate(range(0, n, config.batch_size)):
@@ -444,10 +441,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             epoch_losses.append(total / n)
             grad_norms.append(_norm(grads.values()))
             param_norms.append(_norm(model.params.values()))
-            if verbose:
-                log.info("epoch %d: mean loss %.6f, gradient norm %.6g, parameter norm %.6g, %.0f samples/s",
-                         epoch, epoch_losses[-1], grad_norms[-1], param_norms[-1],
-                         n / (time.perf_counter() - started))
+            log.info("epoch %d: mean loss %.6f, gradient norm %.6g, parameter norm %.6g, %.0f samples/s",
+                     epoch, epoch_losses[-1], grad_norms[-1], param_norms[-1], n / (time.perf_counter() - started))
             if epoch > 0:
                 prev, cur = epoch_losses[-2], epoch_losses[-1]
                 if abs(prev - cur) / max(abs(prev), 1e-12) < config.rel_tol:

@@ -113,10 +113,9 @@ def draw(profile: BehaviorProfile, n: int) -> np.ndarray:
 
 
 def _check_open_arity(probs, scheme: BucketScheme, what: str) -> None:
-    if not scheme.tail_open:
-        raise ValueError(f"{what} needs an open-tail scheme")
-    if len(probs) != scheme.n_buckets + 1:
-        raise ValueError(f"{what} needs {scheme.n_buckets + 1} probabilities, got {len(probs)}")
+    want = heads.arity(heads.HeadKind.GEO, scheme)  # the open-tail rule of the law geo fits
+    if len(probs) != want:
+        raise ValueError(f"{what} needs {want} probabilities, got {len(probs)}")
 
 
 def _survival(probs, scheme: BucketScheme, t: int) -> float:

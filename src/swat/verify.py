@@ -42,7 +42,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def _random_scheme(rng, max_buckets: int = 10, max_width: int = 30, tail_open: bool = True):
     n = int(rng.integers(1, max_buckets + 1))
     widths = rng.integers(1, max_width + 1, size=n)
-    return BucketScheme(tuple(np.cumsum(widths).tolist()), tail_open)
+    return BucketScheme(tuple(np.cumsum(widths)), tail_open)
 
 
 def check_gradients(trials: int, seed: int) -> dict[str, tuple[bool, str]]:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swat.buckets import BucketScheme, ablation_choice, from_endpoints, from_percentiles
+from swat.heads import HeadKind
+from swat.predictor import FeatureSpec, Model
 
 from conftest import schemes
 
@@ -246,6 +248,17 @@ class TestSerialization:
         path = tmp_path / "scheme.json"
         BucketScheme((5, 12, 22), True).save(path, 1)
         assert path.read_bytes() == b'{"c": 1.0, "endpoints": [5, 12, 22], "tail_open": true}\n'
+
+    @pytest.mark.parametrize("endpoints", [(np.int64(5), np.int64(12)), (5.0, 12.0)], ids=["int64", "float"])
+    def test_integral_endpoints_round_trip_as_ints(self, tmp_path, endpoints):
+        # any integral number is an endpoint, and every file writes it back as an integer
+        scheme = BucketScheme(endpoints, tail_open=True)
+        assert [type(x) for x in scheme.endpoints] == [int, int]
+        scheme.save(tmp_path / "scheme.json", 1.0)
+        assert BucketScheme.load(tmp_path / "scheme.json") == (scheme, 1.0)
+        model = Model.init(FeatureSpec(4), 0, HeadKind.GEO, scheme, 1.0, np.random.default_rng(0))
+        model.save(tmp_path / "model.json")
+        assert Model.load(tmp_path / "model.json").scheme == scheme
 
 
 class TestEdgeCases:

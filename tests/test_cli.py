@@ -909,7 +909,7 @@ class TestEpochLog:
         assert logged == [(row["epoch"], f"{float(row['mean_loss']):.6f}", f"{float(row['grad_norm']):.6g}",
                            f"{float(row['param_norm']):.6g}") for row in trace]
         assert not re.search(r"\bepoch \d+:", stderr[None])
-        for name in ("model.json", "loss_trace.csv"):  # the norms are computed at every level
+        for name in ("model.json", "loss_trace.csv"):  # the norms and the timing are computed at every level
             assert (tmp_path / "info" / name).read_bytes() == (tmp_path / "None" / name).read_bytes()
 
 
@@ -1078,6 +1078,15 @@ class TestMalformedArtifacts:
                                  "non-finite parameters in artifact (w)"),
         "text in params.b": (lambda d: d["params"]["b"].__setitem__(0, "x"),
                              "field 'params.b' must be 3 numbers"),
+        # numpy reads the first three as numbers and overflows on the last; no save writes any
+        "numeric text in params.b": (lambda d: d["params"].__setitem__("b", ["1", "0.5", "-2"]),
+                                     "field 'params.b' must be 3 numbers"),
+        "true in params.b": (lambda d: d["params"]["b"].__setitem__(0, True),
+                             "field 'params.b' must be 3 numbers"),
+        "nested params.w": (lambda d: d["params"].__setitem__("w", [[x] for x in d["params"]["w"]]),
+                            "field 'params.w' must be 12 numbers"),
+        "integer past the float range in params.b": (lambda d: d["params"]["b"].__setitem__(0, 10**400),
+                                                     "non-finite parameters in artifact (b)"),
         "no feature_spec": (lambda d: d.pop("feature_spec"), "missing field 'feature_spec.hash_dim'"),
         "negative feature seed": (lambda d: d["feature_spec"].__setitem__("seed", -1),
                                   "feature seed must be in [0, 2**64), got -1"),

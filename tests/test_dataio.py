@@ -21,6 +21,11 @@ def write_csv(path, rows, header="sample_id,feat,watch_time"):
     return path
 
 
+def namespaced(column, cell):
+    """The tokens of one feature cell as the encoder hashes them: ``column=token``."""
+    return [f"{column}={tok}" for tok in dataio.split_cell(cell)]
+
+
 SIM = DEFAULT_SCHEMAS["sim"]
 
 
@@ -46,7 +51,7 @@ class TestLoadCsv:
         schema = SchemaConfig("session_id", ("items",), "dwell_time")
         path = write_csv(tmp_path / "d.csv", ['s1,"i1 i2|i3",4.0'], header="session_id,items,dwell_time")
         ds = dataio.load_csv(path, schema, c=1)
-        assert dataio.tokenize("items", ds.features["items"][0]) == ["items=i1", "items=i2", "items=i3"]
+        assert namespaced("items", ds.features["items"][0]) == ["items=i1", "items=i2", "items=i3"]
 
     def test_target_beyond_int64_skipped_and_counted(self, tmp_path):
         rows = ["a,u1,1e30", "b,u2,2", "c,u3,1e308", "d,u4,nan", "e,u5,inf"]
@@ -316,7 +321,7 @@ class TestLoaderMatchesDictReader:
 
     @staticmethod
     def tokens(ds):
-        return [tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in dataio.tokenize(col, ds.features[col][i]))
+        return [tuple(tok for col in EQUIV_SCHEMA.feature_columns for tok in namespaced(col, ds.features[col][i]))
                 for i in range(len(ds))]
 
 

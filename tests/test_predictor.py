@@ -563,8 +563,8 @@ class TestArtifact:
         assert loaded.feature_spec == spec
         for key, value in model.params.items():
             assert np.array_equal(loaded.params[key], value)
-        x = rng.normal(size=(3, spec.hash_dim))
-        assert np.array_equal(model.predict(x)[0], loaded.predict(x)[0])
+        rows = Dataset(["0", "1", "2"], [0.0] * 3, {"feat": ["a b", "", "c|a"]})
+        assert np.array_equal(model.predict(rows)[0], loaded.predict(rows)[0])
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -597,7 +597,6 @@ class TestHiddenLayerTraining:
         cfg = TrainConfig(head=HeadKind.VGEO, hash_dim=16, hidden=8, lr=5e-3,
                           batch_size=256, max_epochs=150, rel_tol=1e-8, seed=3)
         model = predictor.train(ds, cfg).model
-        pred_a = model.predict(encode_tokens(model.feature_spec, ("a",)))[0][0]
-        pred_b = model.predict(encode_tokens(model.feature_spec, ("b",)))[0][0]
+        pred_a, pred_b = model.predict(Dataset(["a", "b"], [0.0, 0.0], {"feat": ["a", "b"]}))[0]
         assert pred_a == pytest.approx(1.0, abs=0.15)   # odds of 0.5
         assert pred_b == pytest.approx(9.0, rel=0.15)   # odds of 0.9

@@ -49,7 +49,7 @@ def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
         if part is None:
             assert counts is None  # buckets reads the targets only
         else:
-            tokens = sum(len(dataio.tokenize("feat", cell)) for cell in part.features["feat"])
+            tokens = sum(len(dataio.split_cell(cell)) for cell in part.features["feat"])
             assert tokens > len(part)
             assert counts == {"calls": 1, "tokens": tokens}
 
