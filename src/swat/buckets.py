@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ class BucketScheme:
             raise ValueError("bucket scheme needs at least one endpoint")
         prev = 0
         for x in self.endpoints:
-            if int(x) != x:
+            if not -inf < x < inf or int(x) != x:  # nan and +-inf have no int
                 raise ValueError(f"endpoint {x!r} is not an integer")
             if x <= prev:
                 raise ValueError(
@@ -43,15 +43,12 @@ class BucketScheme:
         if prev >= 2**63:  # the targets, seconds and draws are int64
             raise ValueError(f"endpoint {prev} is not below 2**63")
         object.__setattr__(self, "endpoints", tuple(map(int, self.endpoints)))  # one form: Python ints
+        # not a field, so asdict, equality and hashing see the endpoints alone
+        object.__setattr__(self, "widths", tuple(b - a for a, b in zip((0,) + self.endpoints, self.endpoints)))
 
     @property
     def n_buckets(self) -> int:
         return len(self.endpoints)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        xs = (0,) + self.endpoints
-        return tuple(xs[i + 1] - xs[i] for i in range(len(self.endpoints)))
 
     @classmethod
     def from_dict(cls, d, prefix: str = "") -> "BucketScheme":
@@ -89,7 +86,7 @@ def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:
     values = list(raw)
     if not values:
         raise ValueError("no endpoints given")
-    kept = sorted({int(v) for v in values if v >= 1})
+    kept = sorted({v for v in values if v >= 1})  # the scheme checks that each is an integer
     if not kept:
         raise ValueError(f"no positive endpoint among {values}")
     return BucketScheme(tuple(kept), tail_open)

@@ -33,6 +33,7 @@ import itertools
 import logging
 import math
 import time
+from base64 import b64decode, b64encode
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,9 +45,9 @@ from .heads import HeadKind
 
 log = logging.getLogger(__name__)
 
-# 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once;
-# 5: token slots from the FNV-1a/fmix64 hash; 6: token slots from the polynomial hash
-ARTIFACT_VERSION = 6
+# 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once; 5: FNV-1a/fmix64
+# slots; 6: polynomial-hash slots; 7: each parameter array as base64 of its little-endian float64 bytes
+ARTIFACT_VERSION = 7
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -285,7 +286,7 @@ class Model:
             "head": self.head.value,
             "scheme": asdict(self.scheme) if self.scheme is not None else None,
             "c": float(self.c),  # a JSON float, as the loader requires
-            "params": {k: v.ravel().tolist() for k, v in sorted(self.params.items())},
+            "params": {k: b64encode(v.astype("<f8").tobytes()).decode() for k, v in sorted(self.params.items())},
         }
 
     def save(self, path) -> None:
@@ -313,14 +314,10 @@ class Model:
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme, "scheme.")
         model = cls(spec, hidden, HeadKind(json_field(d, "head", str)), scheme, c)
         for key, shape in model.shapes().items():
-            values = json_field(d, f"params.{key}", list)
-            # JSON numbers only: numpy would also read "1", true or [1] as a number
-            if len(values) != math.prod(shape) or not set(map(type, values)) <= {int, float}:
-                raise ValueError(f"field 'params.{key}' must be {math.prod(shape)} numbers")
-            try:
-                model.params[key] = np.array(values, dtype=np.float64).reshape(shape)
-            except OverflowError:  # an integer past the float range
-                raise ValueError(f"non-finite parameters in artifact ({key})") from None
+            raw, n = b64decode(json_field(d, f"params.{key}", str), validate=True), math.prod(shape)
+            if len(raw) != 8 * n:
+                raise ValueError(f"field 'params.{key}' must hold {n} float64 values, got {len(raw)} bytes")
+            model.params[key] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
             if not np.all(np.isfinite(model.params[key])):
                 raise ValueError(f"non-finite parameters in artifact ({key})")
         return model

@@ -266,6 +266,20 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="not an integer"):
             BucketScheme((5.5, 12))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_endpoint_is_not_an_integer(self, bad):
+        # int() of these raises OverflowError or its own ValueError; the scheme names the endpoint
+        with pytest.raises(ValueError, match=f"^endpoint {bad!r} is not an integer$"):
+            BucketScheme((5, bad))
+        if bad > 0:  # from_endpoints drops what is not >= 1, nan included
+            with pytest.raises(ValueError, match=f"^endpoint {bad!r} is not an integer$"):
+                from_endpoints([5, bad])
+
+    def test_from_endpoints_rejects_a_fraction_instead_of_truncating_it(self):
+        with pytest.raises(ValueError, match="^endpoint 5.5 is not an integer$"):
+            from_endpoints([5.5, 12])
+        assert from_endpoints([12.0, 5, 5.0]).endpoints == (5, 12)
+
     def test_choice_5_refines_tail_finer_than_choice_4(self):
         rng = np.random.default_rng(3)
         targets = np.concatenate([rng.integers(1, 50, 960), rng.integers(50, 5000, 40)]).tolist()

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import json
@@ -5,8 +6,10 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1022,9 +1025,17 @@ class TestUnreadablePaths:
         assert str(paths[case.rsplit(" ", 1)[1]]) in err
 
 
+def with_bytes(key, edit=lambda raw: raw, retext=lambda text: text):
+    """A model edit that sets params[key] to retext(the base64 of edit(its decoded bytes))."""
+    def apply(d):
+        d["params"][key] = retext(base64.b64encode(edit(base64.b64decode(d["params"][key]))).decode())
+    return apply
+
+
 class TestMalformedArtifacts:
     """A scheme or model JSON that lacks a field or holds one of the wrong
-    type exits 2 naming the file and the field."""
+    type exits 2 naming the file and the field; a params entry that is not
+    base64 names the file and binascii's cause."""
 
     SCHEMES = {
         "empty object": ("{}", "missing field 'endpoints'"),
@@ -1070,23 +1081,28 @@ class TestMalformedArtifacts:
     MODELS = {
         "no params.b": (lambda d: d["params"].pop("b"), "missing field 'params.b'"),
         "no params": (lambda d: d.pop("params"), "missing field 'params.w'"),
-        "short params.w": (lambda d: d["params"]["w"].pop(), "field 'params.w' must be 12 numbers"),
-        # json reads NaN and Infinity as floats
-        "NaN in params.w": (lambda d: d["params"]["w"].__setitem__(0, float("nan")),
+        # params.w holds 12 float64 values and params.b 3, as base64 of their little-endian bytes
+        "short params.w": (with_bytes("w", lambda raw: raw[:-8]),
+                           "field 'params.w' must hold 12 float64 values, got 88 bytes"),
+        "extra float in params.w": (with_bytes("w", lambda raw: raw + bytes(8)),
+                                    "field 'params.w' must hold 12 float64 values, got 104 bytes"),
+        "NaN in params.w": (with_bytes("w", lambda raw: struct.pack("<d", math.nan) + raw[8:]),
                             "non-finite parameters in artifact (w)"),
-        "Infinity in params.w": (lambda d: d["params"]["w"].__setitem__(0, float("inf")),
+        "Infinity in params.w": (with_bytes("w", lambda raw: struct.pack("<d", math.inf) + raw[8:]),
                                  "non-finite parameters in artifact (w)"),
-        "text in params.b": (lambda d: d["params"]["b"].__setitem__(0, "x"),
-                             "field 'params.b' must be 3 numbers"),
-        # numpy reads the first three as numbers and overflows on the last; no save writes any
-        "numeric text in params.b": (lambda d: d["params"].__setitem__("b", ["1", "0.5", "-2"]),
-                                     "field 'params.b' must be 3 numbers"),
-        "true in params.b": (lambda d: d["params"]["b"].__setitem__(0, True),
-                             "field 'params.b' must be 3 numbers"),
-        "nested params.w": (lambda d: d["params"].__setitem__("w", [[x] for x in d["params"]["w"]]),
-                            "field 'params.w' must be 12 numbers"),
-        "integer past the float range in params.b": (lambda d: d["params"]["b"].__setitem__(0, 10**400),
-                                                     "non-finite parameters in artifact (b)"),
+        "format 6 list in params.w": (lambda d: d["params"].__setitem__("w", [0.5] * 12),
+                                      "field 'params.w' has the wrong type (list)"),
+        "nested params.w": (lambda d: d["params"].__setitem__("w", [[0.5]] * 12),
+                            "field 'params.w' has the wrong type (list)"),
+        "true in params.b": (lambda d: d["params"].__setitem__("b", True),
+                             "field 'params.b' has the wrong type (bool)"),
+        # binascii's messages; read_json names the file
+        "character outside base64 in params.b": (with_bytes("b", retext=lambda text: "!" + text[1:]),
+                                                 "Only base64 data is allowed"),
+        "whitespace in params.b": (with_bytes("b", retext=lambda text: text[:8] + "\n" + text[8:]),
+                                   "Only base64 data is allowed"),
+        "missing padding in params.b": (with_bytes("b", lambda raw: raw[:16], lambda text: text.rstrip("=")),
+                                        "Incorrect padding"),
         "no feature_spec": (lambda d: d.pop("feature_spec"), "missing field 'feature_spec.hash_dim'"),
         "negative feature seed": (lambda d: d["feature_spec"].__setitem__("seed", -1),
                                   "feature seed must be in [0, 2**64), got -1"),
@@ -1115,6 +1131,20 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert run("eval", "--data", sim_csv, "--model", path, "--out", tmp_path / "e") == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_short_params_of_a_huge_declared_shape_exit_2_without_allocating_it(self, tmp_path, sim_csv, capsys):
+        # w would be (3, 2**40) float64s, 26 TiB; its length is checked against the declared shape first
+        path = self._model_with(tmp_path, sim_csv, lambda d: d["feature_spec"].__setitem__("hash_dim", 2**40))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run("eval", "--data", sim_csv, "--model", path, "--out", tmp_path / "e") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"error: {path}: field 'params.w' must hold {3 * 2**40} float64 values, got 96 bytes" in (
+            capsys.readouterr().err)
+        assert peak < 2**20
 
     def test_model_that_is_a_list_exits_2(self, tmp_path, sim_csv, capsys):
         path = tmp_path / "list.json"

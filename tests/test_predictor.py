@@ -566,6 +566,32 @@ class TestArtifact:
         rows = Dataset(["0", "1", "2"], [0.0] * 3, {"feat": ["a b", "", "c|a"]})
         assert np.array_equal(model.predict(rows)[0], loaded.predict(rows)[0])
 
+    # values whose bytes a lossy writer or reader would change: signed zeros, subnormals,
+    # the largest finite floats, and float32 values as training leaves them
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(np.float64).max,
+             -np.finfo(np.float64).max, float(np.float32(0.1)), float(np.finfo(np.float32).max)]
+    FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+    @given(st.sampled_from([(HeadKind.GEO, OPEN), (HeadKind.BINOM, CLOSED), (HeadKind.VGEO, None)]),
+           st.integers(0, 3), st.integers(2, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parameters_round_trip_bit_for_bit(self, tmp_path_factory, head_scheme, hidden, hash_dim, data):
+        head, scheme = head_scheme
+        model = Model(FeatureSpec(hash_dim), hidden, head, scheme, 1.5)
+        model.params = {key: np.array(data.draw(st.lists(self.FLOATS, min_size=math.prod(shape),
+                                                          max_size=math.prod(shape))), np.float64).reshape(shape)
+                        for key, shape in model.shapes().items()}
+        path = tmp_path_factory.mktemp("m") / "model.json"
+        model.save(path)
+        loaded = Model.load(path)
+        for key, value in model.params.items():  # tobytes, as array_equal cannot tell -0.0 from 0.0
+            assert loaded.params[key].shape == value.shape
+            assert loaded.params[key].tobytes() == value.tobytes()
+        saved = path.read_bytes()
+        loaded.save(path)
+        assert path.read_bytes() == saved
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 99}', encoding="utf-8")
@@ -579,7 +605,8 @@ class TestArtifact:
         model.save(tmp_path / "model.json")
         assert (tmp_path / "model.json").read_bytes() == (
             b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": %d, '
-            b'"head": "binom", "hidden": 0, "params": {"b": [0.1], "w": [0.5, -1.25]}, '
+            # base64 of the little-endian float64 bytes of 0.1, and of 0.5 and -1.25
+            b'"head": "binom", "hidden": 0, "params": {"b": "mpmZmZmZuT8=", "w": "AAAAAAAA4D8AAAAAAAD0vw=="}, '
             b'"scheme": {"endpoints": [3], "tail_open": false}}\n' % predictor.ARTIFACT_VERSION)
 
 
