@@ -18,7 +18,7 @@ import sys
 
 from synthetic_experiment import group_width, mixed_dataset
 
-from swat import dataio, heads, metrics, predictor
+from swat import dataio, metrics, predictor
 from swat.buckets import from_percentiles
 from swat.heads import HeadKind
 from swat.predictor import TrainConfig
@@ -51,8 +51,8 @@ def main():
 
     rows = []
     for n_buckets, step in sorted(STEPS.items()):
+        scheme = from_percentiles(train_targets, step)
         for head in (HeadKind.BINOM, HeadKind.GEO):
-            scheme = from_percentiles(train_targets, step, tail_open=heads.HEADS[head].tail_open)
             config = TrainConfig(head=head, scheme=scheme, hash_dim=hash_dim,
                                  max_epochs=args.epochs, seed=args.seed)
             model = predictor.train(train_set, config).model

@@ -33,9 +33,8 @@ def group_profiles(kind, seed):
         Behavior.FOCUSED: np.array([0.97, 0.93, 0.85, 0.5]),
         Behavior.STATIONARY: np.array([0.9]),
     }[kind]
-    # each population's scheme has the tail of the head that models it, or is none
-    tail_open = heads.HEADS[simulate.HEAD_OF[kind]].tail_open
-    scheme = None if tail_open is None else BucketScheme(ENDPOINTS, tail_open)
+    # each population has a scheme when the head that models it takes one
+    scheme = None if heads.HEADS[simulate.HEAD_OF[kind]].tail_open is None else BucketScheme(ENDPOINTS)
     for g, (token, factor) in enumerate(GROUPS.items()):
         probs = tuple(np.clip(base * factor, 0.02, 0.995))
         yield token, BehaviorProfile(kind, probs, scheme, seed + g)
@@ -71,9 +70,8 @@ def fit_and_score(train_set, test_set, head, seed, hash_dim):
     """The head's report on the test rows, how its fit stopped and how many
     test rows it predicted from a probability at the clamp."""
     scheme = None
-    tail_open = heads.HEADS[head].tail_open
-    if tail_open is not None:
-        scheme = from_percentiles(train_set.targets(), 5, tail_open=tail_open)
+    if heads.HEADS[head].tail_open is not None:
+        scheme = from_percentiles(train_set.targets(), 5)
     config = TrainConfig(head=head, scheme=scheme, lr=2e-2, hash_dim=hash_dim, max_epochs=100, seed=seed)
     result = predictor.train(train_set, config)
     preds, clamped = result.model.predict(test_set)

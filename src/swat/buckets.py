@@ -1,9 +1,9 @@
 """Bucketization of the video horizon.
 
 A scheme is a strictly increasing list of integer endpoints x_1 < ... < x_N
-partitioning [0, inf) into buckets B_i = (x_{i-1}, x_i] with x_0 = 0.  When
-``tail_open`` is set, the unbounded bucket (x_N, inf) participates as bucket
-N+1 (geometric-style heads); otherwise watch times beyond x_N clip to bucket N.
+partitioning [0, inf) into buckets B_i = (x_{i-1}, x_i] with x_0 = 0 and the
+open bucket (x_N, inf).  Whether a law reads that open bucket is up to its
+head (``heads.HEADS``), not the scheme.
 
 The percentile constructors take the targets as a sequence or an array and
 sort them with ``np.sort``.
@@ -26,7 +26,6 @@ class BucketScheme:
     """Immutable bucketization; all operations are pure."""
 
     endpoints: tuple[int, ...]
-    tail_open: bool = False
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -52,15 +51,15 @@ class BucketScheme:
 
     @classmethod
     def from_dict(cls, d, prefix: str = "") -> "BucketScheme":
-        """Inverse of ``dataclasses.asdict``; ValueError naming the field that is missing
-        or ill-typed, by its path in the document when ``prefix`` gives the
-        scheme's (``"scheme."`` inside a model)."""
+        """Inverse of ``dataclasses.asdict``, which ignores any other key; ValueError
+        naming the field that is missing or ill-typed, by its path in the
+        document when ``prefix`` gives the scheme's (``"scheme."`` inside a model)."""
         if not isinstance(d, dict):
             raise ValueError(f"a scheme is a JSON object, got {type(d).__name__}")
         endpoints = dataio.json_field(d, "endpoints", list, prefix)
         if not all(type(x) is int for x in endpoints):
             raise ValueError(f"field '{prefix}endpoints' must be a list of integers")
-        return cls(tuple(endpoints), dataio.json_field(d, "tail_open", bool, prefix))
+        return cls(tuple(endpoints))
 
     def save(self, path, c: float) -> None:
         """Write the scheme and ``c``, the target scale its endpoints were built at."""
@@ -81,7 +80,7 @@ class BucketScheme:
         return dataio.read_json(path, parse)
 
 
-def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:
+def from_endpoints(raw: Iterable[int]) -> BucketScheme:
     """Build a scheme from raw endpoint candidates: sort, dedup, keep positives."""
     values = list(raw)
     if not values:
@@ -89,7 +88,7 @@ def from_endpoints(raw: Iterable[int], tail_open: bool = False) -> BucketScheme:
     kept = sorted({v for v in values if v >= 1})  # the scheme checks that each is an integer
     if not kept:
         raise ValueError(f"no positive endpoint among {values}")
-    return BucketScheme(tuple(kept), tail_open)
+    return BucketScheme(tuple(kept))
 
 
 def check_percent_step(percent_step) -> Fraction:
@@ -133,8 +132,7 @@ def _sorted(targets: Sequence[int] | np.ndarray) -> np.ndarray:
     return srt
 
 
-def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step,
-                     tail_open: bool = False) -> BucketScheme:
+def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step) -> BucketScheme:
     """Endpoints at the percent_step, 2*percent_step, ..., 100 percentiles.
 
     The targets are a sequence or an array; they are sorted in numpy.  The
@@ -145,7 +143,7 @@ def from_percentiles(targets: Sequence[int] | np.ndarray, percent_step,
     # a step below 100/n skips no sorted target, so 100/n gives the same scheme
     # with n grid points instead of 100/step
     step = max(check_percent_step(percent_step), Fraction(100, len(srt)))
-    return from_endpoints(_percentile_values(srt, _grid(step)), tail_open)
+    return from_endpoints(_percentile_values(srt, _grid(step)))
 
 
 # choice -> (grid step, the percentile the grid goes up to, the grid step above it)
@@ -153,8 +151,7 @@ ABLATIONS = {1: (5, 100, None), 2: (2, 100, None), 3: (1, 100, None),
               4: (2, 96, 5), 5: (2, 96, 2), 6: (1, 90, 1)}
 
 
-def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
-                    tail_open: bool = False) -> BucketScheme:
+def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int) -> BucketScheme:
     """One of six endpoint constructions over the target distribution.
 
     1: 5-percentile grid
@@ -170,8 +167,8 @@ def ablation_choice(targets: Sequence[int] | np.ndarray, choice: int,
         raise ValueError(f"choice must be one of {sorted(ABLATIONS)}, got {choice}")
     step, upto, top_step = ABLATIONS[choice]
     if upto == 100:
-        return from_percentiles(srt, step, tail_open)
+        return from_percentiles(srt, step)
     head = _percentile_values(srt, _grid(Fraction(step), upto))
     top = srt[ceil(Fraction(upto) * len(srt) / 100):]
     tail = _percentile_values(top, _grid(Fraction(top_step))) if len(top) else [int(round(srt[-1]))]
-    return from_endpoints(head + tail, tail_open)
+    return from_endpoints(head + tail)

@@ -138,15 +138,12 @@ def _load_dataset(args, run: Run, part: str, *, targets_only: bool = False) -> d
     return dataset
 
 
-def _scheme(args, run: Run, head: HeadKind) -> tuple[BucketScheme | None, float | None]:
+def _scheme(args, run: Run) -> tuple[BucketScheme | None, float | None]:
     """The scheme of --scheme, an input of ``run``, and the c it was built at,
-    else the scheme of --endpoints with the tail ``head`` reads and no c, else
-    neither."""
+    else the scheme of --endpoints and no c, else neither."""
     if args.scheme is not None:
         return BucketScheme.load(run.read(args.scheme))
-    if args.endpoints is None:
-        return None, None
-    return from_endpoints(args.endpoints, tail_open=bool(heads.HEADS[head].tail_open)), None
+    return (None if args.endpoints is None else from_endpoints(args.endpoints)), None
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ def cmd_buckets(args, run: Run) -> int:
     if args.endpoints is not None:
         if (args.choice, args.percent_step, args.ratio) != (None, None, None):
             raise ValueError("--choice, --percent-step and --ratio apply only with --data, not with --endpoints")
-        scheme = from_endpoints(args.endpoints, tail_open=args.tail_open)
+        scheme = from_endpoints(args.endpoints)
     else:
         if args.choice is None:
             if args.percent_step is None:
@@ -167,9 +164,9 @@ def cmd_buckets(args, run: Run) -> int:
             check_percent_step(args.percent_step)  # before the data is read
         targets = _load_dataset(args, run, part="train", targets_only=True).targets()
         if args.choice is not None:
-            scheme = ablation_choice(targets, args.choice, tail_open=args.tail_open)
+            scheme = ablation_choice(targets, args.choice)
         else:
-            scheme = from_percentiles(targets, args.percent_step, tail_open=args.tail_open)
+            scheme = from_percentiles(targets, args.percent_step)
     scheme_path = run.output("scheme.json")
     scheme.save(scheme_path, c)
     print(f"buckets: N={scheme.n_buckets} endpoints={','.join(map(str, scheme.endpoints))}")
@@ -179,7 +176,7 @@ def cmd_buckets(args, run: Run) -> int:
 
 def cmd_train(args, run: Run) -> int:
     head = HeadKind(args.head)
-    scheme, scheme_c = _scheme(args, run, head)
+    scheme, scheme_c = _scheme(args, run)
     if scheme_c is not None:
         _take_c(args, scheme_c, f"the scheme's c {scheme_c}, the scale it was built at")
     # TrainConfig checks every setting, so before the data is read
@@ -235,7 +232,7 @@ def cmd_eval(args, run: Run) -> int:
 
 def cmd_simulate(args, run: Run) -> int:
     kind = simulate.Behavior(args.kind)
-    scheme, _ = _scheme(args, run, simulate.HEAD_OF[kind])  # the draws are in seconds: no c
+    scheme, _ = _scheme(args, run)  # the draws are in seconds: no c
     profile = simulate.BehaviorProfile(kind, tuple(args.probs), scheme, args.seed)
     totals = simulate.draw(profile, args.n)
     csv_path = run.output("samples.csv")
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--scheme", help="scheme JSON path")
         source.add_argument("--endpoints", type=_list_of(int),
-                            help="inline scheme, e.g. 5,12,22 (tail set by the head or kind)")
+                            help="inline scheme, e.g. 5,12,22")
 
     p = sub.add_parser("buckets", help="construct a bucket scheme")
     source = p.add_mutually_exclusive_group(required=True)
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     construction.add_argument("--percent-step", type=float, default=None,
                               help="percentile grid step (default 1) when --choice is absent")
     p.add_argument("--tail-open", action="store_true",
-                   help="include the unbounded tail bucket (geometric heads)")
+                   help="ignored: the head decides whether it reads the open bucket past the last endpoint")
     p.add_argument("--out", default="buckets_out")
     p.set_defaults(fn=cmd_buckets)
 

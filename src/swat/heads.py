@@ -83,7 +83,8 @@ def log_sigmoid(y) -> np.ndarray:
     """
     y = _floating(y)
     out = np.minimum(y, 0.0, out=np.empty(y.shape, y.dtype))
-    tail = np.copysign(y, -1.0, out=np.empty(y.shape, y.dtype))
+    tail = np.abs(y, out=np.empty(y.shape, y.dtype))
+    np.negative(tail, out=tail)
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
     return np.subtract(out, tail, out=out)
@@ -198,8 +199,9 @@ def geo_expectation_batch(probs: np.ndarray, scheme: BucketScheme | None) -> np.
 class Head:
     """What the pipeline needs to know about one head.
 
-    ``tail_open`` is the scheme tail the head needs: None for no scheme, False
-    for a closed tail (N probabilities), True for an open one (N + 1).
+    ``tail_open`` is None for a head that takes no scheme; True when the open
+    bucket (x_N, inf) joins as bucket N + 1 (N + 1 probabilities, geometric
+    heads); False when watch times beyond x_N clip to bucket N (N of them).
     ``encode(scheme, t, dtype)`` turns an int64 batch of watch times into the
     successes and failures (s, f) that ``bernoulli_loss_batch`` reads against
     logits of float ``dtype``; ``prior`` says whether their sums give the
@@ -234,16 +236,16 @@ HEADS: dict[HeadKind, Head] = {
 def arity(kind: HeadKind, scheme: BucketScheme | None) -> int:
     """Logits per sample; raises ValueError when the scheme does not suit the head."""
     tail_open = HEADS[kind].tail_open
-    if tail_open is None:
-        if scheme is not None:
-            raise ValueError(f"{kind.value} head takes no bucket scheme")
-        return 1
-    if scheme is None:
+    if tail_open is None and scheme is not None:
+        raise ValueError(f"{kind.value} head takes no bucket scheme")
+    if tail_open is not None and scheme is None:
         raise ValueError(f"{kind.value} head needs a bucket scheme")
-    if scheme.tail_open != tail_open:
-        need = "an open" if tail_open else "a closed"
-        raise ValueError(f"{kind.value} head needs {need}-tail scheme (tail_open={tail_open})")
-    return scheme.n_buckets + tail_open
+    return 1 if scheme is None else scheme.n_buckets + tail_open
+
+
+def clipped(kind: HeadKind, targets, scheme: BucketScheme | None = None) -> int:
+    """How many watch times the head clips to bucket N: those past x_N, when its tail is closed."""
+    return int(np.count_nonzero(targets > scheme.endpoints[-1])) if HEADS[kind].tail_open is False else 0
 
 
 def _checked(kind: HeadKind, logits, scheme: BucketScheme | None) -> np.ndarray:

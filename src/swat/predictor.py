@@ -29,6 +29,7 @@ after training (scoring, the estimators and the artifact) works in float64.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import logging
 import math
@@ -46,8 +47,9 @@ from .heads import HeadKind
 log = logging.getLogger(__name__)
 
 # 2: geo stop factor of second t + 1; 3: token features only; 4: c, each setting once; 5: FNV-1a/fmix64
-# slots; 6: polynomial-hash slots; 7: each parameter array as base64 of its little-endian float64 bytes
-ARTIFACT_VERSION = 7
+# slots; 6: polynomial-hash slots; 7: each parameter array as base64 of its little-endian float64 bytes;
+# 8: the scheme is its endpoints alone, its head decides the open tail
+ARTIFACT_VERSION = 8
 PREDICT_BLOCK = 4096  # rows scored at once, which bounds the estimators' temporaries
 
 
@@ -314,7 +316,10 @@ class Model:
         scheme = None if raw_scheme is None else BucketScheme.from_dict(raw_scheme, "scheme.")
         model = cls(spec, hidden, HeadKind(json_field(d, "head", str)), scheme, c)
         for key, shape in model.shapes().items():
-            raw, n = b64decode(json_field(d, f"params.{key}", str), validate=True), math.prod(shape)
+            try:
+                raw, n = b64decode(json_field(d, f"params.{key}", str), validate=True), math.prod(shape)
+            except binascii.Error as exc:
+                raise ValueError(f"field 'params.{key}' must be base64 ({exc})") from None
             if len(raw) != 8 * n:
                 raise ValueError(f"field 'params.{key}' must hold {n} float64 values, got {len(raw)} bytes")
             model.params[key] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
@@ -408,9 +413,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     model.params[model.output[1]] = np.where(np.isfinite(prior), prior, 0.0)
     model.params = {key: value.astype(np.float32) for key, value in model.params.items()}
     bags = spec.encode_dataset(dataset)
-    clipped = 0
-    if heads.HEADS[config.head].tail_open is False:
-        clipped = int(np.count_nonzero(targets > config.scheme.endpoints[-1]))
+    clipped = heads.clipped(config.head, targets, config.scheme)
 
     optimizer = AdamState(model.params, config.lr)
     n = len(dataset)

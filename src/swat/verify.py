@@ -39,10 +39,10 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
-def _random_scheme(rng, max_buckets: int = 10, max_width: int = 30, tail_open: bool = True):
+def _random_scheme(rng, max_buckets: int = 10, max_width: int = 30):
     n = int(rng.integers(1, max_buckets + 1))
     widths = rng.integers(1, max_width + 1, size=n)
-    return BucketScheme(tuple(np.cumsum(widths)), tail_open)
+    return BucketScheme(tuple(np.cumsum(widths)))
 
 
 def check_gradients(trials: int, seed: int) -> dict[str, tuple[bool, str]]:
@@ -50,12 +50,11 @@ def check_gradients(trials: int, seed: int) -> dict[str, tuple[bool, str]]:
     results = {}
     for kind in HeadKind:
         rng = np.random.default_rng(seed)
-        tail_open = heads.HEADS[kind].tail_open
         worst = 0.0
         for _ in range(trials):
             # every head draws a scheme, which also bounds t; one that reads none gets None
-            drawn = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=bool(tail_open))
-            scheme = None if tail_open is None else drawn
+            drawn = _random_scheme(rng, max_buckets=6, max_width=12)
+            scheme = None if heads.HEADS[kind].tail_open is None else drawn
             y = rng.uniform(-40.0, 40.0, size=heads.arity(kind, scheme))
             t = int(rng.integers(0, drawn.endpoints[-1] + 5))
             grad = _losses(kind, scheme, y[None, :], t)[1][0]
@@ -105,7 +104,7 @@ def check_label_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     checked = 0
     for _ in range(trials):
-        scheme = _random_scheme(rng, max_buckets=8, max_width=25, tail_open=False)
+        scheme = _random_scheme(rng, max_buckets=8, max_width=25)
         ts = np.arange(scheme.endpoints[-1] + 1)
         wrong = ts[np.rint(heads.HEADS[HeadKind.BINOM].expectation(labels.matrix(scheme, ts), scheme)) != ts]
         if len(wrong):
@@ -118,17 +117,16 @@ def check_gradient_bounds(trials: int, seed: int) -> tuple[bool, str]:
     """binom gradients within [-1, 1]; geo component i <= N within width_i."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        scheme = _random_scheme(rng, max_buckets=6, max_width=12, tail_open=False)
+        scheme = _random_scheme(rng, max_buckets=6, max_width=12)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
         grad = _losses(HeadKind.BINOM, scheme, y[None, :], t)[1][0]
         i = int(np.argmax(np.abs(grad) > 1.0))  # the first component past its bound, if any
         if abs(grad[i]) > 1.0:
             return False, f"binom gradient component {i} ({grad[i]:.4g}) escapes [-1, 1]"
-        open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-8.0, 8.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 10))
-        grad = _losses(HeadKind.GEO, open_scheme, y[None, :], t)[1][0]
+        grad = _losses(HeadKind.GEO, scheme, y[None, :], t)[1][0]
         i = int(np.argmax(np.abs(grad[: scheme.n_buckets]) > scheme.widths))
         if abs(grad[i]) > scheme.widths[i]:
             return False, (f"geo gradient component {i} ({grad[i]:.4g}) escapes width bounds "
@@ -145,7 +143,7 @@ def _geo_mass(probs: np.ndarray, scheme: BucketScheme) -> float:
 def check_total_mass(trials: int, seed: int) -> tuple[bool, str]:
     """The fitted geo law sums to 1 for uniform and random profiles."""
     rng = np.random.default_rng(seed)
-    worst = abs(_geo_mass(np.full(4, 0.37), from_endpoints([4, 9, 15], tail_open=True)) - 1.0)
+    worst = abs(_geo_mass(np.full(4, 0.37), from_endpoints([4, 9, 15])) - 1.0)
     for _ in range(trials):
         s = _random_scheme(rng, max_buckets=6, max_width=10)
         mass = _geo_mass(rng.uniform(0.05, 0.95, size=s.n_buckets + 1), s)

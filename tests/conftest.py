@@ -10,11 +10,10 @@ from swat.heads import HeadKind
 
 
 @st.composite
-def schemes(draw, max_buckets=8, max_width=25, tail_open=None):
+def schemes(draw, max_buckets=8, max_width=25):
     """Random bucket schemes via positive widths."""
     widths = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=max_buckets))
-    tail = draw(st.booleans()) if tail_open is None else tail_open
-    return BucketScheme(tuple(np.cumsum(widths).tolist()), tail)
+    return BucketScheme(tuple(np.cumsum(widths).tolist()))
 
 
 def constant_feature_dataset(targets, c=1.0):

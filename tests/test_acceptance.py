@@ -29,9 +29,9 @@ def report(criterion, name, ok, detail):
     assert ok, f"criterion {criterion} ({name}): {detail}"
 
 
-def random_scheme(rng, max_buckets, max_width, tail_open):
+def random_scheme(rng, max_buckets, max_width):
     widths = rng.integers(1, max_width + 1, size=rng.integers(1, max_buckets + 1))
-    return BucketScheme(tuple(np.cumsum(widths).tolist()), tail_open)
+    return BucketScheme(tuple(np.cumsum(widths).tolist()))
 
 
 def rel_err(a, b):
@@ -80,7 +80,7 @@ def test_criterion_01_expectation_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        scheme = random_scheme(rng, max_buckets=10, max_width=30, tail_open=True)
+        scheme = random_scheme(rng, max_buckets=10, max_width=30)
         probs = rng.uniform(0.05, 0.95, size=scheme.n_buckets + 1)
         closed = geo_mean(probs, scheme)
         worst = max(worst, rel_err(closed, simulate.process_mean(probs, scheme)))
@@ -92,7 +92,7 @@ def test_criterion_01_expectation_equivalence():
 
 def test_criterion_02_uniform_reduction():
     """Equal probabilities reduce the law to p^t (1-p) with mean p/(1-p)."""
-    scheme = from_endpoints([7, 19, 40, 90], tail_open=True)
+    scheme = from_endpoints([7, 19, 40, 90])
     worst_pmf, worst_mean = 0.0, 0.0
     for p in (0.1, 0.5, 0.9):
         probs = np.full(5, p)
@@ -112,7 +112,7 @@ def test_criterion_03_gradient_fidelity():
         worst[kind.value] = 0.0
         for _ in range(100):
             # every head draws a scheme, which also bounds t; vgeo and wlr read none
-            drawn = random_scheme(rng, 6, 12, tail_open=kind is HeadKind.GEO)
+            drawn = random_scheme(rng, 6, 12)
             scheme = drawn if heads.HEADS[kind].tail_open is not None else None
             y = rng.uniform(-5.0, 5.0, size=heads.arity(kind, scheme))
             t = int(rng.integers(0, drawn.endpoints[-1] + 5))
@@ -121,10 +121,8 @@ def test_criterion_03_gradient_fidelity():
             worst[kind.value] = max(worst[kind.value], max_component_rel_err(grad, fd))
 
     # end to end: every head through a <= 50-parameter model
-    closed = from_endpoints([5, 12, 22])
-    open_scheme = from_endpoints([5, 12, 22], tail_open=True)
     for kind in HeadKind:
-        scheme = {HeadKind.BINOM: closed, HeadKind.GEO: open_scheme}.get(kind)
+        scheme = from_endpoints([5, 12, 22]) if heads.HEADS[kind].tail_open is not None else None
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model.init(spec, 2, kind, scheme, 1.0, rng)
         n_params = sum(v.size for v in model.params.values())
@@ -159,17 +157,16 @@ def test_criterion_04_gradient_bounds():
     rng = np.random.default_rng(104)
     violations = 0
     for _ in range(10_000):
-        scheme = random_scheme(rng, 6, 12, tail_open=False)
+        scheme = random_scheme(rng, 6, 12)
         y = rng.uniform(-12.0, 12.0, size=scheme.n_buckets)
         t = int(rng.integers(0, scheme.endpoints[-1] + 1))
         _, grad = loss_at(HeadKind.BINOM, scheme, y, t)
         if np.any(np.abs(grad) > 1.0):
             violations += 1
-        open_scheme = BucketScheme(scheme.endpoints, tail_open=True)
         y = rng.uniform(-12.0, 12.0, size=scheme.n_buckets + 1)
         t = int(rng.integers(0, scheme.endpoints[-1] + 15))
-        _, grad = loss_at(HeadKind.GEO, open_scheme, y, t)
-        widths = np.asarray(open_scheme.widths, dtype=np.float64)
+        _, grad = loss_at(HeadKind.GEO, scheme, y, t)
+        widths = np.asarray(scheme.widths, dtype=np.float64)
         if np.any(np.abs(grad[: scheme.n_buckets]) > widths):
             violations += 1
     report(4, "gradient-bounds", violations == 0,
@@ -184,7 +181,7 @@ def test_criterion_05_label_round_trip():
     checked = 0
     failures = 0
     for _ in range(50):
-        scheme = random_scheme(rng, 10, 200, tail_open=False)
+        scheme = random_scheme(rng, 10, 200)
         assert scheme.endpoints[-1] <= 10_000
         ts = np.arange(scheme.endpoints[-1] + 1)
         failures += int(np.count_nonzero(np.rint(estimator(labels.matrix(scheme, ts), scheme)) != ts))
@@ -243,7 +240,7 @@ def test_criterion_08_mle_recovery_focused():
     within max(0.02, 4 binomial standard errors) of its true p, and buckets
     1 and 2 within the plain +-0.02.
     """
-    scheme = from_endpoints([20, 40, 60, 80, 100], tail_open=True)
+    scheme = from_endpoints([20, 40, 60, 80, 100])
     true_p = np.asarray((0.9, 0.8, 0.7, 0.6, 0.5, 0.3))
     profile = BehaviorProfile(Behavior.FOCUSED, tuple(true_p), scheme, seed=108)
     draws = simulate.draw(profile, 200_000)

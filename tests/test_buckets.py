@@ -94,8 +94,7 @@ class TestFromPercentiles:
     def test_tiny_step_makes_every_target_an_endpoint(self):
         # a grid of 1e-9 steps would hold 1e11 points; it must not be built
         targets = [7, 3, 3, 0, 12, 5]
-        for tail_open in (False, True):
-            assert from_percentiles(targets, 1e-9, tail_open) == from_endpoints(targets, tail_open)
+        assert from_percentiles(targets, 1e-9) == from_endpoints(targets)
 
     @given(st.lists(st.integers(1, 300), min_size=2, max_size=120),
            st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 2)]))
@@ -127,16 +126,16 @@ def sorted_grid(targets, step, upto=100):
     return [sorted_percentile(targets, q) for q in qs]
 
 
-def sorted_ablation_choice(targets, choice, tail_open=False):
+def sorted_ablation_choice(targets, choice):
     """ablation_choice as written with sorted() over a list."""
     if choice <= 3:  # through from_percentiles, whose step is at least 100 / n
         step = max(Fraction({1: 5, 2: 2, 3: 1}[choice]), Fraction(100, len(targets)))
-        return from_endpoints(sorted_grid(targets, step), tail_open)
+        return from_endpoints(sorted_grid(targets, step))
     head_step, head_upto, tail_step = {4: (2, 96, 5), 5: (2, 96, 2), 6: (1, 90, 1)}[choice]
     srt = sorted(targets)
     top = srt[math.ceil(Fraction(head_upto) * len(srt) / 100):]
     tail = sorted_grid(top, tail_step) if top else [srt[-1]]
-    return from_endpoints(sorted_grid(srt, head_step, head_upto) + tail, tail_open)
+    return from_endpoints(sorted_grid(srt, head_step, head_upto) + tail)
 
 
 def below_one(targets):
@@ -160,18 +159,18 @@ class TestNumpySortMatchesSorted:
 
     targets = st.lists(st.integers(0, 300) | st.integers(0, 2**62), min_size=1, max_size=150)
 
-    @given(targets, st.sampled_from([Fraction(1), Fraction(1, 2), 2, 5, 7, 10, 50]), st.booleans())
-    def test_from_percentiles(self, targets, step, tail_open):
+    @given(targets, st.sampled_from([Fraction(1), Fraction(1, 2), 2, 5, 7, 10, 50]))
+    def test_from_percentiles(self, targets, step):
         grid = sorted_grid(targets, max(Fraction(step), Fraction(100, len(targets))))
-        want = below_one(targets) or outcome(from_endpoints, grid, tail_open)
-        assert outcome(from_percentiles, targets, step, tail_open) == want
-        assert outcome(from_percentiles, np.asarray(targets, dtype=np.int64), step, tail_open) == want
+        want = below_one(targets) or outcome(from_endpoints, grid)
+        assert outcome(from_percentiles, targets, step) == want
+        assert outcome(from_percentiles, np.asarray(targets, dtype=np.int64), step) == want
 
-    @given(targets, st.integers(1, 6), st.booleans())
-    def test_ablation_choice(self, targets, choice, tail_open):
-        want = below_one(targets) or outcome(sorted_ablation_choice, targets, choice, tail_open)
-        assert outcome(ablation_choice, targets, choice, tail_open) == want
-        assert outcome(ablation_choice, np.asarray(targets, dtype=np.int64), choice, tail_open) == want
+    @given(targets, st.integers(1, 6))
+    def test_ablation_choice(self, targets, choice):
+        want = below_one(targets) or outcome(sorted_ablation_choice, targets, choice)
+        assert outcome(ablation_choice, targets, choice) == want
+        assert outcome(ablation_choice, np.asarray(targets, dtype=np.int64), choice) == want
 
     @pytest.mark.parametrize("targets", [np.zeros(20_000, dtype=np.int64), [0.4, -3.0, 0.5]])
     def test_targets_below_one_raise_one_short_message(self, targets):
@@ -239,20 +238,27 @@ class TestAblationChoices:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        scheme = from_endpoints([5, 12, 22], tail_open=True)
+        scheme = from_endpoints([5, 12, 22])
         path = tmp_path / "scheme.json"
         scheme.save(path, 50.0)
         assert BucketScheme.load(path) == (scheme, 50.0)
 
     def test_saved_bytes(self, tmp_path):
         path = tmp_path / "scheme.json"
-        BucketScheme((5, 12, 22), True).save(path, 1)
-        assert path.read_bytes() == b'{"c": 1.0, "endpoints": [5, 12, 22], "tail_open": true}\n'
+        BucketScheme((5, 12, 22)).save(path, 1)
+        assert path.read_bytes() == b'{"c": 1.0, "endpoints": [5, 12, 22]}\n'
+
+    @pytest.mark.parametrize("tail", ["true", "false"])
+    def test_a_file_with_the_old_tail_flag_loads_as_its_endpoints(self, tmp_path, tail):
+        # schemes once recorded whether the open bucket (x_N, inf) was read; the head decides that now
+        path = tmp_path / "scheme.json"
+        path.write_text('{"c": 2.0, "endpoints": [5, 12, 22], "tail_open": %s}\n' % tail, encoding="utf-8")
+        assert BucketScheme.load(path) == (BucketScheme((5, 12, 22)), 2.0)
 
     @pytest.mark.parametrize("endpoints", [(np.int64(5), np.int64(12)), (5.0, 12.0)], ids=["int64", "float"])
     def test_integral_endpoints_round_trip_as_ints(self, tmp_path, endpoints):
         # any integral number is an endpoint, and every file writes it back as an integer
-        scheme = BucketScheme(endpoints, tail_open=True)
+        scheme = BucketScheme(endpoints)
         assert [type(x) for x in scheme.endpoints] == [int, int]
         scheme.save(tmp_path / "scheme.json", 1.0)
         assert BucketScheme.load(tmp_path / "scheme.json") == (scheme, 1.0)

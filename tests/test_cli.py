@@ -50,15 +50,15 @@ class TestBuckets:
         out = tmp_path / "b"
         assert run("buckets", "--endpoints", "5,12,22", "--out", out) == 0
         scheme = json.loads((out / "scheme.json").read_text())
-        assert scheme == {"c": 1.0, "endpoints": [5, 12, 22], "tail_open": False}
+        assert scheme == {"c": 1.0, "endpoints": [5, 12, 22]}
         assert "N=3" in capsys.readouterr().out
         assert (out / "manifest.json").exists()
 
     def test_choice_from_data(self, tmp_path, sim_csv):
         out = tmp_path / "b"
-        assert run("buckets", "--data", sim_csv, "--choice", "4", "--tail-open", "--out", out) == 0
+        assert run("buckets", "--data", sim_csv, "--choice", "4", "--out", out) == 0
         scheme = json.loads((out / "scheme.json").read_text())
-        assert scheme["tail_open"] is True
+        assert set(scheme) == {"c", "endpoints"}
         assert len(scheme["endpoints"]) >= 1
 
     @pytest.mark.parametrize("flag", [("--choice", "3"), ("--percent-step", "2"), ("--ratio", "0.8"),
@@ -149,13 +149,6 @@ class TestTrainEval:
         assert len(preds) == report["n"] == 400
         assert set(preds[0]) == {"id", "raw_target", "prediction"}
 
-    def test_geo_requires_open_tail_scheme(self, tmp_path, sim_csv):
-        bdir = tmp_path / "b"
-        assert run("buckets", "--data", sim_csv, "--percent-step", "20", "--out", bdir) == 0
-        code = run("train", "--data", sim_csv, "--head", "geo",
-                   "--scheme", bdir / "scheme.json", "--out", tmp_path / "t")
-        assert code == 2
-
     def test_train_without_scheme_exits_2(self, tmp_path, sim_csv):
         assert run("train", "--data", sim_csv, "--head", "geo", "--out", tmp_path / "t") == 2
 
@@ -175,8 +168,9 @@ class TestTrainEval:
     def test_geo_model_of_old_format_exits_2(self, tmp_path, sim_csv, capsys):
         # format 1 charged the geo stop factor to the bucket holding t;
         # format 2 carried a numeric feature width; format 3 did not record c;
-        # formats 4 and 5 hashed their tokens into other slots; every older
-        # format exits 2
+        # formats 4 and 5 hashed their tokens into other slots; format 6
+        # listed the parameters as numbers; format 7 recorded a scheme tail
+        # flag; every older format exits 2
         tdir = tmp_path / "t"
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3",
                    "--epochs", "2", "--hash-dim", "4", "--out", tdir) == 0
@@ -228,7 +222,7 @@ class TestTrainEval:
         # the odds p / (1 - p) that vgeo and wlr read; the lower clamp moves the
         # odds by about 1e-7, and binom, with a closed tail, reads no odds
         kind = HeadKind(head)
-        scheme = from_endpoints([5, 12], tail_open=False) if kind is HeadKind.BINOM else None
+        scheme = from_endpoints([5, 12]) if kind is HeadKind.BINOM else None
         n = heads.arity(kind, scheme)
         model = Model(FeatureSpec(hash_dim=4), 0, kind, scheme, 1.0, {"w": np.zeros((n, 4)), "b": np.full(n, bias)})
         assert self.eval_clamped(tmp_path, sim_csv, caplog, model) == clamped
@@ -239,7 +233,7 @@ class TestTrainEval:
         # unclamped; the tail's odds are capped near 1e7
         bias = np.zeros(3)
         bias[bucket] = 20.0
-        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.GEO, from_endpoints([5, 12], tail_open=True),
+        model = Model(FeatureSpec(hash_dim=4), 0, HeadKind.GEO, from_endpoints([5, 12]),
                       1.0, {"w": np.zeros((3, 4)), "b": bias})
         assert self.eval_clamped(tmp_path, sim_csv, caplog, model) == clamped
 
@@ -651,7 +645,7 @@ class TestInlineScheme:
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "2,5,9",
                    "--epochs", "3", "--out", tdir) == 0
         model = json.loads((tdir / "model.json").read_text())
-        assert model["scheme"] == {"endpoints": [2, 5, 9], "tail_open": True}
+        assert model["scheme"] == {"endpoints": [2, 5, 9]}
 
     def test_manifest_records_timestamps_and_hashes(self, tmp_path, sim_csv):
         tdir = tmp_path / "t"
@@ -705,11 +699,11 @@ class TestManifest:
         common = ("--data", "s/samples.csv", "--ratio", "0.8")
         argvs = [
             ("simulate", "--kind", "stationary", "--probs", "0.7", "--n", "200", "--seed", "3", "--out", "s"),
-            ("buckets", *common, "--percent-step", "20", "--tail-open", "--out", "b"),
+            ("buckets", *common, "--percent-step", "20", "--out", "b"),
             ("train", *common, "--head", "geo", "--scheme", "b/scheme.json", "--epochs", "2", "--out", "t"),
             ("eval", *common, "--model", "t/model.json", "--out", "e"),
             ("verify", "--trials", "5", "--out", "v"),
-            ("buckets", "--endpoints", "5,12", "--tail-open", "--out", "f"),
+            ("buckets", "--endpoints", "5,12", "--out", "f"),
             ("simulate", "--kind", "focused", "--probs", "0.9,0.5,0.2", "--scheme", "f/scheme.json",
              "--n", "50", "--out", "g"),
         ]
@@ -783,30 +777,57 @@ class TestBehaviorHeads:
         report = json.loads((tmp_path / "e" / "report.json").read_text())
         assert np.isfinite(report["mae"]) and report["n"] == 300
 
-    @pytest.mark.parametrize("kind, tail, message", [
-        ("focused", (), "geo head needs an open-tail scheme"),
-        ("wandering", ("--tail-open",), "binom head needs a closed-tail scheme"),
-    ], ids=["focused-closed", "wandering-open"])
-    def test_a_scheme_with_the_wrong_tail_exits_2(self, tmp_path, sim_csv, kind, tail, message, capsys):
-        assert run("buckets", "--endpoints", "5,12,22", *tail, "--out", tmp_path / "b") == 0
+
+class TestOneSchemeForEveryHead:
+    """A scheme is its endpoints: the head decides whether the open bucket
+    (x_N, inf) is read, so one scheme.json serves every head and behavior
+    that takes a scheme, and --tail-open changes no file."""
+
+    def test_one_scheme_trains_binom_and_geo_and_serves_focused_and_wandering(self, tmp_path, sim_csv):
+        assert run("buckets", "--endpoints", "5,12,22", "--out", tmp_path / "b") == 0
         scheme = tmp_path / "b" / "scheme.json"
-        capsys.readouterr()
-        assert run("simulate", "--kind", kind, "--probs", "0.5,0.5,0.5,0.5", "--scheme", scheme,
-                   "--out", tmp_path / "s") == 2
-        assert f"{kind} profile: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "s").exists()
-        # the head that models the behavior rejects the scheme alike
-        head = simulate.HEAD_OF[simulate.Behavior(kind)].value
-        assert run("train", "--data", sim_csv, "--head", head, "--scheme", scheme,
-                   "--out", tmp_path / "t") == 2
-        assert message in capsys.readouterr().err
+        for kind in ("focused", "wandering"):
+            assert run("simulate", "--kind", kind, "--probs", TestBehaviorHeads.PROBS[kind], "--scheme", scheme,
+                       "--n", "50", "--out", tmp_path / kind) == 0
+        logits = {}
+        for head in ("binom", "geo"):
+            assert run("train", "--data", sim_csv, "--head", head, "--scheme", scheme, "--epochs", "1",
+                       "--out", tmp_path / head) == 0
+            model = json.loads((tmp_path / head / "model.json").read_text())
+            assert model["scheme"] == {"endpoints": [5, 12, 22]}
+            logits[head] = len(base64.b64decode(model["params"]["b"])) // 8
+        assert logits == {"binom": 3, "geo": 4}  # geo alone reads the open bucket
+
+    @pytest.mark.parametrize("source", [("--endpoints", "5,12,22"), ("--percent-step", "20")],
+                             ids=["endpoints", "data"])
+    def test_tail_open_flag_changes_neither_the_scheme_nor_the_geo_model(self, tmp_path, sim_csv, source):
+        data = ("--data", sim_csv) if source[0] == "--percent-step" else ()
+        for out, flags in (("plain", ()), ("flagged", ("--tail-open",))):
+            assert run("buckets", *data, *source, *flags, "--out", tmp_path / out / "b") == 0
+            scheme = tmp_path / out / "b" / "scheme.json"
+            assert run("train", "--data", sim_csv, "--head", "geo", "--scheme", scheme, "--epochs", "2",
+                       "--out", tmp_path / out / "t") == 0
+        for name in ("b/scheme.json", "t/model.json", "t/loss_trace.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("tail", ["true", "false"])
+    def test_a_scheme_file_with_the_old_tail_flag_trains_as_its_endpoints(self, tmp_path, sim_csv, tail):
+        old = tmp_path / "old.json"
+        old.write_text('{"c": 1.0, "endpoints": [5, 12, 22], "tail_open": %s}\n' % tail, encoding="utf-8")
+        assert run("buckets", "--endpoints", "5,12,22", "--out", tmp_path / "b") == 0
+        for head in ("binom", "geo"):
+            for name, scheme in (("old", old), ("new", tmp_path / "b" / "scheme.json")):
+                assert run("train", "--data", sim_csv, "--head", head, "--scheme", scheme, "--epochs", "1",
+                           "--out", tmp_path / name / head) == 0
+            assert (tmp_path / "old" / head / "model.json").read_bytes() == (
+                tmp_path / "new" / head / "model.json").read_bytes()
 
 
 class TestSchemeScale:
     """scheme.json records the c its endpoints were built at, and train reads the data at it."""
 
     def test_train_takes_c_from_the_scheme(self, tmp_path, sim_csv):
-        assert run("buckets", "--data", sim_csv, "--c", "10", "--percent-step", "20", "--tail-open",
+        assert run("buckets", "--data", sim_csv, "--c", "10", "--percent-step", "20",
                    "--out", tmp_path / "b") == 0
         assert json.loads((tmp_path / "b" / "scheme.json").read_text())["c"] == 10.0
         assert run("train", "--data", sim_csv, "--head", "geo", "--scheme", tmp_path / "b" / "scheme.json",
@@ -815,8 +836,7 @@ class TestSchemeScale:
         assert json.loads((tmp_path / "t" / "manifest.json").read_text())["config"]["c"] == 10.0
 
     def test_a_differing_c_exits_2_naming_both(self, tmp_path, sim_csv, capsys):
-        assert run("buckets", "--data", sim_csv, "--percent-step", "20", "--tail-open",
-                   "--out", tmp_path / "b") == 0
+        assert run("buckets", "--data", sim_csv, "--percent-step", "20", "--out", tmp_path / "b") == 0
         capsys.readouterr()
         assert run("train", "--data", sim_csv, "--c", "10", "--head", "geo",
                    "--scheme", tmp_path / "b" / "scheme.json", "--out", tmp_path / "t") == 2
@@ -835,7 +855,7 @@ class TestSchemeScale:
 class TestSchemeFileForSimulate:
     def test_simulate_accepts_scheme_json(self, tmp_path):
         bdir = tmp_path / "b"
-        assert run("buckets", "--endpoints", "5,12,22", "--tail-open", "--out", bdir) == 0
+        assert run("buckets", "--endpoints", "5,12,22", "--out", bdir) == 0
         sdir = tmp_path / "s"
         assert run("simulate", "--kind", "focused", "--probs", "0.9,0.6,0.4,0.3",
                    "--scheme", bdir / "scheme.json", "--n", "50", "--seed", "2",
@@ -852,7 +872,7 @@ class TestEndpointBound:
     def test_exits_2_with_one_line(self, tmp_path, sim_csv, endpoint, capsys):
         inline = ("--endpoints", f"5,{endpoint}")
         scheme = tmp_path / "scheme.json"
-        scheme.write_text(json.dumps({"c": 1.0, "endpoints": [5, endpoint], "tail_open": True}), encoding="utf-8")
+        scheme.write_text(json.dumps({"c": 1.0, "endpoints": [5, endpoint]}), encoding="utf-8")
         assert run("train", "--data", sim_csv, "--head", "geo", "--endpoints", "1,3", "--epochs", "1",
                    "--out", tmp_path / "t") == 0
         model = json.loads((tmp_path / "t" / "model.json").read_text())
@@ -861,7 +881,7 @@ class TestEndpointBound:
         model_path.write_text(json.dumps(model), encoding="utf-8")
         focused = ("simulate", "--kind", "focused", "--probs", "0.5,0.5,0.5")
         argvs = {  # the file that holds the endpoint, if any: argv
-            None: [("buckets", *inline, "--tail-open"), ("train", "--data", sim_csv, "--head", "geo", *inline),
+            None: [("buckets", *inline), ("train", "--data", sim_csv, "--head", "geo", *inline),
                    (*focused, *inline)],
             scheme: [("train", "--data", sim_csv, "--head", "geo", "--scheme", scheme),
                      (*focused, "--scheme", scheme)],
@@ -876,6 +896,7 @@ class TestEndpointBound:
                 assert capsys.readouterr().err == f"error: {where}endpoint {endpoint} is not below 2**63\n"
                 assert not out.exists()
 
+    # --tail-open is accepted and ignored: the benchmark's kuairec workload passes it
     @pytest.mark.parametrize("head, tail", [("geo", ("--tail-open",)), ("binom", ())])
     def test_the_largest_int64_endpoint_trains_and_scores(self, tmp_path, sim_csv, head, tail):
         assert run("buckets", "--endpoints", f"5,{2**63}", *tail, "--out", tmp_path / "over") == 2
@@ -960,7 +981,7 @@ class TestSettingsCheckedWhileParsing:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_2_naming_the_flag(self, tmp_path, case, capsys):
         scheme = tmp_path / "scheme.json"
-        scheme.write_text('{"endpoints": [2, 5], "tail_open": true}\n', encoding="utf-8")
+        scheme.write_text('{"endpoints": [2, 5]}\n', encoding="utf-8")
         argv, message = self.CASES[case]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
@@ -981,7 +1002,7 @@ class TestUnreadablePaths:
         assert run("train", "--data", sim_csv, "--head", "vgeo", "--epochs", "1",
                    "--hash-dim", "4", "--out", model) == 0
         scheme = tmp_path / "b"
-        assert run("buckets", "--endpoints", "2,5", "--tail-open", "--out", scheme) == 0
+        assert run("buckets", "--endpoints", "2,5", "--out", scheme) == 0
         directory = tmp_path / "a_directory"
         directory.mkdir()
         a_file = tmp_path / "a_file"
@@ -1035,23 +1056,17 @@ def with_bytes(key, edit=lambda raw: raw, retext=lambda text: text):
 class TestMalformedArtifacts:
     """A scheme or model JSON that lacks a field or holds one of the wrong
     type exits 2 naming the file and the field; a params entry that is not
-    base64 names the file and binascii's cause."""
+    base64 also names binascii's cause."""
 
     SCHEMES = {
         "empty object": ("{}", "missing field 'endpoints'"),
         "a list": ("[1]", "a scheme is a JSON object, got list"),
-        "no tail": ('{"endpoints": [2, 5]}', "missing field 'tail_open'"),
-        "text endpoints": ('{"endpoints": "2,5", "tail_open": true}',
-                           "field 'endpoints' has the wrong type (str)"),
-        "fractional endpoint": ('{"endpoints": [2.5, 5], "tail_open": true}',
-                                "field 'endpoints' must be a list of integers"),
-        "text tail": ('{"endpoints": [2, 5], "tail_open": "yes"}',
-                      "field 'tail_open' has the wrong type (str)"),
+        "text endpoints": ('{"endpoints": "2,5"}', "field 'endpoints' has the wrong type (str)"),
+        "fractional endpoint": ('{"endpoints": [2.5, 5]}', "field 'endpoints' must be a list of integers"),
         "not JSON": ("{endpoints", "Expecting property name"),
-        "no c": ('{"endpoints": [2, 5], "tail_open": true}', "no field 'c'"),
-        "text c": ('{"c": "1", "endpoints": [2, 5], "tail_open": true}',
-                   "field 'c' has the wrong type (str)"),
-        "zero c": ('{"c": 0.0, "endpoints": [2, 5], "tail_open": true}',
+        "no c": ('{"endpoints": [2, 5]}', "no field 'c'"),
+        "text c": ('{"c": "1", "endpoints": [2, 5]}', "field 'c' has the wrong type (str)"),
+        "zero c": ('{"c": 0.0, "endpoints": [2, 5]}',
                    "scaling constant must be positive and finite, got 0.0"),
     }
 
@@ -1096,13 +1111,13 @@ class TestMalformedArtifacts:
                             "field 'params.w' has the wrong type (list)"),
         "true in params.b": (lambda d: d["params"].__setitem__("b", True),
                              "field 'params.b' has the wrong type (bool)"),
-        # binascii's messages; read_json names the file
+        # the field, then binascii's message; read_json names the file
         "character outside base64 in params.b": (with_bytes("b", retext=lambda text: "!" + text[1:]),
-                                                 "Only base64 data is allowed"),
+                                                 "field 'params.b' must be base64 (Only base64 data is allowed)"),
         "whitespace in params.b": (with_bytes("b", retext=lambda text: text[:8] + "\n" + text[8:]),
-                                   "Only base64 data is allowed"),
+                                   "field 'params.b' must be base64 (Only base64 data is allowed)"),
         "missing padding in params.b": (with_bytes("b", lambda raw: raw[:16], lambda text: text.rstrip("=")),
-                                        "Incorrect padding"),
+                                        "field 'params.b' must be base64 (Incorrect padding)"),
         "no feature_spec": (lambda d: d.pop("feature_spec"), "missing field 'feature_spec.hash_dim'"),
         "negative feature seed": (lambda d: d["feature_spec"].__setitem__("seed", -1),
                                   "feature seed must be in [0, 2**64), got -1"),
@@ -1118,7 +1133,6 @@ class TestMalformedArtifacts:
         "zero c": (lambda d: d.__setitem__("c", 0.0),
                    "scaling constant must be positive and finite, got 0.0"),
         "true c": (lambda d: d.__setitem__("c", True), "field 'c' has the wrong type (bool)"),
-        "scheme without tail": (lambda d: d["scheme"].pop("tail_open"), "missing field 'scheme.tail_open'"),
         "scheme with a text endpoint": (lambda d: d["scheme"]["endpoints"].__setitem__(0, "5"),
                                         "field 'scheme.endpoints' must be a list of integers"),
         "empty object": (lambda d: d.clear(), "unsupported model format None"),

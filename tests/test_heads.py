@@ -11,8 +11,7 @@ from swat.heads import HeadKind
 
 from conftest import schemes
 
-CLOSED = from_endpoints([5, 12, 22])
-OPEN = from_endpoints([5, 12, 22], tail_open=True)
+SCHEME = from_endpoints([5, 12, 22])
 
 
 def fd_gradient(loss_fn, logits, step=1e-6):
@@ -32,8 +31,8 @@ def assert_grad_close(analytic, numeric, rtol=1e-5):
 
 
 def scheme_for(kind):
-    """The figure scheme with the tail the head needs, or None."""
-    return {None: None, False: CLOSED, True: OPEN}[heads.HEADS[kind].tail_open]
+    """The figure scheme, or None for a head that takes none."""
+    return None if heads.HEADS[kind].tail_open is None else SCHEME
 
 
 def probs_of(logits):
@@ -57,7 +56,7 @@ def loss(kind, probs, t, scheme=None):
     return loss_at(kind, logit(probs), t, scheme)
 
 
-def head_pmf(probs, t, scheme=OPEN):
+def head_pmf(probs, t, scheme=SCHEME):
     """Head pmf exp(-loss) of each watch time in t."""
     t = np.atleast_1d(t)
     logits = np.broadcast_to(logit(probs), (len(t), scheme.n_buckets + 1))
@@ -68,7 +67,7 @@ def expectation(kind, probs, scheme=None):
     return float(heads.expectation_batch(kind, logit(probs), scheme)[0][0])
 
 
-def geo_mean(probs, scheme=OPEN):
+def geo_mean(probs, scheme=SCHEME):
     return float(heads.geo_expectation_batch(np.atleast_2d(probs), scheme)[0])
 
 
@@ -85,7 +84,7 @@ class TestSigmoid:
         # only an odds factor p / (1 - p) read at the upper bound marks a row:
         # binom reads none, vgeo its one probability
         probs = heads.clamp_probs(heads.sigmoid(logits))
-        scheme = BucketScheme(tuple(range(1, logits.shape[1] + 1)), tail_open=False)
+        scheme = BucketScheme(tuple(range(1, logits.shape[1] + 1)))
         assert not heads.expectation_batch(HeadKind.BINOM, logits, scheme)[1].any()
         assert np.array_equal(heads.expectation_batch(HeadKind.VGEO, logits[:, :1])[1],
                               probs[:, 0] == 1.0 - heads.PROB_EPS)
@@ -134,7 +133,7 @@ class TestLossBatchInputs:
 
 class TestBinomLoss:
     def test_stationary_point(self):
-        soft = labels.matrix(CLOSED, [10])
+        soft = labels.matrix(SCHEME, [10])
         _, grad = loss(HeadKind.BINOM, soft.clip(1e-7, 1 - 1e-7), 10)
         assert np.allclose(grad, 0.0, atol=1e-7)
 
@@ -196,7 +195,7 @@ class TestGeoLoss:
 
     def test_gradient_bounded_by_widths(self):
         rng = np.random.default_rng(5)
-        widths = np.asarray(OPEN.widths, dtype=float)
+        widths = np.asarray(SCHEME.widths, dtype=float)
         for _ in range(500):
             y = rng.uniform(-10, 10, size=4)
             t = int(rng.integers(0, 60))
@@ -252,7 +251,7 @@ class TestGeoKernelMatchesReference:
         for _ in range(150):
             n = int(rng.integers(1, 40))
             ends = np.unique(rng.integers(1, 400, size=n))
-            scheme = BucketScheme(tuple(int(e) for e in ends), tail_open=True)
+            scheme = BucketScheme(tuple(int(e) for e in ends))
             # every endpoint, both its neighbours, zero and well beyond the last
             t = np.concatenate([[0], ends - 1, ends, ends + 1, ends[-1] + rng.integers(2, 500, size=3)])
             got_a, got_stop = heads.geo_coefficients(scheme, t)
@@ -266,10 +265,15 @@ class TestGeoKernelMatchesReference:
                 assert_bit_equal(got, want)
 
     def test_log_sigmoid_and_sigmoid_exactly_equal(self):
-        y = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, size=(257, 7)).ravel(),
-                            [-40.0, -0.0, 0.0, 40.0, 745.0, -745.0, np.inf, -np.inf]])
-        assert_bit_equal(heads.log_sigmoid(y), reference_log_sigmoid(y))
-        assert_bit_equal(heads.sigmoid(y), np.exp(reference_log_sigmoid(y)))
+        for dtype in (np.float32, np.float64):
+            info = np.finfo(dtype)
+            # signed zeros, infinities and subnormals: the least, one in the middle, the greatest
+            subnormals = [info.smallest_subnormal, info.tiny / 2, info.tiny - info.smallest_subnormal]
+            y = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, size=(257, 7)).ravel().astype(dtype),
+                                np.array([-40.0, -0.0, 0.0, 40.0, 745.0, -745.0, np.inf, -np.inf], dtype),
+                                np.array(subnormals, dtype), -np.array(subnormals, dtype)])
+            assert_bit_equal(heads.log_sigmoid(y), reference_log_sigmoid(y))
+            assert_bit_equal(heads.sigmoid(y), np.exp(reference_log_sigmoid(y)))
 
 
 def float64_log_sigmoid(y):
@@ -288,10 +292,9 @@ def float32_batches(draw, kind):
     """A scheme that suits the head, a batch of watch times (some at or above
     2**24, where float32 no longer holds every integer) and float32 logits for
     them."""
-    tail_open = heads.HEADS[kind].tail_open
     scheme = None
-    if tail_open is not None:  # up to the 101 logits of a 100-bucket geo head
-        scheme = draw(schemes(max_buckets=110, max_width=60, tail_open=tail_open))
+    if heads.HEADS[kind].tail_open is not None:  # up to the 101 logits of a 100-bucket geo head
+        scheme = draw(schemes(max_buckets=110, max_width=60))
     t = draw(st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26)), min_size=1, max_size=12))
     y = draw(arrays(np.float32, (len(t), heads.arity(kind, scheme)), elements=st.floats(-40, 40, width=32)))
     return scheme, t, y
@@ -357,12 +360,12 @@ class TestFloat32Kernels:
             assert_bit_equal(g, w)
         assert_bit_equal(heads.log_sigmoid(y), float64_log_sigmoid(y))
 
-    @given(schemes(max_buckets=110, max_width=60, tail_open=True),
+    @given(schemes(max_buckets=110, max_width=60),
            st.lists(st.one_of(st.integers(0, 2000), st.integers(2**24, 2**26), st.integers(2**53, 2**62)),
                     min_size=1, max_size=12))
     # the partial 2**60 + 2**36 + 1 rounds up in a direct int64 -> float32
     # cast, and to even through float64
-    @example(OPEN, [22 + 2**60 + 2**36 + 1])
+    @example(SCHEME, [22 + 2**60 + 2**36 + 1])
     def test_geo_coefficients_in_float32_are_the_float64_ones_cast(self, scheme, t):
         a32, stop32 = heads.geo_coefficients(scheme, t, np.float32)
         a64, stop64 = heads.geo_coefficients(scheme, t)
@@ -569,7 +572,7 @@ class TestGeoPmf:
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(6)
         probs = rng.uniform(0.05, 0.95, size=4)
-        want = [simulate.process_pmf(probs, OPEN, t) for t in range(40)]
+        want = [simulate.process_pmf(probs, SCHEME, t) for t in range(40)]
         np.testing.assert_allclose(head_pmf(probs, np.arange(40)), want, rtol=1e-12)
 
 
@@ -587,14 +590,14 @@ class TestGeoExpectation:
     def test_near_clamp_floor(self):
         probs = np.full(4, 1e-7)
         got = geo_mean(probs)
-        assert got == pytest.approx(simulate.process_mean(probs, OPEN), rel=1e-9)
+        assert got == pytest.approx(simulate.process_mean(probs, SCHEME), rel=1e-9)
         assert got == pytest.approx(1e-7, rel=1e-3)
 
     def test_near_clamp_ceiling_stays_stable(self):
         probs = np.full(4, 1.0 - 1e-7)
-        assert geo_mean(probs) == pytest.approx(simulate.process_mean(probs, OPEN), rel=1e-9)
+        assert geo_mean(probs) == pytest.approx(simulate.process_mean(probs, SCHEME), rel=1e-9)
         # buckets of width >= 1000 at and just below the ceiling
-        wide = from_endpoints([3, 1003, 3003], tail_open=True)
+        wide = from_endpoints([3, 1003, 3003])
         for probs in (np.full(4, 1.0 - 1e-7), np.array([0.5, 1.0 - 3e-7, 1.0 - 1e-7, 0.9])):
             want = simulate.process_mean(probs, wide)
             assert geo_mean(probs, wide) == pytest.approx(want, rel=1e-9)
@@ -603,7 +606,7 @@ class TestGeoExpectation:
         rng = np.random.default_rng(7)
         for _ in range(50):
             widths = rng.integers(1, 30, size=rng.integers(1, 10))
-            scheme = BucketScheme(tuple(np.cumsum(widths).tolist()), tail_open=True)
+            scheme = BucketScheme(tuple(np.cumsum(widths).tolist()))
             probs = rng.uniform(0.05, 0.95, size=scheme.n_buckets + 1)
             want = simulate.process_mean(probs, scheme)
             assert geo_mean(probs, scheme) == pytest.approx(want, rel=1e-9)
@@ -670,26 +673,26 @@ class TestWlrLoss:
 
 class TestExpectation:
     def test_binom_reproduces_per_bucket_times(self):
-        got = expectation(HeadKind.BINOM, [0.6, 2 / 7, 0.5], CLOSED)
+        got = expectation(HeadKind.BINOM, [0.6, 2 / 7, 0.5], SCHEME)
         assert got == pytest.approx(10.0, rel=1e-12)
 
     def test_vgeo_unit(self):
         assert heads.expectation_batch(HeadKind.VGEO, np.zeros((1, 1)))[0][0] == 1.0
 
     def test_binom_saturates_at_horizon(self):
-        got = expectation(HeadKind.BINOM, np.full(3, 1 - 1e-7), CLOSED)
+        got = expectation(HeadKind.BINOM, np.full(3, 1 - 1e-7), SCHEME)
         assert got == pytest.approx(22.0, rel=1e-6)
 
     def test_binom_monotone_and_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             p = rng.uniform(1e-7, 1 - 1e-7, size=3)
-            base = expectation(HeadKind.BINOM, p, CLOSED)
+            base = expectation(HeadKind.BINOM, p, SCHEME)
             assert 0.0 <= base <= 22.0
             for i in range(3):
                 bumped = p.copy()
                 bumped[i] = min(bumped[i] + 0.01, 1 - 1e-7)
-                assert expectation(HeadKind.BINOM, bumped, CLOSED) > base
+                assert expectation(HeadKind.BINOM, bumped, SCHEME) > base
 
     def test_wlr_and_vgeo_share_estimator(self):
         y = np.array([[1.3]])
@@ -709,19 +712,22 @@ class TestExpectation:
             np.testing.assert_allclose(got, np.exp(y), rtol=1e-8)
 
     def test_geo_dispatch(self):
-        assert expectation(HeadKind.GEO, np.full(4, 0.5), OPEN) == pytest.approx(1.0, rel=1e-9)
+        assert expectation(HeadKind.GEO, np.full(4, 0.5), SCHEME) == pytest.approx(1.0, rel=1e-9)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            expectation(HeadKind.BINOM, [0.5, 0.5], CLOSED)
+            expectation(HeadKind.BINOM, [0.5, 0.5], SCHEME)
         with pytest.raises(ValueError):
             expectation(HeadKind.VGEO, [0.5, 0.5])
 
     def test_head_scheme_pairing_enforced(self):
-        with pytest.raises(ValueError, match="closed"):
-            heads.arity(HeadKind.BINOM, OPEN)
-        with pytest.raises(ValueError, match="open"):
-            heads.arity(HeadKind.GEO, CLOSED)
+        # a head that reads a scheme needs one, a head that reads none takes none,
+        # and the head alone decides whether the open bucket (x_N, inf) adds a logit
+        with pytest.raises(ValueError, match="binom head needs a bucket scheme"):
+            heads.arity(HeadKind.BINOM, None)
+        with pytest.raises(ValueError, match="wlr head takes no bucket scheme"):
+            heads.arity(HeadKind.WLR, SCHEME)
+        assert (heads.arity(HeadKind.BINOM, SCHEME), heads.arity(HeadKind.GEO, SCHEME)) == (3, 4)
 
 
 class TestExpandedBinomialForm:
@@ -730,7 +736,7 @@ class TestExpandedBinomialForm:
         # log(1-p_i) below the watched range, log p_i above it, and the
         # width-fraction mixture inside the stop bucket
         rng = np.random.default_rng(12)
-        xs = (0,) + CLOSED.endpoints
+        xs = (0,) + SCHEME.endpoints
         for _ in range(50):
             y = rng.uniform(-4, 4, size=3)
             probs = heads.sigmoid(y[None, :])
@@ -793,8 +799,7 @@ class TestPrior:
     @given(schemes(max_buckets=5, max_width=12), st.lists(st.integers(0, 70), min_size=1, max_size=30))
     def test_successes_over_trials_minimize_the_bias_only_loss(self, drawn, t):
         for kind in self.PRIOR_HEADS:
-            tail_open = heads.HEADS[kind].tail_open
-            scheme = None if tail_open is None else BucketScheme(drawn.endpoints, tail_open)
+            scheme = None if heads.HEADS[kind].tail_open is None else drawn
             successes, failures = self.counts(kind, scheme, t)
             trials = np.broadcast_to(successes + failures, (heads.arity(kind, scheme),))
             for i in np.flatnonzero(trials):  # a logit no row reaches leaves the loss flat
@@ -814,7 +819,7 @@ class TestPrior:
     def test_geo_tail_stays_finite_with_no_watch_time_beyond_the_last_endpoint(self):
         # three of the times end at x_N = 22: each stops in the tail, which no
         # second continues, so its unsmoothed logit would be -inf
-        prior = heads.prior_logits(HeadKind.GEO, [3, 9, 22, 22, 15, 22], OPEN)
+        prior = heads.prior_logits(HeadKind.GEO, [3, 9, 22, 22, 15, 22], SCHEME)
         assert np.all(np.isfinite(prior))
         assert prior[-1] == pytest.approx(-math.log(4.0), rel=1e-12)
 
@@ -825,4 +830,4 @@ class TestPrior:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            heads.prior_logits(HeadKind.GEO, [3, -3], OPEN)
+            heads.prior_logits(HeadKind.GEO, [3, -3], SCHEME)

@@ -64,14 +64,14 @@ class TestEncode:
     def test_exact_endpoint_fills_bucket(self):
         assert tuple(row(SCHEME, 12)) == (1.0, 1.0, 0.0)
 
-    @given(schemes(tail_open=False), st.integers(0, 500))
+    @given(schemes(), st.integers(0, 500))
     def test_labels_non_increasing_and_bounded(self, scheme, t):
         vals = row(scheme, t)
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert sum(1 for v in vals if 0.0 < v < 1.0) <= 1
 
-    @given(schemes(tail_open=False), st.integers(0, 300), st.integers(0, 300))
+    @given(schemes(), st.integers(0, 300), st.integers(0, 300))
     def test_monotone_in_time(self, scheme, t1, t2):
         lo, hi = sorted((t1, t2))
         assert all(x <= y for x, y in zip(row(scheme, lo), row(scheme, hi)))
@@ -136,7 +136,7 @@ class TestDecode:
         ts = np.arange(SCHEME.endpoints[-1] + 1)
         assert np.array_equal(read_back(SCHEME, labels.matrix(SCHEME, ts)), ts)
 
-    @given(schemes(tail_open=False), st.integers(0, 10_000))
+    @given(schemes(), st.integers(0, 10_000))
     def test_round_trip(self, scheme, t):
         t = min(t, scheme.endpoints[-1])
         assert read_back(scheme, row(scheme, t)) == [t]

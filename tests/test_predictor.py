@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -18,8 +19,7 @@ from swat.simulate import Behavior, BehaviorProfile
 
 from conftest import constant_feature_dataset, encode_tokens, fit_binom_to_labels
 
-CLOSED = from_endpoints([5, 12, 22])
-OPEN = from_endpoints([5, 12, 22], tail_open=True)
+SCHEME = from_endpoints([5, 12, 22])
 
 
 # every character str.split splits on
@@ -214,7 +214,7 @@ class TestFeatureSpec:
 class TestForward:
     def test_zero_model_gives_half_probs(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
+        model = Model(spec, 0, HeadKind.BINOM, SCHEME, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         logits, _ = model.forward_batch(encode_tokens(spec, ("a",)))
         assert np.allclose(logits, 0.0)
@@ -223,7 +223,7 @@ class TestForward:
     def test_affine_lookup_on_one_hot(self):
         spec = FeatureSpec(hash_dim=4, seed=0)
         w = np.arange(12, dtype=float).reshape(3, 4)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0, {"w": w, "b": np.zeros(3)})
+        model = Model(spec, 0, HeadKind.BINOM, SCHEME, 1.0, {"w": w, "b": np.zeros(3)})
         token = "a"
         x = encode_tokens(spec, (token,))
         assert np.allclose(model.forward_batch(x)[0][0], w[:, slot(spec, f"feat={token}")])
@@ -231,7 +231,7 @@ class TestForward:
     def test_random_model_finite(self):
         rng = np.random.default_rng(0)
         spec = FeatureSpec(hash_dim=9, seed=0)
-        model = Model.init(spec, 6, HeadKind.GEO, OPEN, 1.0, rng)
+        model = Model.init(spec, 6, HeadKind.GEO, SCHEME, 1.0, rng)
         x = rng.normal(size=(10, spec.hash_dim))
         assert np.all(np.isfinite(model.forward_batch(x)[0]))
 
@@ -281,7 +281,7 @@ class TestBackward:
     @pytest.mark.parametrize("kind", list(HeadKind))
     def test_end_to_end_gradient_all_heads(self, kind):
         rng = np.random.default_rng(2)
-        scheme = CLOSED if kind is HeadKind.BINOM else OPEN if kind is HeadKind.GEO else None
+        scheme = None if heads.HEADS[kind].tail_open is None else SCHEME
         spec = FeatureSpec(hash_dim=4, seed=0)
         model = Model.init(spec, 2, kind, scheme, 1.0, rng)  # hidden layer in the loop
         assert sum(v.size for v in model.params.values()) <= 50
@@ -344,7 +344,7 @@ class TestForwardHandsHToBackward:
         for trial in range(25):
             rng = np.random.default_rng([hidden, trial])
             spec = FeatureSpec(hash_dim=int(rng.integers(2, 9)), seed=0)
-            model = Model(spec, hidden, HeadKind.GEO, OPEN, 1.0)  # 4 logits
+            model = Model(spec, hidden, HeadKind.GEO, SCHEME, 1.0)  # 4 logits
             model.params = {key: rng.normal(size=shape).astype(dtype)
                             for key, shape in model.shapes().items()}
             x = rng.normal(size=(int(rng.integers(1, 8)), spec.hash_dim)).astype(dtype)
@@ -370,10 +370,10 @@ class TestTraining:
         targets = np.array([0, 3, 10, 22])
         ds = constant_feature_dataset(targets)
         spec = FeatureSpec(hash_dim=4, seed=0)
-        model = Model(spec, 0, HeadKind.BINOM, CLOSED, 1.0,
+        model = Model(spec, 0, HeadKind.BINOM, SCHEME, 1.0,
                       {"w": np.zeros((3, 4)), "b": np.zeros(3)})
         x = spec.encode_dataset(ds).rows(np.arange(len(ds)))
-        losses, _ = heads.loss_batch(HeadKind.BINOM, model.forward_batch(x)[0], targets, CLOSED)
+        losses, _ = heads.loss_batch(HeadKind.BINOM, model.forward_batch(x)[0], targets, SCHEME)
         assert np.allclose(losses, 3 * math.log(2))
 
     def test_train_does_not_materialise_all_features(self):
@@ -413,7 +413,7 @@ class TestTraining:
         rng = np.random.default_rng(4)
         ds = Dataset([str(i) for i in range(1500)], rng.geometric(0.1, size=1500) - 1.0,
                      {"feat": [f"u{u} v{v}" for u, v in rng.integers(0, 12, size=(1500, 2))]})
-        cfg = TrainConfig(head=HeadKind.GEO, scheme=OPEN, hash_dim=16, hidden=hidden, lr=1e-2,
+        cfg = TrainConfig(head=HeadKind.GEO, scheme=SCHEME, hash_dim=16, hidden=hidden, lr=1e-2,
                           batch_size=128, max_epochs=3, seed=7)
         a = predictor.train(ds, cfg).model
         assert {key: value.dtype for key, value in a.params.items()} == dict.fromkeys(a.shapes(), np.float64)
@@ -438,7 +438,7 @@ class TestTraining:
     def test_result_holds_each_epochs_norms_summed_in_float64(self):
         # at --lr 1e20 the float32 parameters stay finite, but their float32 squares do not
         ds = constant_feature_dataset(np.arange(8.0))
-        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4, lr=1e20, max_epochs=3,
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=SCHEME, hash_dim=4, lr=1e20, max_epochs=3,
                           batch_size=4, seed=0)
         result = predictor.train(ds, cfg)
         assert len(result.grad_norms) == len(result.param_norms) == len(result.epoch_losses) == 3
@@ -464,20 +464,22 @@ class TestTraining:
 
     def test_geo_scheme_pairing_enforced(self):
         ds = constant_feature_dataset([1, 2, 3])
-        with pytest.raises(ValueError, match="open-tail"):
-            predictor.train(ds, TrainConfig(head=HeadKind.GEO, scheme=CLOSED))
-        with pytest.raises(ValueError, match="scheme"):
+        with pytest.raises(ValueError, match="binom head needs a bucket scheme"):
             predictor.train(ds, TrainConfig(head=HeadKind.BINOM))
+        with pytest.raises(ValueError, match="vgeo head takes no bucket scheme"):
+            predictor.train(ds, TrainConfig(head=HeadKind.VGEO, scheme=SCHEME))
 
     def test_clip_counting(self):
         ds = constant_feature_dataset([5, 22, 30, 40])
-        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, max_epochs=1, batch_size=4)
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=SCHEME, max_epochs=1, batch_size=4)
         assert predictor.train(ds, cfg).clipped == 2
+        # geo reads the watch times past x_N in its open tail, from the same scheme
+        assert predictor.train(ds, dataclasses.replace(cfg, head=HeadKind.GEO)).clipped == 0
 
     def test_negative_watch_time_rejected(self):
         # a hand-built dataset bypasses load_csv's row filter
         ds = constant_feature_dataset([3, -3, 5])
-        cfg = TrainConfig(head=HeadKind.GEO, scheme=OPEN, max_epochs=1)
+        cfg = TrainConfig(head=HeadKind.GEO, scheme=SCHEME, max_epochs=1)
         with pytest.raises(ValueError, match="non-negative"):
             predictor.train(ds, cfg)
 
@@ -486,10 +488,10 @@ class TestTraining:
         # path guards against corrupt inputs reaching the loss: here a NaN
         # entry in every row's binom labels
         ds = constant_feature_dataset(np.arange(8.0))
-        labels_with_nan = np.full((8, CLOSED.n_buckets), 0.5)
+        labels_with_nan = np.full((8, SCHEME.n_buckets), 0.5)
         labels_with_nan[:, 0] = np.nan
         fit_binom_to_labels(monkeypatch, labels_with_nan)
-        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=SCHEME, hash_dim=4, max_epochs=3, batch_size=4, seed=0)
         with pytest.raises(TrainingDiverged) as err:
             predictor.train(ds, cfg)
         assert err.value.epoch == 0
@@ -506,7 +508,7 @@ class TestWarmStart:
                           max_epochs=1, batch_size=64, seed=3)
         return predictor.train(constant_feature_dataset(targets), cfg).model.params
 
-    @pytest.mark.parametrize("kind, scheme", [(HeadKind.GEO, OPEN), (HeadKind.VGEO, None)])
+    @pytest.mark.parametrize("kind, scheme", [(HeadKind.GEO, SCHEME), (HeadKind.VGEO, None)])
     def test_prior_lands_in_the_output_bias(self, kind, scheme):
         targets = np.random.default_rng(2).geometric(0.1, size=300) - 1
         prior = heads.prior_logits(kind, targets, scheme)
@@ -524,11 +526,11 @@ class TestRecoveryFeasible:
     """MLE recovery on identifiable synthetic populations (moderate sizes)."""
 
     def test_binom_recovery_with_true_bucket_labels(self, monkeypatch):
-        prof = BehaviorProfile(Behavior.WANDERING, (0.8, 0.4, 0.3), CLOSED, seed=6)
+        prof = BehaviorProfile(Behavior.WANDERING, (0.8, 0.4, 0.3), SCHEME, seed=6)
         per_bucket = simulate.wandering_buckets(prof, 30_000)
         ds = constant_feature_dataset(np.arange(len(per_bucket)))
-        fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(CLOSED.widths, dtype=float))
-        cfg = TrainConfig(head=HeadKind.BINOM, scheme=CLOSED, hash_dim=4,
+        fit_binom_to_labels(monkeypatch, per_bucket / np.asarray(SCHEME.widths, dtype=float))
+        cfg = TrainConfig(head=HeadKind.BINOM, scheme=SCHEME, hash_dim=4,
                           max_epochs=40, rel_tol=1e-7, seed=7)
         model = predictor.train(ds, cfg).model
         assert np.allclose(constant_probs(model), prof.probs, atol=0.02)
@@ -537,7 +539,7 @@ class TestRecoveryFeasible:
         # well-populated profile: every closed bucket sees plenty of traffic,
         # and about 900 per-second trials reach the tail. The geo likelihood
         # is the focused user's own law, so the tail recovers its true p too.
-        scheme = from_endpoints([20, 40, 60, 80, 100], tail_open=True)
+        scheme = from_endpoints([20, 40, 60, 80, 100])
         probs = (0.98, 0.97, 0.96, 0.95, 0.9, 0.3)
         prof = BehaviorProfile(Behavior.FOCUSED, probs, scheme, seed=17)
         ds = constant_feature_dataset(simulate.draw(prof, 100_000))
@@ -553,12 +555,12 @@ class TestArtifact:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         spec = FeatureSpec(hash_dim=9, seed=3)
-        model = Model.init(spec, 4, HeadKind.GEO, OPEN, 2.5, rng)
+        model = Model.init(spec, 4, HeadKind.GEO, SCHEME, 2.5, rng)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = Model.load(path)
         assert loaded.head is HeadKind.GEO
-        assert loaded.scheme == OPEN
+        assert loaded.scheme == SCHEME
         assert loaded.hidden == 4 and loaded.c == 2.5
         assert loaded.feature_spec == spec
         for key, value in model.params.items():
@@ -573,7 +575,7 @@ class TestArtifact:
     FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False),
                        st.floats(width=32, allow_nan=False, allow_infinity=False))
 
-    @given(st.sampled_from([(HeadKind.GEO, OPEN), (HeadKind.BINOM, CLOSED), (HeadKind.VGEO, None)]),
+    @given(st.sampled_from([(HeadKind.GEO, SCHEME), (HeadKind.BINOM, SCHEME), (HeadKind.VGEO, None)]),
            st.integers(0, 3), st.integers(2, 5), st.data())
     @settings(max_examples=60, deadline=None)
     def test_parameters_round_trip_bit_for_bit(self, tmp_path_factory, head_scheme, hidden, hash_dim, data):
@@ -607,7 +609,7 @@ class TestArtifact:
             b'{"c": 4.0, "feature_spec": {"hash_dim": 2, "seed": 1}, "format_version": %d, '
             # base64 of the little-endian float64 bytes of 0.1, and of 0.5 and -1.25
             b'"head": "binom", "hidden": 0, "params": {"b": "mpmZmZmZuT8=", "w": "AAAAAAAA4D8AAAAAAAD0vw=="}, '
-            b'"scheme": {"endpoints": [3], "tail_open": false}}\n' % predictor.ARTIFACT_VERSION)
+            b'"scheme": {"endpoints": [3]}}\n' % predictor.ARTIFACT_VERSION)
 
 
 class TestHiddenLayerTraining:

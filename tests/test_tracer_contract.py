@@ -1,18 +1,31 @@
 """The benchmark's tracer (perfbench/tracer.py) still finds every site it wraps,
 sees each span the benchmark requires of a geo pipeline fire, and counts the
-tokens each command encodes, over commands that read a CSV."""
+tokens each command encodes, over commands that read a CSV; and the CLI still
+parses every command line the benchmark (perfbench/run.py) runs."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from swat import dataio
+from swat.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run as bench  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_the_cli_parses_every_command_line_of_the_benchmark(tmp_path, workload):
+    # a flag the benchmark passes and the CLI no longer has fails here, before a benchmark run
+    runner = bench.Bench(bench.WORKLOADS[workload], 1.0, tmp_path)
+    for command in bench.COMMANDS:
+        argv = runner._swat_args(command, tmp_path / "rep")
+        assert build_parser().parse_args(argv).command == command
 
 
 def test_tracer_runs_buckets_train_eval_and_counts_encoded_tokens(tmp_path):
